@@ -12,16 +12,8 @@ from pathlib import Path
 
 from .decode import speculative_decode
 from .errors import InputError, LosslessnessError
-from .harness import (
-    ExperimentConfig,
-    build_models,
-    emit_report,
-    ingest_corpus,
-    load_records,
-    run_matrix,
-    split_corpus,
-)
-from .models import distill_interpolate, save_model, train_ngram
+from .harness import ExperimentConfig, build_models, emit_report, load_records, run_matrix
+from .models import distill_interpolate, save_model
 from .tree import BranchPolicy
 
 
@@ -83,14 +75,8 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _cmd_train(args) -> int:
-    if args.config:
-        config = ExperimentConfig.from_file(args.config).override(corpus=args.corpus)
-    else:
-        config = ExperimentConfig(corpus=args.corpus)
-    vocab, sequence = ingest_corpus(config.corpus)
-    train_seq, _ = split_corpus(sequence)
-    target = train_ngram(train_seq, config.target_order, config.target_alpha, vocab)
-    draft = train_ngram(train_seq, config.draft_order, config.draft_alpha, vocab)
+    config = _load_config(args) if args.config else ExperimentConfig(corpus=args.corpus)
+    _, target, draft, _ = build_models(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     target_path = out / "target.json"

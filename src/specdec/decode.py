@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dists import greedy_token
 from .errors import InputError
 from .metrics import DecodeStats
-from .models import Context, LanguageModel, next_distribution
+from .models import LanguageModel, next_distribution
 from .tree import BranchPolicy, ROOT_ID, SpecTree, expand_tree, prune_tree
 
 
@@ -40,19 +38,6 @@ class VerificationResult:
     def cycle_acceptance(self) -> int:
         """Tokens this cycle contributes: accepted plus the bonus if any."""
         return len(self.accepted_tokens) + (1 if self.bonus_token is not None else 0)
-
-
-class _CountingModel(LanguageModel):
-    """Pass-through wrapper counting distribution calls."""
-
-    def __init__(self, inner: LanguageModel) -> None:
-        self.vocab = inner.vocab
-        self.inner = inner
-        self.calls = 0
-
-    def distribution(self, ctx: Context) -> np.ndarray:
-        self.calls += 1
-        return self.inner.distribution(ctx)
 
 
 def greedy_decode(target: LanguageModel, prompt, max_tokens: int) -> list[int]:
@@ -124,7 +109,6 @@ def speculative_decode(
     if max_tokens < 1:
         raise InputError(f"max_tokens must be >= 1, got {max_tokens}")
 
-    counted_draft = _CountingModel(draft)
     eos = target.vocab.eos_id
     base = tuple(int(t) for t in prompt)
     out: list[int] = []
@@ -132,7 +116,8 @@ def speculative_decode(
 
     while len(out) < max_tokens:
         ctx = base + tuple(out)
-        tree = expand_tree(counted_draft, ctx, policy)
+        tree = expand_tree(draft, ctx, policy)
+        stats.draft_calls += tree.draft_queries
         tree = prune_tree(tree, policy.node_budget)
         result = verify_tree(target, tree)
 
@@ -150,6 +135,4 @@ def speculative_decode(
         stats.per_cycle_acceptance.append(len(emitted))
         if eos in emitted:
             break
-
-    stats.draft_calls = counted_draft.calls
     return out, stats

@@ -8,17 +8,18 @@ equality before a record is written. Reports are deterministic: a given
 timings are informational only and never enter the deterministic reports.
 
 Config files are flat ``key = value`` text; ``#`` starts a comment. Grids
-are comma-separated. See ``CONFIG_FIELDS`` for every key, its type, and
-its default; ``corpus`` is the only required key.
+are comma-separated. The fields of ``ExperimentConfig`` are the keys, with
+their types and defaults; ``corpus`` is the only required key.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from itertools import product
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .errors import InputError, LosslessnessError
 from .metrics import (
     KL_DRAFT_TARGET,
     KL_TARGET_DRAFT,
+    STAT_COUNTERS,
     CostModel,
     combine_stats,
     estimate_kl,
@@ -43,25 +45,6 @@ from .models import (
 from .tree import BranchPolicy
 
 REPORT_VERSION = 1
-CSV_COLUMNS = [
-    "domain",
-    "lambda",
-    "tau",
-    "branch",
-    "depth",
-    "budget",
-    "prompts",
-    "cycles",
-    "emitted_tokens",
-    "target_context_evals",
-    "target_contexts_scored",
-    "draft_calls",
-    "tree_nodes",
-    "gamma",
-    "kl_estimate",
-    "predicted_speedup",
-    "losslessness_verified",
-]
 
 
 def ingest_corpus(path) -> tuple[Vocabulary, tuple[int, ...]]:
@@ -71,13 +54,7 @@ def ingest_corpus(path) -> tuple[Vocabulary, tuple[int, ...]]:
     bos/eos markers appended after them, so repeated ingestion of the same
     file is bit-identical.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise OSError(f"corpus file {path} is not valid UTF-8: {exc}") from exc
-    if not text:
-        raise OSError(f"corpus file {path} is empty")
+    text = _read_corpus(path)
     chars = tuple(dict.fromkeys(text))
     vocab = Vocabulary(
         tokens=chars + (BOS_STRING, EOS_STRING),
@@ -88,6 +65,21 @@ def ingest_corpus(path) -> tuple[Vocabulary, tuple[int, ...]]:
     return vocab, tuple(ids[ch] for ch in text)
 
 
+def _read_text(path, what: str) -> str:
+    """A UTF-8 file's text; bytes that are not UTF-8 are an I/O error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{what} file {path} is not valid UTF-8: {exc}") from exc
+
+
+def _read_corpus(path) -> str:
+    text = _read_text(path, "corpus")
+    if not text:
+        raise OSError(f"corpus file {path} is empty")
+    return text
+
+
 def split_corpus(sequence, train_fraction: float = 0.85) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Deterministic prefix/suffix split into (training, held-out) tokens."""
     seq = tuple(sequence)
@@ -95,40 +87,13 @@ def split_corpus(sequence, train_fraction: float = 0.85) -> tuple[tuple[int, ...
     return seq[:cut], seq[cut:]
 
 
-# key -> (parser, default); REQUIRED default means the key must be present.
-_REQUIRED = object()
-
-
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in raw.split(","))
-
-
-def _parse_int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in raw.split(","))
-
-
-CONFIG_FIELDS = {
-    "corpus": (str, _REQUIRED),
-    "ood_corpus": (str, ""),
-    "target_order": (int, 3),
-    "draft_order": (int, 1),
-    "target_alpha": (float, 0.1),
-    "draft_alpha": (float, 0.5),
-    "lambda_grid": (_parse_float_list, (0.0, 0.25, 0.5, 0.75, 1.0)),
-    "tau_grid": (_parse_float_list, (1.0,)),
-    "branch_grid": (_parse_int_list, (4,)),
-    "depth_grid": (_parse_int_list, (3,)),
-    "budget_grid": (_parse_int_list, (8,)),
-    "prompt_count": (int, 200),
-    "prompt_length": (int, 8),
-    "probe_count": (int, 100),
-    "probe_length": (int, 8),
-    "max_tokens": (int, 32),
-    "seed": (int, 20250825),
-    "kl_direction": (str, KL_TARGET_DRAFT),
-    "draft_cost": (float, 0.05),
-    "batch_cost": (float, 1.0),
-}
+def _parse_value(kind, raw: str):
+    """Parse one config value as ``kind``: a scalar type, or a tuple of one
+    written comma-separated."""
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        return tuple(item(x) for x in raw.split(","))
+    return kind(raw)
 
 
 @dataclass(frozen=True)
@@ -157,7 +122,7 @@ class ExperimentConfig:
     batch_cost: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("lambda_grid", "tau_grid", "branch_grid", "depth_grid", "budget_grid"):
+        for name in _GRIDS:
             if not getattr(self, name):
                 raise InputError(f"{name} must be non-empty")
         if any(not 0.0 <= lam <= 1.0 for lam in self.lambda_grid):
@@ -176,9 +141,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        """Parse the flat key=value config format."""
+        """Parse the flat key=value config format; unset keys take their
+        field defaults."""
         values: dict[str, object] = {}
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, raw in enumerate(_read_text(path, "config").splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -186,18 +152,15 @@ class ExperimentConfig:
                 raise InputError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in CONFIG_FIELDS:
+            if key not in _CONFIG_TYPES:
                 raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
-            parser, _ = CONFIG_FIELDS[key]
             try:
-                values[key] = parser(value)
+                values[key] = _parse_value(_CONFIG_TYPES[key], value)
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-        for key, (_, default) in CONFIG_FIELDS.items():
-            if key not in values:
-                if default is _REQUIRED:
-                    raise InputError(f"{path}: missing required config key {key!r}")
-                values[key] = default
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in values:
+                raise InputError(f"{path}: missing required config key {f.name!r}")
         return cls(**values)  # type: ignore[arg-type]
 
     def override(self, **kwargs) -> "ExperimentConfig":
@@ -213,6 +176,11 @@ class ExperimentConfig:
     @property
     def cost_model(self) -> CostModel:
         return CostModel(self.draft_cost, self.batch_cost)
+
+
+_CONFIG_TYPES = get_type_hints(ExperimentConfig)
+#: The tuple-valued fields: comma-separated grids in config files.
+_GRIDS = tuple(name for name, kind in _CONFIG_TYPES.items() if get_origin(kind) is tuple)
 
 
 @dataclass(frozen=True)
@@ -244,53 +212,29 @@ class RunRecord:
 
     @property
     def cell_label(self) -> str:
-        return (
-            f"{self.domain},lam={self.lam:g},tau={self.tau:g},"
-            f"b={self.branch},d={self.depth},n={self.budget}"
-        )
+        return _cell_label(*self.cell_key)
 
     def to_dict(self) -> dict:
-        return {
-            "domain": self.domain,
-            "lambda": self.lam,
-            "tau": self.tau,
-            "branch": self.branch,
-            "depth": self.depth,
-            "budget": self.budget,
-            "prompts": self.prompts,
-            "cycles": self.cycles,
-            "emitted_tokens": self.emitted_tokens,
-            "target_context_evals": self.target_context_evals,
-            "target_contexts_scored": self.target_contexts_scored,
-            "draft_calls": self.draft_calls,
-            "tree_nodes": self.tree_nodes,
-            "gamma": self.gamma,
-            "kl_estimate": self.kl_estimate,
-            "predicted_speedup": self.predicted_speedup,
-            "losslessness_verified": self.losslessness_verified,
-        }
+        return {key: getattr(self, name) for name, key in _REPORT_KEYS.items()}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunRecord":
-        return cls(
-            domain=doc["domain"],
-            lam=float(doc["lambda"]),
-            tau=float(doc["tau"]),
-            branch=int(doc["branch"]),
-            depth=int(doc["depth"]),
-            budget=int(doc["budget"]),
-            prompts=int(doc["prompts"]),
-            cycles=int(doc["cycles"]),
-            emitted_tokens=int(doc["emitted_tokens"]),
-            target_context_evals=int(doc["target_context_evals"]),
-            target_contexts_scored=int(doc["target_contexts_scored"]),
-            draft_calls=int(doc["draft_calls"]),
-            tree_nodes=int(doc["tree_nodes"]),
-            gamma=float(doc["gamma"]),
-            kl_estimate=float(doc["kl_estimate"]),
-            predicted_speedup=float(doc["predicted_speedup"]),
-            losslessness_verified=bool(doc["losslessness_verified"]),
-        )
+        return cls(**{name: _RECORD_TYPES[name](doc[key]) for name, key in _REPORT_KEYS.items()})
+
+
+_RECORD_TYPES = get_type_hints(RunRecord)
+#: Report key of each reported RunRecord field, in column order. The
+#: wall-clock time is informational and never enters a report.
+_REPORT_KEYS = {
+    name: "lambda" if name == "lam" else name
+    for name in _RECORD_TYPES
+    if name != "wall_clock_ms"
+}
+CSV_COLUMNS = list(_REPORT_KEYS.values())
+
+
+def _cell_label(domain, lam, tau, branch, depth, budget) -> str:
+    return f"{domain},lam={lam:g},tau={tau:g},b={branch},d={depth},n={budget}"
 
 
 def _sample_spans(zone: tuple[int, ...], length: int, count: int, rng, what: str):
@@ -346,10 +290,7 @@ def run_matrix(config: ExperimentConfig) -> list[RunRecord]:
 
     domains: dict[str, tuple[int, ...]] = {"in": held}
     if config.ood_corpus:
-        ood_text = Path(config.ood_corpus).read_text(encoding="utf-8")
-        if not ood_text:
-            raise OSError(f"corpus file {config.ood_corpus} is empty")
-        ood_seq = vocab.encode(ood_text, skip_unknown=True)
+        ood_seq = vocab.encode(_read_corpus(config.ood_corpus), skip_unknown=True)
         if not ood_seq:
             raise InputError(
                 f"out-of-domain corpus {config.ood_corpus} shares no characters "
@@ -384,10 +325,7 @@ def run_matrix(config: ExperimentConfig) -> list[RunRecord]:
                     )
                     baseline = greedy_decode(target, prompt, config.max_tokens)
                     if tokens != baseline:
-                        cell = (
-                            f"{domain},lam={lam:g},tau={tau:g},"
-                            f"b={branch},d={depth},n={budget}"
-                        )
+                        cell = _cell_label(domain, lam, tau, branch, depth, budget)
                         raise LosslessnessError(config.seed, cell, prompt)
                     per_prompt.append(stats)
                 merged = combine_stats(per_prompt)
@@ -401,12 +339,7 @@ def run_matrix(config: ExperimentConfig) -> list[RunRecord]:
                         depth=depth,
                         budget=budget,
                         prompts=len(prompts),
-                        cycles=merged.cycles,
-                        emitted_tokens=merged.emitted_tokens,
-                        target_context_evals=merged.target_context_evals,
-                        target_contexts_scored=merged.target_contexts_scored,
-                        draft_calls=merged.draft_calls,
-                        tree_nodes=merged.tree_nodes,
+                        **{name: getattr(merged, name) for name in STAT_COUNTERS},
                         gamma=gamma,
                         kl_estimate=kl,
                         predicted_speedup=predicted_speedup(
@@ -455,9 +388,7 @@ def emit_report(
 
     if fmt in ("csv", "both"):
         lines = [f"# specdec report v{REPORT_VERSION}", ",".join(CSV_COLUMNS)]
-        for rec in ordered:
-            doc = rec.to_dict()
-            lines.append(",".join(_fmt(doc[col]) for col in CSV_COLUMNS))
+        lines.extend(",".join(map(_fmt, rec.to_dict().values())) for rec in ordered)
         csv_path = out / "report.csv"
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(csv_path)
@@ -483,12 +414,28 @@ def emit_report(
 
 
 def load_records(path) -> tuple[ExperimentConfig, list[RunRecord]]:
-    """Read a report.json back into (config, records) for re-emission."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != "specdec-report":
+    """Read a report.json back into (config, records) for re-emission.
+
+    Anything but a complete report of this version raises InputError.
+    """
+    try:
+        doc = json.loads(_read_text(path, "report"))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"report file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != "specdec-report":
         raise InputError(f"{path} is not a specdec report file")
-    cfg_doc = dict(doc["config"])
-    for key in ("lambda_grid", "tau_grid", "branch_grid", "depth_grid", "budget_grid"):
-        cfg_doc[key] = tuple(cfg_doc[key])
-    config = ExperimentConfig(**cfg_doc)
-    return config, [RunRecord.from_dict(r) for r in doc["records"]]
+    if doc.get("version") != REPORT_VERSION:
+        raise InputError(f"{path} has unsupported report version {doc.get('version')!r}")
+    cfg_doc = doc.get("config")
+    if not isinstance(cfg_doc, dict):
+        raise InputError(f"{path}: report has no config")
+    if set(cfg_doc) != set(_CONFIG_TYPES):
+        odd = sorted(set(cfg_doc) ^ set(_CONFIG_TYPES))
+        raise InputError(f"{path}: report config keys missing or unknown: {odd}")
+    try:
+        config = ExperimentConfig(
+            **{k: tuple(v) if k in _GRIDS else v for k, v in cfg_doc.items()}
+        )
+        return config, [RunRecord.from_dict(r) for r in doc["records"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed report: {exc!r}") from exc

@@ -8,7 +8,7 @@ logged separately by the harness and carries no guarantee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .dists import kl_divergence
 from .errors import InputError
@@ -44,6 +44,10 @@ class DecodeStats:
         return mean_acceptance(self)
 
 
+#: The counters that add up across runs: every field but the per-cycle list.
+STAT_COUNTERS = tuple(f.name for f in fields(DecodeStats) if f.name != "per_cycle_acceptance")
+
+
 def mean_acceptance(stats: DecodeStats) -> float:
     """Arithmetic mean of the per-cycle acceptance counts."""
     if not stats.per_cycle_acceptance:
@@ -56,16 +60,10 @@ def combine_stats(runs) -> DecodeStats:
     runs = list(runs)
     if not runs:
         raise InputError("no stats to combine")
-    merged = DecodeStats()
-    for s in runs:
-        merged.cycles += s.cycles
-        merged.emitted_tokens += s.emitted_tokens
-        merged.target_context_evals += s.target_context_evals
-        merged.target_contexts_scored += s.target_contexts_scored
-        merged.draft_calls += s.draft_calls
-        merged.tree_nodes += s.tree_nodes
-        merged.per_cycle_acceptance.extend(s.per_cycle_acceptance)
-    return merged
+    return DecodeStats(
+        **{name: sum(getattr(s, name) for s in runs) for name in STAT_COUNTERS},
+        per_cycle_acceptance=[n for s in runs for n in s.per_cycle_acceptance],
+    )
 
 
 @dataclass(frozen=True)

@@ -309,13 +309,16 @@ def load_model(path) -> NGramModel:
         raise InputError(f"model file {path} has unknown format {doc.get('format')!r}")
     if doc.get("version") != FORMAT_VERSION:
         raise InputError(f"model file {path} has unsupported version {doc.get('version')!r}")
-    vocab = Vocabulary(
-        tokens=tuple(doc["vocab"]["tokens"]),
-        bos_id=int(doc["vocab"]["bos_id"]),
-        eos_id=int(doc["vocab"]["eos_id"]),
-    )
-    contexts = {
-        tuple(int(t) for t in ctx): {int(t): int(c) for t, c in counts}
-        for ctx, counts in doc["contexts"]
-    }
-    return NGramModel(vocab, int(doc["order"]), float(doc["alpha"]), contexts, doc["unigram"])
+    try:
+        vocab = Vocabulary(
+            tokens=tuple(doc["vocab"]["tokens"]),
+            bos_id=int(doc["vocab"]["bos_id"]),
+            eos_id=int(doc["vocab"]["eos_id"]),
+        )
+        contexts = {
+            tuple(int(t) for t in ctx): {int(t): int(c) for t, c in counts}
+            for ctx, counts in doc["contexts"]
+        }
+        return NGramModel(vocab, int(doc["order"]), float(doc["alpha"]), contexts, doc["unigram"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"model file {path} is malformed: {exc!r}") from exc

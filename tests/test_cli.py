@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -137,3 +139,53 @@ def test_report_rejects_non_report_json(tmp_path):
     bad.write_text('{"format": "other"}', encoding="utf-8")
     code = main(["report", str(bad), "--out", str(tmp_path / "y")])
     assert code == 1
+
+
+def _truncate(doc_text: str) -> str:
+    return doc_text[: len(doc_text) // 2]
+
+
+def _drop_config_key(doc_text: str) -> str:
+    doc = json.loads(doc_text)
+    del doc["config"]["lambda_grid"]
+    return json.dumps(doc)
+
+
+def _future_version(doc_text: str) -> str:
+    doc = json.loads(doc_text)
+    doc["version"] = 99
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("corrupt", [_truncate, _drop_config_key, _future_version])
+def test_report_rejects_broken_report_with_one_line(tmp_path, config_file, capsys, corrupt):
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", str(config_file), "--out", str(out), "--format", "json"]) == 0
+    broken = tmp_path / "broken.json"
+    broken.write_text(corrupt((out / "report.json").read_text(encoding="utf-8")), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["report", str(broken), "--out", str(tmp_path / "re")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("specdec: error: ") and err.count("\n") == 1
+    assert not (tmp_path / "re").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--out", "{out}"],
+        ["decode", "the"],
+        ["train", "--corpus", "{corpus}", "--out", "{out}"],
+    ],
+    ids=["bench", "decode", "train"],
+)
+def test_non_utf8_config_exits_two(tmp_path, corpus_file, capsys, argv):
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes(f"corpus = {corpus_file}\n# caf\xe9\n".encode("latin-1"))
+    args = [a.format(out=tmp_path / "out", corpus=corpus_file) for a in argv]
+    code = main(args + ["--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("specdec: i/o error: ") and err.count("\n") == 1
+    assert "UTF-8" in err

@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
+from typing import get_type_hints
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specdec.harness as harness
 from specdec.errors import InputError, LosslessnessError
@@ -276,3 +282,100 @@ def test_report_json_round_trip(tmp_path, corpus_file):
     doc = json.loads((tmp_path / "out" / "report.json").read_text())
     assert doc["format"] == "specdec-report"
     assert "wall_clock_ms" not in json.dumps(doc)
+
+
+# The report format as version 1 wrote it, held literally: CSV_COLUMNS and
+# the to_dict methods are derived from the dataclasses, so comparing them
+# with each other cannot catch a renamed or reordered field.
+V1_CSV_HEADER = (
+    "domain,lambda,tau,branch,depth,budget,prompts,cycles,emitted_tokens,"
+    "target_context_evals,target_contexts_scored,draft_calls,tree_nodes,gamma,"
+    "kl_estimate,predicted_speedup,losslessness_verified"
+)
+V1_RECORD_KEYS = set(V1_CSV_HEADER.split(","))
+V1_CONFIG_KEYS = {
+    "corpus", "ood_corpus", "target_order", "draft_order", "target_alpha",
+    "draft_alpha", "lambda_grid", "tau_grid", "branch_grid", "depth_grid",
+    "budget_grid", "prompt_count", "prompt_length", "probe_count", "probe_length",
+    "max_tokens", "seed", "kl_direction", "draft_cost", "batch_cost",
+}
+
+
+def test_report_format_matches_v1_literally(tmp_path, corpus_file):
+    config = small_config(corpus_file)
+    emit_report(run_matrix(config), config, tmp_path, "both")
+    lines = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[:2] == ["# specdec report v1", V1_CSV_HEADER]
+    doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert set(doc) == {"format", "version", "config", "records"}
+    assert set(doc["config"]) == V1_CONFIG_KEYS
+    assert [set(r) for r in doc["records"]] == [V1_RECORD_KEYS]
+
+
+def _parse_config_text(tmp_dir, text: str):
+    path = tmp_dir / "fuzz.cfg"
+    path.write_text(text, encoding="utf-8")
+    return ExperimentConfig.from_file(path)
+
+
+CONFIG_KEYS = [f.name for f in fields(ExperimentConfig)]
+_VALUE_TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.lists(st.floats(), min_size=1, max_size=3).map(lambda xs: ", ".join(map(repr, xs))),
+    st.lists(st.integers(-3, 9), min_size=1, max_size=3).map(lambda xs: ",".join(map(str, xs))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.tuples(st.sampled_from(CONFIG_KEYS + ["bogus"]), _VALUE_TEXT),
+                      max_size=8))
+def test_from_file_fuzz_raises_only_input_error(tmp_path_factory, lines):
+    text = "\n".join(f"{key} = {value}" for key, value in lines)
+    try:
+        config = _parse_config_text(tmp_path_factory.getbasetemp(), text)
+    except InputError:
+        return
+    assert isinstance(config, ExperimentConfig)
+
+
+# A valid value of each field type; floats >= 1 satisfy every float bound,
+# and grid floats in [0, 1] satisfy the lambda bound.
+_SAFE_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"), blacklist_characters="#"),
+    max_size=12,
+).map(str.strip)
+_BY_TYPE = {
+    str: _SAFE_TEXT,
+    int: st.integers(1, 2**63),
+    float: st.floats(1.0, 1e12),
+    tuple[int, ...]: st.lists(st.integers(1, 2**31), min_size=1, max_size=4).map(tuple),
+    tuple[float, ...]: st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4).map(tuple),
+}
+_CONFIGS = st.fixed_dictionaries({
+    name: (st.sampled_from(["target-draft", "draft-target"]) if name == "kl_direction"
+           else _BY_TYPE[kind])
+    for name, kind in get_type_hints(ExperimentConfig).items()
+}).map(lambda values: ExperimentConfig(**values))
+
+
+def _render(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(map(repr, value))
+    return value if isinstance(value, str) else repr(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=_CONFIGS)
+def test_from_file_round_trips_rendered_config(tmp_path_factory, config):
+    text = "\n".join(f"{f.name} = {_render(getattr(config, f.name))}" for f in fields(config))
+    assert _parse_config_text(tmp_path_factory.getbasetemp(), text) == config
+
+
+def test_readme_config_table_lists_every_field():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Config file format", 1)[1].split("\n\n")[2]
+    rows = [line.split("|")[1] for line in table.splitlines()[2:]]
+    keys = [key for row in rows for key in re.findall(r"`(\w+)`", row)]
+    assert sorted(keys) == sorted(CONFIG_KEYS)

@@ -235,3 +235,15 @@ def test_entropy_of_trained_rows_is_finite():
     row = next_distribution(model, (vocab.bos_id, corpus[0]))
     assert math.isfinite(float(np.sum(row)))
     assert row.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("key", ["vocab", "order", "alpha", "unigram", "contexts"])
+def test_load_names_the_file_missing_a_key(tmp_path, key):
+    vocab, corpus = text_vocab(TRAIN_TEXT[:200])
+    path = tmp_path / "model.json"
+    save_model(train_ngram(corpus, order=2, smoothing_alpha=0.5, vocab=vocab), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    del doc[key]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(InputError, match="model.json"):
+        load_model(path)
