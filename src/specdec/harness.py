@@ -15,6 +15,7 @@ their types and defaults; ``corpus`` is the only required key.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import MISSING, dataclass, fields, replace
 from itertools import product
@@ -40,11 +41,12 @@ from .models import (
     EOS_STRING,
     Vocabulary,
     distill_interpolate,
+    read_text,
     train_ngram,
 )
 from .tree import BranchPolicy
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def ingest_corpus(path) -> tuple[Vocabulary, tuple[int, ...]]:
@@ -65,16 +67,8 @@ def ingest_corpus(path) -> tuple[Vocabulary, tuple[int, ...]]:
     return vocab, tuple(ids[ch] for ch in text)
 
 
-def _read_text(path, what: str) -> str:
-    """A UTF-8 file's text; bytes that are not UTF-8 are an I/O error."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise OSError(f"{what} file {path} is not valid UTF-8: {exc}") from exc
-
-
 def _read_corpus(path) -> str:
-    text = _read_text(path, "corpus")
+    text = read_text(path, "corpus")
     if not text:
         raise OSError(f"corpus file {path} is empty")
     return text
@@ -122,6 +116,11 @@ class ExperimentConfig:
     batch_cost: float = 1.0
 
     def __post_init__(self) -> None:
+        for name, kind in _CONFIG_TYPES.items():
+            if kind in (float, tuple[float, ...]):
+                value = getattr(self, name)
+                if any(map(math.isnan, value if isinstance(value, tuple) else (value,))):
+                    raise InputError(f"{name} must not be NaN")
         for name in _GRIDS:
             if not getattr(self, name):
                 raise InputError(f"{name} must be non-empty")
@@ -144,7 +143,7 @@ class ExperimentConfig:
         """Parse the flat key=value config format; unset keys take their
         field defaults."""
         values: dict[str, object] = {}
-        for lineno, raw in enumerate(_read_text(path, "config").splitlines(), 1):
+        for lineno, raw in enumerate(read_text(path, "config").splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -419,7 +418,7 @@ def load_records(path) -> tuple[ExperimentConfig, list[RunRecord]]:
     Anything but a complete report of this version raises InputError.
     """
     try:
-        doc = json.loads(_read_text(path, "report"))
+        doc = json.loads(read_text(path, "report"))
     except json.JSONDecodeError as exc:
         raise InputError(f"report file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "specdec-report":

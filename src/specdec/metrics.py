@@ -81,9 +81,10 @@ class CostModel:
 
     def __post_init__(self) -> None:
         # draft_cost=0 models a free draft (the degenerate reference case).
-        if self.draft_cost < 0:
+        # The negated tests reject NaN as well.
+        if not self.draft_cost >= 0:
             raise InputError(f"draft_cost must be >= 0, got {self.draft_cost}")
-        if self.batch_cost < 1:
+        if not self.batch_cost >= 1:
             raise InputError(f"batch_cost must be >= 1, got {self.batch_cost}")
 
 

@@ -299,12 +299,22 @@ def save_model(model: NGramModel, path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
 
 
+def read_text(path, what: str) -> str:
+    """A UTF-8 file's text; bytes that are not UTF-8 are an I/O error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{what} file {path} is not valid UTF-8: {exc}") from exc
+
+
 def load_model(path) -> NGramModel:
     """Rebuild an n-gram model from :func:`save_model` output."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(read_text(path, "model"))
     except json.JSONDecodeError as exc:
         raise InputError(f"model file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"model file {path} does not hold a JSON object")
     if doc.get("format") != FORMAT_NAME:
         raise InputError(f"model file {path} has unknown format {doc.get('format')!r}")
     if doc.get("version") != FORMAT_VERSION:

@@ -1,18 +1,20 @@
-"""Speculative token trees: entropy-adaptive expansion and top-n pruning.
+"""Speculative token trees: entropy-adaptive, best-first budgeted expansion.
 
 The draft model grows a tree of candidate continuations rooted at the
 current decoding context. Per-node branching is all-or-nothing: a peaked
-(low-entropy) draft distribution extends a single edge, an uncertain one
-fans out to the top ``max_branch`` tokens. After expansion the tree is cut
-back to a global budget of the ``n`` best nodes by cumulative draft
-log-probability, keeping every selected node's ancestors so root paths stay
-contiguous for verification.
+(low-entropy) draft distribution proposes a single child, an uncertain one
+fans out to the top ``max_branch`` tokens. Proposed children are attached
+best-first by cumulative draft log-probability until the tree holds a
+global budget of ``n`` nodes, and only attached nodes are queried for
+children of their own. The result is the ``n`` best nodes of the full
+entropy-gated tree; since a child never outranks its parent, every kept
+node's root path is kept too, as verification needs.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +46,7 @@ class BranchPolicy:
     entropy_threshold: nats; below it a node extends top-1, at or above it
         the top ``max_branch`` tokens are expanded. ``math.inf`` (or
         ``max_branch=1``) degenerates to classic chain speculation.
-    node_budget: global cap on non-root nodes after pruning.
+    node_budget: global cap on non-root nodes in a tree.
     """
 
     entropy_threshold: float
@@ -53,7 +55,7 @@ class BranchPolicy:
     node_budget: int
 
     def __post_init__(self) -> None:
-        if self.entropy_threshold < 0:
+        if not self.entropy_threshold >= 0:  # NaN fails this test too
             raise InputError(f"entropy_threshold must be >= 0, got {self.entropy_threshold}")
         if self.max_branch < 1:
             raise InputError(f"max_branch must be >= 1, got {self.max_branch}")
@@ -75,9 +77,11 @@ class BranchPolicy:
 class SpecTree:
     """Rooted tree of speculative tokens with cumulative draft log-probs.
 
-    Nodes keep their creation ids across pruning; children lists preserve
-    creation (BFS, best-first) order. ``draft_queries`` records how many
-    draft distribution calls expansion consumed, for cost accounting.
+    Nodes keep their creation ids across pruning. Children lists keep
+    creation order, which :func:`expand_tree` sorts into the draft's rank
+    order (most probable first, ties to the lower token id).
+    ``draft_queries`` records how many draft distribution calls expansion
+    consumed, for cost accounting.
     """
 
     def __init__(self, context) -> None:
@@ -181,27 +185,46 @@ def top_tokens(dist, k: int) -> list[int]:
 
 
 def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
-    """Grow a speculative tree breadth-first up to ``policy.max_depth``.
+    """Grow a speculative tree best-first until it holds ``policy.node_budget``
+    nodes or no proposal is left.
 
-    Each frontier node is scored with the draft on (context + its root
-    path); branch width follows the draft's entropy at that node. EOS nodes
-    are kept but never expanded, so a verified EOS can end decoding.
+    The draft is queried on (context + root path) at the root and at each
+    attached node; branch width follows the draft's entropy there. Proposed
+    children wait on a heap in :func:`_rank_key` order and the best one is
+    attached next. EOS nodes and nodes at ``policy.max_depth`` are kept but
+    never queried, so a verified EOS can end decoding. At most
+    ``node_budget`` draft queries are made.
+
+    The result equals pruning the full breadth-first expansion to the
+    budget: a child never outranks its parent, so the ``n`` best nodes
+    always include their ancestors and pop off the heap in rank order. The
+    sibling-rank path stands in for the breadth-first creation id that
+    breaks the last ties in :func:`_rank_key`, since at equal depth the two
+    orders agree.
     """
     tree = SpecTree(ctx)
     eos = draft.vocab.eos_id
-    frontier: deque[tuple[int, Context]] = deque([(ROOT_ID, tree.context)])
-    while frontier:
-        node_id, node_ctx = frontier.popleft()
+    heap: list = []
+    rank: dict[int, int] = {}
+
+    def propose(node_id: int, node_ctx: Context, path: tuple[int, ...]) -> None:
         node = tree.nodes[node_id]
-        if node.depth >= policy.max_depth:
-            continue
-        if node.token == eos:
-            continue
         dist = next_distribution(draft, node_ctx)
         tree.draft_queries += 1
-        for token in top_tokens(dist, branch_width(dist, policy)):
-            child = tree.add_child(node_id, token, float(dist[token]))
-            frontier.append((child, node_ctx + (token,)))
+        for r, token in enumerate(top_tokens(dist, branch_width(dist, policy))):
+            p = float(dist[token])
+            key = (-(node.cum_logprob + math.log(p)), node.depth + 1, token, path + (r,))
+            heapq.heappush(heap, (key, node_id, p, node_ctx + (token,)))
+
+    propose(ROOT_ID, tree.context, ())
+    while heap and tree.non_root_count < policy.node_budget:
+        (_, depth, token, path), parent_id, p, node_ctx = heapq.heappop(heap)
+        child = tree.add_child(parent_id, token, p)
+        rank[child] = path[-1]
+        if tree.non_root_count < policy.node_budget and token != eos and depth < policy.max_depth:
+            propose(child, node_ctx, path)
+    for kids in tree.children.values():
+        kids.sort(key=rank.__getitem__)
     return tree
 
 
@@ -214,36 +237,26 @@ def _rank_key(node: SpecNode) -> tuple[float, int, int, int]:
 def prune_tree(tree: SpecTree, n: int) -> SpecTree:
     """Keep the n best non-root nodes by cumulative draft log-probability.
 
-    Missing ancestors of selected nodes are pulled in; if that overflows the
-    budget, the lowest-ranked selections are evicted until the closure fits.
-    Because cum_logprob never increases towards the leaves, ancestors outrank
-    descendants and the repair is a no-op for well-formed trees, but the
-    contract holds for any input. The result is a connected subtree that
-    always contains the top-ranked node; the operation is idempotent.
+    A tree that already fits is returned as it is. Every tree built with
+    :meth:`SpecTree.add_child` keeps its ancestors when cut this way: a
+    child's log-probability never exceeds its parent's, and equal scores
+    rank the shallower node first. The result is a connected subtree that
+    contains the top-ranked node; the operation is idempotent.
     """
     if n < 1:
         raise InputError(f"prune budget must be >= 1, got {n}")
+    if tree.non_root_count <= n:
+        return tree
     ranked = sorted(
         (node for nid, node in tree.nodes.items() if nid != ROOT_ID), key=_rank_key
     )
-    chosen = ranked[:n]
-    while True:
-        closure: set[int] = set()
-        for node in chosen:
-            cur = node
-            while cur.id != ROOT_ID and cur.id not in closure:
-                closure.add(cur.id)
-                cur = tree.nodes[cur.parent]
-        if len(closure) <= n or len(chosen) == 1:
-            break
-        chosen.pop()
-    return tree._replace_nodes(closure)
+    return tree._replace_nodes({node.id for node in ranked[:n]})
 
 
 def render_tree(tree: SpecTree, vocab: Vocabulary) -> str:
     """Deterministic one-node-per-line dump for golden-file tests.
 
-    Depth-first, children in creation (best-first) order; two spaces of
+    Depth-first, children in list order; two spaces of
     indent per depth; token strings are repr-escaped.
     """
     lines = ["<root>"]

@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import zlib
+from collections import deque
 
 import numpy as np
 import pytest
 
-from specdec.models import BOS_STRING, EOS_STRING, LanguageModel, Vocabulary
+from specdec.models import (
+    BOS_STRING,
+    EOS_STRING,
+    LanguageModel,
+    Vocabulary,
+    next_distribution,
+)
+from specdec.tree import ROOT_ID, SpecTree, branch_width, top_tokens
 
 _CRITERION_RESULTS: dict[str, bool] = {}
 
@@ -107,6 +115,29 @@ class TableModel(LanguageModel):
 
     def distribution(self, ctx) -> np.ndarray:
         return self.rows.get(tuple(ctx), self.fallback)
+
+
+def full_expand(draft: LanguageModel, ctx, policy) -> SpecTree:
+    """Reference expansion: query the draft at every frontier node,
+    breadth-first, up to ``policy.max_depth``, ignoring the node budget.
+
+    ``prune_tree(full_expand(...), policy.node_budget)`` is the tree that
+    budgeted best-first expansion must build.
+    """
+    tree = SpecTree(ctx)
+    eos = draft.vocab.eos_id
+    frontier = deque([(ROOT_ID, tree.context)])
+    while frontier:
+        node_id, node_ctx = frontier.popleft()
+        node = tree.nodes[node_id]
+        if node.depth >= policy.max_depth or node.token == eos:
+            continue
+        dist = next_distribution(draft, node_ctx)
+        tree.draft_queries += 1
+        for token in top_tokens(dist, branch_width(dist, policy)):
+            child = tree.add_child(node_id, token, float(dist[token]))
+            frontier.append((child, node_ctx + (token,)))
+    return tree
 
 
 TRAIN_TEXT = (

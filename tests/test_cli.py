@@ -189,3 +189,13 @@ def test_non_utf8_config_exits_two(tmp_path, corpus_file, capsys, argv):
     assert code == 2
     assert err.startswith("specdec: i/o error: ") and err.count("\n") == 1
     assert "UTF-8" in err
+
+
+def test_bench_nan_config_value_exits_one_naming_the_key(tmp_path, corpus_file, capsys):
+    config = tmp_path / "nan.cfg"
+    config.write_text(f"corpus = {corpus_file}\ntarget_alpha = nan\n", encoding="utf-8")
+    code = main(["bench", "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and "target_alpha" in err
+    assert not (tmp_path / "out").exists()

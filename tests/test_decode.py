@@ -9,12 +9,13 @@ import pytest
 
 from specdec.decode import greedy_decode, speculative_decode, verify_tree
 from specdec.errors import InputError
-from specdec.models import ConstantModel, train_ngram
+from specdec.models import ConstantModel, distill_interpolate, train_ngram
 from specdec.tree import ROOT_ID, BranchPolicy, SpecTree, expand_tree, prune_tree
 
 from conftest import (
     PermutedModel,
     RandomTableModel,
+    full_expand,
     make_vocab,
     one_hot,
     text_vocab,
@@ -239,3 +240,54 @@ def test_draft_calls_counted_for_chain():
     # a chain of depth 3 issues exactly 3 draft queries per cycle
     assert stats.draft_calls == 3 * stats.cycles
     assert stats.tree_nodes == 3 * stats.cycles
+
+
+def expand_all_then_prune_decode(draft, target, prompt, max_tokens, policy):
+    """The decode loop with every tree fully expanded and then pruned.
+
+    Returns (tokens, per-cycle emitted counts, summed kept tree nodes).
+    """
+    eos = target.vocab.eos_id
+    out: list[int] = []
+    per_cycle: list[int] = []
+    nodes = 0
+    while len(out) < max_tokens:
+        full = full_expand(draft, tuple(prompt) + tuple(out), policy)
+        tree = prune_tree(full, policy.node_budget)
+        result = verify_tree(target, tree)
+        emitted = list(result.accepted_tokens)
+        if result.bonus_token is not None:
+            emitted.append(result.bonus_token)
+        emitted = emitted[: max_tokens - len(out)]
+        out.extend(emitted)
+        per_cycle.append(len(emitted))
+        nodes += tree.non_root_count
+        if eos in emitted:
+            break
+    return out, per_cycle, nodes
+
+
+def test_best_first_decode_matches_expand_all_then_prune():
+    vocab = make_vocab(5)
+    policies = (
+        BranchPolicy(0.35, 4, 4, 8),
+        BranchPolicy(0.0, 3, 3, 5),
+        BranchPolicy(1.0, 2, 5, 12),
+        BranchPolicy.chain(4),
+    )
+    for seed in range(8):
+        base, target = random_pair(seed, vocab)
+        prompt = (vocab.bos_id, seed % 5)
+        for lam in (0.0, 0.5, 0.9):
+            draft = distill_interpolate(target, base, lam)
+            for policy in policies:
+                tokens, stats = speculative_decode(draft, target, prompt, 24, policy)
+                ref_tokens, ref_cycles, ref_nodes = expand_all_then_prune_decode(
+                    draft, target, prompt, 24, policy
+                )
+                assert tokens == ref_tokens
+                assert stats.per_cycle_acceptance == ref_cycles
+                assert stats.cycles == len(ref_cycles)
+                assert stats.emitted_tokens == sum(ref_cycles)
+                assert stats.tree_nodes == ref_nodes
+                assert stats.draft_calls <= stats.cycles * policy.node_budget

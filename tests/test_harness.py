@@ -231,7 +231,7 @@ def test_emit_report_single_record(tmp_path, corpus_file):
     paths = emit_report(records, config, tmp_path / "out", "csv")
     csv_path = paths[0]
     lines = csv_path.read_text(encoding="utf-8").splitlines()
-    assert lines[0].startswith("# specdec report v1")
+    assert lines[0].startswith("# specdec report v2")
     assert lines[1] == ",".join(CSV_COLUMNS)
     assert len(lines) == 3
     assert lines[2].startswith("in,1,")
@@ -305,11 +305,22 @@ def test_report_format_matches_v1_literally(tmp_path, corpus_file):
     config = small_config(corpus_file)
     emit_report(run_matrix(config), config, tmp_path, "both")
     lines = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[:2] == ["# specdec report v1", V1_CSV_HEADER]
+    assert lines[:2] == ["# specdec report v2", V1_CSV_HEADER]
     doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert set(doc) == {"format", "version", "config", "records"}
     assert set(doc["config"]) == V1_CONFIG_KEYS
     assert [set(r) for r in doc["records"]] == [V1_RECORD_KEYS]
+
+
+@pytest.mark.parametrize(
+    "key", ["target_alpha", "draft_alpha", "draft_cost", "batch_cost", "lambda_grid", "tau_grid"]
+)
+def test_config_rejects_nan_naming_the_key(tmp_path, corpus_file, key):
+    value = "1.0, nan" if key.endswith("_grid") else "nan"
+    path = tmp_path / "nan.cfg"
+    path.write_text(f"corpus = {corpus_file}\n{key} = {value}\n", encoding="utf-8")
+    with pytest.raises(InputError, match=f"{key} must not be NaN"):
+        ExperimentConfig.from_file(path)
 
 
 def _parse_config_text(tmp_dir, text: str):

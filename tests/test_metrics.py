@@ -66,6 +66,13 @@ def test_cost_model_validation():
         CostModel(0.1, 0.5)
 
 
+def test_cost_model_rejects_nan():
+    with pytest.raises(InputError, match="draft_cost"):
+        CostModel(math.nan, 1.0)
+    with pytest.raises(InputError, match="batch_cost"):
+        CostModel(0.1, math.nan)
+
+
 def test_predicted_speedup_closed_forms():
     free = CostModel(0.0, 1.0)
     assert predicted_speedup(4.0, free, 10.0) == 4.0

@@ -247,3 +247,17 @@ def test_load_names_the_file_missing_a_key(tmp_path, key):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(InputError, match="model.json"):
         load_model(path)
+
+
+def test_load_rejects_json_that_is_not_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[]", encoding="utf-8")
+    with pytest.raises(InputError, match="list.json"):
+        load_model(path)
+
+
+def test_load_non_utf8_file_is_an_io_error(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(OSError, match="binary.json.*UTF-8"):
+        load_model(path)

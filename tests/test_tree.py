@@ -7,9 +7,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specdec.errors import InputError
-from specdec.models import ConstantModel
+from specdec.models import ConstantModel, distill_interpolate, train_ngram
 from specdec.tree import (
     ROOT_ID,
     BranchPolicy,
@@ -21,7 +23,14 @@ from specdec.tree import (
     top_tokens,
 )
 
-from conftest import RandomTableModel, make_vocab, one_hot
+from conftest import (
+    TRAIN_TEXT,
+    RandomTableModel,
+    full_expand,
+    make_vocab,
+    one_hot,
+    text_vocab,
+)
 
 
 def rank_key(node):
@@ -258,3 +267,90 @@ def test_cum_logprob_matches_external_recomputation():
                 total += math.log(cursor.draft_prob)
                 cursor = tree.nodes[cursor.parent]
             assert abs(node.cum_logprob - total) <= 1e-12
+
+
+def test_policy_rejects_nan_threshold():
+    with pytest.raises(InputError, match="entropy_threshold"):
+        BranchPolicy(math.nan, 2, 3, 8)
+    assert math.isinf(BranchPolicy(math.inf, 2, 3, 8).entropy_threshold)
+
+
+def test_chain_policy_queries_once_per_depth():
+    vocab = make_vocab(4)
+    row = np.array([0.1, 0.5, 0.2, 0.1, 0.0, 0.1])  # EOS has mass but never wins
+    draft = ConstantModel(vocab, row)
+    for depth in range(1, 8):
+        tree = expand_tree(draft, (vocab.bos_id,), BranchPolicy.chain(depth))
+        assert tree.draft_queries == depth
+        assert tree.non_root_count == depth
+
+
+def test_expansion_keeps_rank_order_when_scores_round_equal():
+    # 'b' outranks 'a' by one ulp; below 'b' their cumulative scores round
+    # to the same float, so only the rank order tells the children apart.
+    vocab = make_vocab(3)
+    high = 0.48
+    low = float(np.nextafter(high, 0.0))
+    assert math.log(high) + math.log(high) == math.log(high) + math.log(low)
+    draft = ConstantModel(vocab, np.array([low, high, 1.0 - high - low, 0.0, 0.0]))
+    policy = BranchPolicy(0.0, 2, 2, 6)
+    tree = expand_tree(draft, (vocab.bos_id,), policy)
+    reference = prune_tree(full_expand(draft, (vocab.bos_id,), policy), 6)
+    assert render_tree(tree, vocab) == render_tree(reference, vocab)
+    for kids in tree.children.values():
+        assert [tree.nodes[k].token for k in kids] in ([], [1, 0])
+
+
+_NGRAM_VOCAB, _NGRAM_CORPUS = text_vocab(TRAIN_TEXT)
+_NGRAM_TARGET = train_ngram(_NGRAM_CORPUS, 3, 0.1, _NGRAM_VOCAB)
+_NGRAM_BASE = train_ngram(_NGRAM_CORPUS, 1, 0.5, _NGRAM_VOCAB)
+
+
+def draft_and_context(kind: str, seed: int, n_chars: int, lam: float, prompt_len: int):
+    """A draft model of the given kind and a bos-anchored context for it.
+
+    "uniform" and "steps" are constant rows, so sibling and cousin nodes tie
+    on cumulative log-probability at every depth; "ngram" blends the n-gram
+    pair the demo config trains, as the bench does.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "ngram":
+        start = int(rng.integers(0, len(_NGRAM_CORPUS) - prompt_len))
+        draft = distill_interpolate(_NGRAM_TARGET, _NGRAM_BASE, lam)
+        return draft, (_NGRAM_VOCAB.bos_id,) + _NGRAM_CORPUS[start:start + prompt_len]
+    vocab = make_vocab(n_chars)
+    ctx = (vocab.bos_id,) + tuple(int(t) for t in rng.integers(0, n_chars, prompt_len))
+    if kind == "random":
+        return RandomTableModel(vocab, seed=seed), ctx
+    if kind == "uniform":
+        return ConstantModel(vocab, np.full(vocab.size, 1.0 / vocab.size)), ctx
+    weights = rng.integers(0, 3, vocab.size).astype(np.float64)  # few values, zeros
+    weights[0] += 1.0
+    return ConstantModel(vocab, weights / weights.sum()), ctx
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "uniform", "steps", "ngram"]),
+    seed=st.integers(0, 2**32 - 1),
+    n_chars=st.integers(2, 5),
+    lam=st.sampled_from([0.0, 0.5, 1.0]),
+    prompt_len=st.integers(0, 4),
+    threshold=st.sampled_from([0.0, 0.35, 1.0, math.inf]),
+    max_branch=st.integers(1, 4),
+    max_depth=st.integers(1, 4),
+    extra_budget=st.integers(0, 10),
+)
+def test_best_first_expansion_equals_pruned_full_expansion(
+    kind, seed, n_chars, lam, prompt_len, threshold, max_branch, max_depth, extra_budget
+):
+    draft, ctx = draft_and_context(kind, seed, n_chars, lam, prompt_len)
+    policy = BranchPolicy(threshold, max_branch, max_depth, max_branch + extra_budget)
+    tree = expand_tree(draft, ctx, policy)
+    full = full_expand(draft, ctx, policy)
+    reference = prune_tree(full, policy.node_budget)
+    tree.validate()
+    assert render_tree(tree, draft.vocab) == render_tree(reference, draft.vocab)
+    assert tree.non_root_count == reference.non_root_count
+    assert tree.draft_queries <= min(policy.node_budget, full.draft_queries)
+    assert prune_tree(tree, policy.node_budget) is tree
