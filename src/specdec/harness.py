@@ -121,6 +121,9 @@ class ExperimentConfig:
                 value = getattr(self, name)
                 if any(map(math.isnan, value if isinstance(value, tuple) else (value,))):
                     raise InputError(f"{name} must not be NaN")
+                # Grids may hold inf: tau_grid = inf means a chain.
+                if kind is float and math.isinf(value):
+                    raise InputError(f"{name} must be finite")
         for name in _GRIDS:
             if not getattr(self, name):
                 raise InputError(f"{name} must be non-empty")

@@ -8,6 +8,7 @@ logged separately by the harness and carries no guarantee.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .dists import kl_divergence
@@ -81,11 +82,11 @@ class CostModel:
 
     def __post_init__(self) -> None:
         # draft_cost=0 models a free draft (the degenerate reference case).
-        # The negated tests reject NaN as well.
-        if not self.draft_cost >= 0:
-            raise InputError(f"draft_cost must be >= 0, got {self.draft_cost}")
-        if not self.batch_cost >= 1:
-            raise InputError(f"batch_cost must be >= 1, got {self.batch_cost}")
+        # The chained tests reject NaN as well.
+        if not 0 <= self.draft_cost < math.inf:
+            raise InputError(f"draft_cost must be finite and >= 0, got {self.draft_cost}")
+        if not 1 <= self.batch_cost < math.inf:
+            raise InputError(f"batch_cost must be finite and >= 1, got {self.batch_cost}")
 
 
 def estimate_kl(

@@ -26,6 +26,7 @@ deterministic and a load rebuilds bit-identical distributions.
 from __future__ import annotations
 
 import json
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -124,15 +125,16 @@ class LanguageModel(ABC):
 def next_distribution(model: LanguageModel, ctx) -> np.ndarray:
     """Query ``model`` for the next-token distribution after ``ctx``.
 
-    Validates the context (in range, bos-anchored, not already ended) and,
-    in assert-enabled builds, the returned distribution.
+    Validates the context (in range, bos-anchored, not already ended) and
+    the returned row: one entry per token id, none negative, mass 1. The
+    row check always runs, also under ``python -O``; it is the only one,
+    so the :mod:`specdec.dists` math that follows trusts the row.
     """
     tokens = validate_context(model.vocab, ctx)
     if tokens[-1] == model.vocab.eos_id:
         raise InputError("context already ends in eos; nothing to predict")
     probs = model.distribution(tokens)
-    if __debug__:
-        validate_distribution(probs, model.vocab.size)
+    validate_distribution(probs, model.vocab.size)
     return probs
 
 
@@ -175,8 +177,8 @@ class NGramModel(LanguageModel):
     ) -> None:
         if order < 1:
             raise InputError(f"order must be >= 1, got {order}")
-        if alpha < 0:
-            raise InputError(f"smoothing_alpha must be >= 0, got {alpha}")
+        if not 0 <= alpha < math.inf:  # NaN fails this test too
+            raise InputError(f"smoothing_alpha must be finite and >= 0, got {alpha}")
         self.vocab = vocab
         self.order = order
         self.alpha = float(alpha)
@@ -329,6 +331,16 @@ def load_model(path) -> NGramModel:
             tuple(int(t) for t in ctx): {int(t): int(c) for t, c in counts}
             for ctx, counts in doc["contexts"]
         }
-        return NGramModel(vocab, int(doc["order"]), float(doc["alpha"]), contexts, doc["unigram"])
+        unigram = [int(c) for c in doc["unigram"]]
+        # train_ngram checks its corpus; a file's tables are checked here.
+        ids = [t for ctx, row in contexts.items() for t in (*ctx, *row)]
+        counts = [*unigram, *(c for row in contexts.values() for c in row.values())]
+        if not all(0 <= t < vocab.size for t in ids):
+            raise InputError(f"a token id is out of range for vocabulary size {vocab.size}")
+        if any(c < 0 for c in counts):
+            raise InputError("counts must be non-negative")
+        return NGramModel(vocab, int(doc["order"]), float(doc["alpha"]), contexts, unigram)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"model file {path} is malformed: {exc!r}") from exc
+    except InputError as exc:
+        raise InputError(f"model file {path}: {exc}") from exc

@@ -205,7 +205,6 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     tree = SpecTree(ctx)
     eos = draft.vocab.eos_id
     heap: list = []
-    rank: dict[int, int] = {}
 
     def propose(node_id: int, node_ctx: Context, path: tuple[int, ...]) -> None:
         node = tree.nodes[node_id]
@@ -220,11 +219,10 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     while heap and tree.non_root_count < policy.node_budget:
         (_, depth, token, path), parent_id, p, node_ctx = heapq.heappop(heap)
         child = tree.add_child(parent_id, token, p)
-        rank[child] = path[-1]
         if tree.non_root_count < policy.node_budget and token != eos and depth < policy.max_depth:
             propose(child, node_ctx, path)
     for kids in tree.children.values():
-        kids.sort(key=rank.__getitem__)
+        kids.sort(key=lambda c: (-tree.nodes[c].draft_prob, tree.nodes[c].token))
     return tree
 
 

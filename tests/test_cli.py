@@ -199,3 +199,13 @@ def test_bench_nan_config_value_exits_one_naming_the_key(tmp_path, corpus_file, 
     assert code == 1
     assert err.count("\n") == 1 and "target_alpha" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_bench_infinite_draft_cost_exits_one_without_a_report(tmp_path, corpus_file, capsys):
+    config = tmp_path / "inf.cfg"
+    config.write_text(f"corpus = {corpus_file}\ndraft_cost = inf\n", encoding="utf-8")
+    code = main(["bench", "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and "draft_cost must be finite" in err
+    assert not (tmp_path / "out" / "report.json").exists()

@@ -323,6 +323,15 @@ def test_config_rejects_nan_naming_the_key(tmp_path, corpus_file, key):
         ExperimentConfig.from_file(path)
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+@pytest.mark.parametrize("key", ["target_alpha", "draft_alpha", "draft_cost", "batch_cost"])
+def test_config_rejects_infinite_scalar_naming_the_key(tmp_path, corpus_file, key, value):
+    path = tmp_path / "inf.cfg"
+    path.write_text(f"corpus = {corpus_file}\n{key} = {value}\n", encoding="utf-8")
+    with pytest.raises(InputError, match=f"{key} must be finite"):
+        ExperimentConfig.from_file(path)
+
+
 def _parse_config_text(tmp_dir, text: str):
     path = tmp_dir / "fuzz.cfg"
     path.write_text(text, encoding="utf-8")

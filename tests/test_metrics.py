@@ -73,6 +73,13 @@ def test_cost_model_rejects_nan():
         CostModel(0.1, math.nan)
 
 
+def test_cost_model_rejects_infinite_costs():
+    with pytest.raises(InputError, match="draft_cost must be finite"):
+        CostModel(math.inf, 1.0)
+    with pytest.raises(InputError, match="batch_cost must be finite"):
+        CostModel(0.1, math.inf)
+
+
 def test_predicted_speedup_closed_forms():
     free = CostModel(0.0, 1.0)
     assert predicted_speedup(4.0, free, 10.0) == 4.0

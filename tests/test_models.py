@@ -4,16 +4,27 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from specdec.dists import kl_divergence
+import specdec
+import specdec.dists as dists
+import specdec.models as models
+from specdec.decode import greedy_decode, speculative_decode
+from specdec.dists import kl_divergence, validate_distribution
 from specdec.errors import InputError
+from specdec.metrics import estimate_kl
 from specdec.models import (
     BOS_STRING,
     EOS_STRING,
     ConstantModel,
+    LanguageModel,
+    NGramModel,
     Vocabulary,
     distill_interpolate,
     load_model,
@@ -22,6 +33,7 @@ from specdec.models import (
     train_ngram,
     validate_context,
 )
+from specdec.tree import BranchPolicy
 
 from conftest import TRAIN_TEXT, make_vocab, text_vocab
 
@@ -261,3 +273,127 @@ def test_load_non_utf8_file_is_an_io_error(tmp_path):
     path.write_bytes(b"\xff\xfe{}")
     with pytest.raises(OSError, match="binary.json.*UTF-8"):
         load_model(path)
+
+
+def _corrupt(doc, fault):
+    ctx, row = doc["contexts"][0]
+    size = len(doc["vocab"]["tokens"])
+    if fault == "context id >= size":
+        ctx[0] = size
+    elif fault == "entry id >= size":
+        row[0][0] = size
+    elif fault == "entry id -1":
+        row[0][0] = -1
+    elif fault == "count -1":
+        row[0][1] = -1
+    else:
+        doc["alpha"] = math.nan if fault == "alpha nan" else math.inf
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["context id >= size", "entry id >= size", "entry id -1", "count -1", "alpha nan",
+     "alpha inf"],
+)
+def test_load_rejects_corrupt_count_tables_naming_the_file(tmp_path, fault):
+    vocab, corpus = text_vocab(TRAIN_TEXT[:200])
+    path = tmp_path / "model.json"
+    save_model(train_ngram(corpus, order=2, smoothing_alpha=0.5, vocab=vocab), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    _corrupt(doc, fault)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(InputError, match="model.json"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_ngram_rejects_non_finite_alpha(alpha):
+    vocab = make_vocab(2)
+    with pytest.raises(InputError, match="smoothing_alpha must be finite"):
+        NGramModel(vocab, 1, alpha, {}, [1, 1, 0, 1])
+
+
+class _RowModel(LanguageModel):
+    """Plug-in model returning one fixed row, unchecked by construction."""
+
+    def __init__(self, vocab, row) -> None:
+        self.vocab = vocab
+        self.row = np.asarray(row, dtype=np.float64)
+
+    def distribution(self, ctx):
+        return self.row
+
+
+def test_next_distribution_rejects_a_nan_row():
+    vocab = make_vocab(2)
+    model = _RowModel(vocab, [math.nan, 0.5, 0.25, 0.25])
+    with pytest.raises(InputError, match="mass"):
+        next_distribution(model, (vocab.bos_id,))
+
+
+def test_each_model_row_is_checked_exactly_once(monkeypatch):
+    vocab, corpus = text_vocab(TRAIN_TEXT)
+    target = train_ngram(corpus, order=3, smoothing_alpha=0.1, vocab=vocab)
+    draft = distill_interpolate(
+        target, train_ngram(corpus, order=1, smoothing_alpha=0.5, vocab=vocab), 0.5
+    )
+    checks = []
+
+    def counting(probs, size=None):
+        checks.append(size)
+        validate_distribution(probs, size)
+
+    monkeypatch.setattr(models, "validate_distribution", counting)
+    monkeypatch.setattr(dists, "validate_distribution", counting)
+    prompt = (vocab.bos_id,) + corpus[:6]
+
+    tokens, stats = speculative_decode(draft, target, prompt, 24, BranchPolicy(0.5, 3, 4, 8))
+    assert stats.draft_calls > 0 and stats.target_contexts_scored > 0
+    assert len(checks) == stats.draft_calls + stats.target_contexts_scored
+
+    checks.clear()
+    assert greedy_decode(target, prompt, 24) == tokens
+    assert len(checks) == len(tokens)
+
+    checks.clear()
+    probes = [(vocab.bos_id,) + corpus[i:i + 4] for i in range(0, 40, 8)]
+    estimate_kl(draft, target, probes)
+    assert len(checks) == 2 * len(probes)
+
+
+_OPTIMIZED_SCRIPT = """
+import sys
+import numpy as np
+from specdec.decode import speculative_decode
+from specdec.errors import InputError
+from specdec.models import LanguageModel, Vocabulary
+from specdec.tree import BranchPolicy
+
+class TooLong(LanguageModel):
+    def __init__(self, vocab):
+        self.vocab = vocab
+    def distribution(self, ctx):
+        return np.array([1.0, 0.0, 0.0, 0.0, 0.0])  # one entry too many
+
+vocab = Vocabulary(("a", "b", "<s>", "</s>"), bos_id=2, eos_id=3)
+model = TooLong(vocab)
+print("optimize", sys.flags.optimize)
+try:
+    print(speculative_decode(model, model, (2,), 4, BranchPolicy.chain(2)))
+except InputError as exc:
+    print("InputError:", exc)
+"""
+
+
+def test_row_check_runs_under_python_optimize():
+    src = str(Path(specdec.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "optimize 1",
+        "InputError: distribution has length 5, expected 4",
+    ]
