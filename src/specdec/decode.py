@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .dists import greedy_token
 from .errors import InputError
 from .metrics import DecodeStats
-from .models import LanguageModel, next_distribution
+from .models import LanguageModel, next_distribution, validate_context
 from .tree import BranchPolicy, ROOT_ID, SpecTree, expand_tree, prune_tree
 
 
@@ -48,7 +48,7 @@ def greedy_decode(target: LanguageModel, prompt, max_tokens: int) -> list[int]:
     if max_tokens < 1:
         raise InputError(f"max_tokens must be >= 1, got {max_tokens}")
     eos = target.vocab.eos_id
-    ctx = tuple(int(t) for t in prompt)
+    ctx = validate_context(target.vocab, prompt)
     out: list[int] = []
     while len(out) < max_tokens:
         tok = greedy_token(next_distribution(target, ctx))
@@ -68,7 +68,7 @@ def verify_tree(target: LanguageModel, tree: SpecTree) -> VerificationResult:
     An accepted EOS terminates the walk without a bonus token.
     """
     eos = target.vocab.eos_id
-    ctx = tree.context
+    ctx = validate_context(target.vocab, tree.context)
     node_id = ROOT_ID
     accepted: list[int] = []
     scored = 0

@@ -36,26 +36,24 @@ def validate_distribution(probs: np.ndarray, size: int | None = None) -> None:
         raise InputError(f"distribution mass {total!r} deviates from 1 by more than {SUM_TOLERANCE}")
 
 
-def greedy_token(probs) -> int:
+def greedy_token(probs: np.ndarray) -> int:
     """Argmax token id of a checked row; ties break to the LOWEST id.
 
     The fixed tie-break keeps greedy decoding draft-independent, which the
     losslessness guarantee relies on.
     """
-    arr = np.asarray(probs, dtype=np.float64)
     # np.argmax returns the first maximal index, i.e. the lowest id.
-    return int(np.argmax(arr))
+    return int(np.argmax(probs))
 
 
-def entropy(probs) -> float:
+def entropy(probs: np.ndarray) -> float:
     """Shannon entropy of a checked row in nats, with 0*ln(0) taken as 0."""
-    arr = np.asarray(probs, dtype=np.float64)
-    positive = arr[arr > 0.0]
+    positive = probs[probs > 0.0]
     value = float(-np.sum(positive * np.log(positive)))
     return 0.0 if value == 0.0 else value
 
 
-def kl_divergence(p, q) -> float:
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     """KL(p || q') in nats of two checked rows, where q' is q with an
     epsilon floor. Rows of different lengths raise :class:`InputError`.
 
@@ -64,13 +62,11 @@ def kl_divergence(p, q) -> float:
     penalty instead of infinity. Bit-identical inputs return exactly 0;
     the result is clamped at 0 against floating-point underflow.
     """
-    p_arr = np.asarray(p, dtype=np.float64)
-    q_arr = np.asarray(q, dtype=np.float64)
-    if q_arr.shape != p_arr.shape:
-        raise InputError(f"length mismatch: p has {p_arr.size} entries, q has {q_arr.size}")
-    if np.array_equal(p_arr, q_arr):
+    if q.shape != p.shape:
+        raise InputError(f"length mismatch: p has {p.size} entries, q has {q.size}")
+    if np.array_equal(p, q):
         return 0.0
-    q_floor = (q_arr + EPSILON_FLOOR) / (1.0 + EPSILON_FLOOR * q_arr.size)
-    mask = p_arr > 0.0
-    value = float(np.sum(p_arr[mask] * np.log(p_arr[mask] / q_floor[mask])))
+    q_floor = (q + EPSILON_FLOOR) / (1.0 + EPSILON_FLOOR * q.size)
+    mask = p > 0.0
+    value = float(np.sum(p[mask] * np.log(p[mask] / q_floor[mask])))
     return max(0.0, value)

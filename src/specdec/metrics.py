@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 from .dists import kl_divergence
 from .errors import InputError
-from .models import LanguageModel, next_distribution
+from .models import LanguageModel, next_distribution, validate_context
 
 #: Mean KL over probes with the target as p and the draft as q.
 KL_TARGET_DRAFT = "target-draft"
@@ -101,7 +101,7 @@ def estimate_kl(
     matching an alignment objective that drives the draft towards the
     target; ``direction`` flips the convention if a report needs it.
     """
-    probes = list(probes)
+    probes = [validate_context(target.vocab, ctx) for ctx in probes]
     if not probes:
         raise InputError("probe set is empty")
     if draft.vocab != target.vocab:

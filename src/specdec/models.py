@@ -122,18 +122,20 @@ class LanguageModel(ABC):
         :func:`next_distribution`."""
 
 
-def next_distribution(model: LanguageModel, ctx) -> np.ndarray:
+def next_distribution(model: LanguageModel, ctx: Context) -> np.ndarray:
     """Query ``model`` for the next-token distribution after ``ctx``.
 
-    Validates the context (in range, bos-anchored, not already ended) and
-    the returned row: one entry per token id, none negative, mass 1. The
-    row check always runs, also under ``python -O``; it is the only one,
+    ``ctx`` must be a tuple that :func:`validate_context` accepted. Callers
+    check it once where it enters (``greedy_decode``, ``expand_tree``,
+    ``verify_tree``, ``estimate_kl``) and extend it only with tokens of
+    checked rows, so just the O(1) "already ends in eos" check runs here.
+    The row is converted to float64 and checked, also under ``python -O``:
+    one entry per token id, none negative, mass 1. It is the only check,
     so the :mod:`specdec.dists` math that follows trusts the row.
     """
-    tokens = validate_context(model.vocab, ctx)
-    if tokens[-1] == model.vocab.eos_id:
+    if ctx[-1] == model.vocab.eos_id:
         raise InputError("context already ends in eos; nothing to predict")
-    probs = model.distribution(tokens)
+    probs = np.asarray(model.distribution(ctx), dtype=np.float64)
     validate_distribution(probs, model.vocab.size)
     return probs
 
@@ -179,6 +181,9 @@ class NGramModel(LanguageModel):
             raise InputError(f"order must be >= 1, got {order}")
         if not 0 <= alpha < math.inf:  # NaN fails this test too
             raise InputError(f"smoothing_alpha must be finite and >= 0, got {alpha}")
+        for ctx in context_counts:
+            if len(ctx) != order - 1:
+                raise InputError(f"context {list(ctx)} must hold order - 1 = {order - 1} ids")
         self.vocab = vocab
         self.order = order
         self.alpha = float(alpha)
@@ -321,17 +326,24 @@ def load_model(path) -> NGramModel:
         raise InputError(f"model file {path} has unknown format {doc.get('format')!r}")
     if doc.get("version") != FORMAT_VERSION:
         raise InputError(f"model file {path} has unsupported version {doc.get('version')!r}")
+
+    def integer(value) -> int:
+        # int() would truncate 1.7 to 1 and take "1" or true as 1.
+        if type(value) is not int:
+            raise InputError(f"expected an integer, got {value!r}")
+        return value
+
     try:
         vocab = Vocabulary(
             tokens=tuple(doc["vocab"]["tokens"]),
-            bos_id=int(doc["vocab"]["bos_id"]),
-            eos_id=int(doc["vocab"]["eos_id"]),
+            bos_id=integer(doc["vocab"]["bos_id"]),
+            eos_id=integer(doc["vocab"]["eos_id"]),
         )
         contexts = {
-            tuple(int(t) for t in ctx): {int(t): int(c) for t, c in counts}
+            tuple(integer(t) for t in ctx): {integer(t): integer(c) for t, c in counts}
             for ctx, counts in doc["contexts"]
         }
-        unigram = [int(c) for c in doc["unigram"]]
+        unigram = [integer(c) for c in doc["unigram"]]
         # train_ngram checks its corpus; a file's tables are checked here.
         ids = [t for ctx, row in contexts.items() for t in (*ctx, *row)]
         counts = [*unigram, *(c for row in contexts.values() for c in row.values())]
@@ -339,7 +351,7 @@ def load_model(path) -> NGramModel:
             raise InputError(f"a token id is out of range for vocabulary size {vocab.size}")
         if any(c < 0 for c in counts):
             raise InputError("counts must be non-negative")
-        return NGramModel(vocab, int(doc["order"]), float(doc["alpha"]), contexts, unigram)
+        return NGramModel(vocab, integer(doc["order"]), float(doc["alpha"]), contexts, unigram)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"model file {path} is malformed: {exc!r}") from exc
     except InputError as exc:

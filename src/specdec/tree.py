@@ -21,7 +21,7 @@ import numpy as np
 
 from .dists import entropy
 from .errors import InputError
-from .models import Context, LanguageModel, Vocabulary, next_distribution
+from .models import Context, LanguageModel, Vocabulary, next_distribution, validate_context
 
 ROOT_ID = 0
 
@@ -85,7 +85,7 @@ class SpecTree:
     """
 
     def __init__(self, context) -> None:
-        self.context: Context = tuple(int(t) for t in context)
+        self.context: Context = tuple(context)
         root = SpecNode(ROOT_ID, None, -1, 0, 1.0, 0.0)
         self.nodes: dict[int, SpecNode] = {ROOT_ID: root}
         self.children: dict[int, list[int]] = {ROOT_ID: []}
@@ -168,19 +168,17 @@ class SpecTree:
                 raise InputError(f"node {pid} has duplicate child tokens")
 
 
-def branch_width(dist, policy: BranchPolicy) -> int:
+def branch_width(dist: np.ndarray, policy: BranchPolicy) -> int:
     """1 below the entropy threshold, else ``max_branch``; never more than
     the number of nonzero-probability tokens."""
-    arr = np.asarray(dist, dtype=np.float64)
-    width = 1 if entropy(arr) < policy.entropy_threshold else policy.max_branch
-    return min(width, int(np.count_nonzero(arr)))
+    width = 1 if entropy(dist) < policy.entropy_threshold else policy.max_branch
+    return min(width, int(np.count_nonzero(dist)))
 
 
-def top_tokens(dist, k: int) -> list[int]:
+def top_tokens(dist: np.ndarray, k: int) -> list[int]:
     """The k highest-probability token ids; ties break to the lowest id."""
-    arr = np.asarray(dist, dtype=np.float64)
     # Stable sort of -p keeps equal probabilities in ascending-id order.
-    order = np.argsort(-arr, kind="stable")
+    order = np.argsort(-dist, kind="stable")
     return [int(t) for t in order[:k]]
 
 
@@ -202,7 +200,7 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     breaks the last ties in :func:`_rank_key`, since at equal depth the two
     orders agree.
     """
-    tree = SpecTree(ctx)
+    tree = SpecTree(validate_context(draft.vocab, ctx))
     eos = draft.vocab.eos_id
     heap: list = []
 

@@ -1,0 +1,166 @@
+"""Contexts are checked once, where a caller hands them in.
+
+``greedy_decode``, ``expand_tree``, ``verify_tree`` and ``estimate_kl``
+each run ``validate_context`` on the context they are given;
+``next_distribution`` trusts its caller and does not walk the context
+again. The traced benchmark wraps functions under the names their callers
+look them up by, so those names are pinned here too.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import specdec.decode as decode
+import specdec.metrics as metrics
+import specdec.models as models
+import specdec.tree as tree
+from specdec.decode import greedy_decode, speculative_decode, verify_tree
+from specdec.errors import InputError
+from specdec.metrics import estimate_kl
+from specdec.models import ConstantModel, distill_interpolate, next_distribution, train_ngram
+from specdec.tree import ROOT_ID, BranchPolicy, SpecTree, expand_tree
+
+from conftest import TRAIN_TEXT, make_vocab, text_vocab
+
+VOCAB = make_vocab(2)  # a=0, b=1, bos=2, eos=3
+BOS, EOS = VOCAB.bos_id, VOCAB.eos_id
+MODEL = ConstantModel(VOCAB, [0.5, 0.3, 0.0, 0.2])
+
+
+def _hand_built_tree(ctx):
+    spec = SpecTree(ctx)
+    spec.add_child(ROOT_ID, 0, 0.5)
+    return spec
+
+
+ENTRY_POINTS = {
+    "greedy_decode": lambda ctx: greedy_decode(MODEL, ctx, 4),
+    "speculative_decode": lambda ctx: speculative_decode(
+        MODEL, MODEL, ctx, 4, BranchPolicy(0.5, 2, 2, 4)
+    ),
+    "expand_tree": lambda ctx: expand_tree(MODEL, ctx, BranchPolicy(0.5, 2, 2, 4)),
+    "verify_tree": lambda ctx: verify_tree(MODEL, _hand_built_tree(ctx)),
+    "estimate_kl": lambda ctx: estimate_kl(MODEL, MODEL, [(BOS, 0), ctx]),
+}
+
+MALFORMED = {
+    "empty": (),
+    "no bos": (0, 1),
+    "token out of range": (BOS, 0, 99),
+    "eos before the end": (BOS, EOS, 0),
+    "ends in eos": (BOS, 0, EOS),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_entry_points_reject_malformed_contexts(entry, case):
+    ENTRY_POINTS[entry]((BOS, 0))  # a well-formed context passes
+    with pytest.raises(InputError):
+        ENTRY_POINTS[entry](MALFORMED[case])
+
+
+@pytest.fixture
+def context_checks(monkeypatch):
+    """Count calls to every module's ``validate_context`` name."""
+    calls = []
+    original = models.validate_context
+
+    def counting(vocab, ctx):
+        calls.append(len(ctx))
+        return original(vocab, ctx)
+
+    for module in (models, tree, decode, metrics):
+        monkeypatch.setattr(module, "validate_context", counting)
+    return calls
+
+
+def _demo_pair():
+    vocab, corpus = text_vocab(TRAIN_TEXT)
+    target = train_ngram(corpus, order=3, smoothing_alpha=0.1, vocab=vocab)
+    draft = distill_interpolate(
+        target, train_ngram(corpus, order=1, smoothing_alpha=0.5, vocab=vocab), 0.5
+    )
+    return vocab, corpus, draft, target
+
+
+def test_each_context_is_checked_once_where_it_enters(context_checks):
+    vocab, corpus, draft, target = _demo_pair()
+    prompt = (vocab.bos_id,) + corpus[:6]
+
+    tokens, stats = speculative_decode(draft, target, prompt, 48, BranchPolicy(0.5, 3, 4, 8))
+    assert stats.cycles > 1
+    assert len(context_checks) == 2 * stats.cycles  # expand_tree and verify_tree
+
+    for max_tokens in (1, 8, 48):
+        context_checks.clear()
+        assert greedy_decode(target, prompt, max_tokens) == tokens[:max_tokens]
+        assert context_checks == [len(prompt)]
+
+    context_checks.clear()
+    probes = [(vocab.bos_id,) + corpus[i:i + 4] for i in range(0, 40, 8)]
+    estimate_kl(draft, target, probes)
+    assert context_checks == [len(p) for p in probes]
+
+    context_checks.clear()
+    next_distribution(target, prompt)
+    assert context_checks == []
+
+
+def test_decode_loop_calls_its_stages_through_module_names(monkeypatch):
+    vocab, corpus, draft, target = _demo_pair()
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            key = f"{module.__name__}.{name}"
+            calls[key] = calls.get(key, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("expand_tree", "prune_tree", "verify_tree", "next_distribution"):
+        count(decode, name)
+    count(tree, "next_distribution")
+
+    _, stats = speculative_decode(
+        draft, target, (vocab.bos_id,) + corpus[:6], 48, BranchPolicy(0.5, 3, 4, 8)
+    )
+    assert stats.cycles > 1
+    assert calls == {
+        "specdec.decode.expand_tree": stats.cycles,
+        "specdec.decode.prune_tree": stats.cycles,
+        "specdec.decode.verify_tree": stats.cycles,
+        "specdec.decode.next_distribution": stats.target_contexts_scored,
+        "specdec.tree.next_distribution": stats.draft_calls,
+    }
+
+
+class _ListModel(models.LanguageModel):
+    """Plug-in model whose rows are plain Python lists."""
+
+    def __init__(self, vocab, row) -> None:
+        self.vocab = vocab
+        self.row = row
+
+    def distribution(self, ctx):
+        return list(self.row)
+
+
+def test_a_list_row_is_converted_where_it_leaves_the_model():
+    model = _ListModel(VOCAB, [0.25, 0.5, 0.0, 0.25])
+    row = next_distribution(model, (BOS,))
+    assert isinstance(row, np.ndarray) and row.dtype == np.float64
+    assert greedy_decode(model, (BOS,), 3) == [1, 1, 1]
+    tokens, _ = speculative_decode(model, model, (BOS,), 3, BranchPolicy(0.5, 2, 2, 4))
+    assert tokens == [1, 1, 1]
+
+
+def test_a_list_row_of_the_wrong_length_is_an_input_error():
+    model = _ListModel(VOCAB, [0.5, 0.5, 0.0])
+    with pytest.raises(InputError, match="length 3, expected 4"):
+        greedy_decode(model, (BOS,), 3)

@@ -397,3 +397,42 @@ def test_row_check_runs_under_python_optimize():
         "optimize 1",
         "InputError: distribution has length 5, expected 4",
     ]
+
+
+def _misshape(doc, fault):
+    ctx, row = doc["contexts"][0]
+    if fault == "count 1.7":
+        row[0][1] = 1.7
+    elif fault == "unigram count 1.7":
+        doc["unigram"][0] = 1.7
+    elif fault == "entry id 0.5":
+        row[0][0] = 0.5
+    elif fault == "context id 1.0":
+        ctx[0] = 1.0
+    elif fault == "order 2.5":
+        doc["order"] = 2.5
+    else:  # an order-2 key holds one id
+        ctx.append(ctx[0])
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["count 1.7", "unigram count 1.7", "entry id 0.5", "context id 1.0", "order 2.5",
+     "key of length 2"],
+)
+def test_load_rejects_non_integer_or_misshapen_tables(tmp_path, fault):
+    vocab, corpus = text_vocab(TRAIN_TEXT[:200])
+    path = tmp_path / "model.json"
+    save_model(train_ngram(corpus, order=2, smoothing_alpha=0.5, vocab=vocab), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    _misshape(doc, fault)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(InputError, match="model.json"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key", [(), (0, 1)])
+def test_ngram_rejects_a_context_key_of_the_wrong_length(key):
+    vocab = make_vocab(2)
+    with pytest.raises(InputError, match="order - 1 = 1"):
+        NGramModel(vocab, 2, 0.5, {key: {0: 1}}, [1, 1, 0, 1])
