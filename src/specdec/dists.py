@@ -1,15 +1,22 @@
-"""Probability-vector primitives: validation, greedy argmax, entropy, KL.
+"""Probability-vector primitives: validation, checked rows, greedy argmax,
+entropy, KL.
 
 A distribution is a 1-D float64 numpy array of non-negative entries summing
 to 1 within ``SUM_TOLERANCE``. Entropy and KL are reported in nats.
 
-:func:`validate_distribution` is the one check of those invariants, and
-:func:`specdec.models.next_distribution` runs it on every row a model
-returns. :func:`greedy_token`, :func:`entropy` and :func:`kl_divergence`
-are plain math on rows that were already checked; they do not check again.
+:func:`validate_distribution` is the one check of those invariants.
+:func:`check_row` runs it and returns a :class:`Row`, which carries the
+facts the engine reads from every row: its entropy and its rank order.
+:func:`specdec.models.next_distribution` hands out only rows made here. A
+row from a built-in model's finite table is made once, on first use; a
+plug-in model's row is made on every call. :func:`greedy_token`,
+:func:`entropy` and :func:`kl_divergence` are plain math on rows that were
+already checked; they do not check again.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
@@ -36,14 +43,64 @@ def validate_distribution(probs: np.ndarray, size: int | None = None) -> None:
         raise InputError(f"distribution mass {total!r} deviates from 1 by more than {SUM_TOLERANCE}")
 
 
+class Row(np.ndarray):
+    """A checked, read-only distribution that carries its facts.
+
+    It is the float64 vector itself, so anything that reads rows as arrays
+    keeps working. Only :func:`check_row` makes one. Each fact is worked
+    out on first read and then kept with the row, so a row kept in a model's
+    table yields it once, and a row nobody ranks is never sorted. Models
+    keep their rows for their lifetime, so a row is one object with slots.
+    """
+
+    __slots__ = ("_entropy", "_order")
+
+    @property
+    def entropy(self) -> float:
+        """:func:`entropy` of the row, in nats."""
+        try:
+            return self._entropy
+        except AttributeError:
+            self._entropy = entropy(self.view(np.ndarray))
+            return self._entropy
+
+    @property
+    def order(self) -> array:
+        """Every token id by descending probability, ties to the lower id,
+        as :func:`specdec.tree.top_tokens` ranks them; ``order[0]`` is the
+        :func:`greedy_token`. Held in the smallest unsigned type that fits
+        every id."""
+        try:
+            return self._order
+        except AttributeError:
+            ranked = np.argsort(-self.view(np.ndarray), kind="stable")
+            kind = np.min_scalar_type(self.size - 1)
+            self._order = array(kind.char, ranked.astype(kind).tobytes())
+            return self._order
+
+
+def check_row(values, size: int) -> Row:
+    """Copy ``values`` into a float64 :class:`Row` after checking it as a
+    distribution over ``size`` tokens; raises :class:`InputError`."""
+    try:
+        probs = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"distribution is not a vector of numbers: {exc}") from None
+    validate_distribution(probs, size)
+    row = Row(probs.shape)
+    row[...] = probs
+    row.setflags(write=False)
+    return row
+
+
 def greedy_token(probs: np.ndarray) -> int:
     """Argmax token id of a checked row; ties break to the LOWEST id.
 
     The fixed tie-break keeps greedy decoding draft-independent, which the
     losslessness guarantee relies on.
     """
-    # np.argmax returns the first maximal index, i.e. the lowest id.
-    return int(np.argmax(probs))
+    # argmax returns the first maximal index, i.e. the lowest id.
+    return int(probs.argmax())
 
 
 def entropy(probs: np.ndarray) -> float:

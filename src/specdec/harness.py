@@ -311,11 +311,13 @@ def run_matrix(config: ExperimentConfig) -> list[RunRecord]:
     )
     cost = config.cost_model
 
+    # One draft per lambda serves every domain, so its row table fills once.
+    drafts = {lam: distill_interpolate(target, draft_base, lam) for lam in lambdas}
     records: list[RunRecord] = []
     for domain in sorted(samples):
         probes, prompts = samples[domain]
         for lam in lambdas:
-            draft = distill_interpolate(target, draft_base, lam)
+            draft = drafts[lam]
             kl = estimate_kl(draft, target, probes, config.kl_direction)
             for tau, branch, depth, budget in policies:
                 policy = BranchPolicy(tau, branch, depth, budget)

@@ -28,12 +28,13 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
+from collections.abc import Hashable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dists import validate_distribution
+from .dists import Row, check_row, validate_distribution
 from .errors import InputError
 
 BOS_STRING = "<s>"
@@ -94,14 +95,15 @@ class Vocabulary:
 def validate_context(vocab: Vocabulary, ctx) -> Context:
     """Check the context invariants and return the context as a tuple."""
     tokens = tuple(int(t) for t in ctx)
+    bos, eos, size = vocab.bos_id, vocab.eos_id, vocab.size
     if not tokens:
         raise InputError("context must be non-empty")
-    if tokens[0] != vocab.bos_id:
-        raise InputError(f"context must start with bos_id={vocab.bos_id}, got {tokens[0]}")
+    if tokens[0] != bos:
+        raise InputError(f"context must start with bos_id={bos}, got {tokens[0]}")
     for t in tokens:
-        if not 0 <= t < vocab.size:
-            raise InputError(f"context token {t} out of range for vocabulary size {vocab.size}")
-    if vocab.eos_id in tokens[:-1]:
+        if not 0 <= t < size:
+            raise InputError(f"context token {t} out of range for vocabulary size {size}")
+    if eos in tokens[:-1]:
         raise InputError("eos may only appear as the final context token")
     return tokens
 
@@ -111,7 +113,8 @@ class LanguageModel(ABC):
 
     Implementations must be pure: identical contexts yield bit-identical
     distributions, and instances are immutable after construction (safe to
-    query from multiple threads).
+    query from multiple threads), apart from the row table that
+    :func:`next_distribution` fills.
     """
 
     vocab: Vocabulary
@@ -121,23 +124,44 @@ class LanguageModel(ABC):
         """Next-token distribution after ``ctx``; contract checks live in
         :func:`next_distribution`."""
 
+    def _row_key(self, ctx: Context) -> Hashable | None:
+        """Key of the row after ``ctx`` in the model's row table ``_table``,
+        or None if the model keeps no table.
 
-def next_distribution(model: LanguageModel, ctx: Context) -> np.ndarray:
+        A model with finitely many rows keeps ``_table = {}`` and returns
+        finitely many keys, which two contexts share only if their rows are
+        bit-identical. The default keeps no table, so a plug-in model's rows
+        are checked on every call, whatever they hold.
+        """
+        return None
+
+
+def next_distribution(model: LanguageModel, ctx: Context) -> Row:
     """Query ``model`` for the next-token distribution after ``ctx``.
 
     ``ctx`` must be a tuple that :func:`validate_context` accepted. Callers
     check it once where it enters (``greedy_decode``, ``expand_tree``,
     ``verify_tree``, ``estimate_kl``) and extend it only with tokens of
     checked rows, so just the O(1) "already ends in eos" check runs here.
-    The row is converted to float64 and checked, also under ``python -O``:
-    one entry per token id, none negative, mass 1. It is the only check,
-    so the :mod:`specdec.dists` math that follows trusts the row.
+
+    The row comes back as a :class:`~specdec.dists.Row` from
+    :func:`~specdec.dists.check_row`: converted to float64, checked (one
+    entry per token id, none negative, mass 1, also under ``python -O``),
+    and carrying its entropy and rank order. A built-in model keeps one
+    table entry per distinct row, filled on first use, so each of its rows
+    is checked and ranked once in the model's lifetime. A plug-in model's
+    row is made on every call. The check here is the only one, so the
+    :mod:`specdec.dists` math that follows trusts the row.
     """
     if ctx[-1] == model.vocab.eos_id:
         raise InputError("context already ends in eos; nothing to predict")
-    probs = np.asarray(model.distribution(ctx), dtype=np.float64)
-    validate_distribution(probs, model.vocab.size)
-    return probs
+    key = model._row_key(ctx)
+    if key is None:
+        return check_row(model.distribution(ctx), model.vocab.size)
+    row = model._table.get(key)
+    if row is None:
+        row = model._table[key] = check_row(model.distribution(ctx), model.vocab.size)
+    return row
 
 
 class ConstantModel(LanguageModel):
@@ -159,14 +183,18 @@ class ConstantModel(LanguageModel):
 class NGramModel(LanguageModel):
     """Additively-smoothed n-gram model.
 
-    Conditional rows are keyed by the (order-1)-token context suffix and
-    computed once at construction:
+    Conditional rows are keyed by the (order-1)-token context suffix:
 
         P(t | ctx) = (count(ctx, t) + alpha) / (count(ctx) + alpha * V)
 
     Contexts never observed in training (including contexts shorter than
     order-1) back off to the additively-smoothed unigram row built from the
     raw corpus counts.
+
+    Construction keeps the counts and builds no row. :meth:`distribution`
+    smooths a row when asked, and :func:`next_distribution` keeps each
+    checked row in a table keyed by that suffix, or by ``()`` for the
+    backoff row, filled on first use.
     """
 
     def __init__(
@@ -191,28 +219,25 @@ class NGramModel(LanguageModel):
         self._unigram_counts = np.asarray(unigram_counts, dtype=np.int64)
         if self._unigram_counts.shape != (vocab.size,):
             raise InputError("unigram counts must have one entry per token id")
-        self._rows = {
-            ctx: self._smoothed_row(counts) for ctx, counts in self._context_counts.items()
-        }
-        self._backoff = self._smoothed_row(
-            {t: int(c) for t, c in enumerate(self._unigram_counts) if c}
-        )
+        self._backoff_counts = {t: int(c) for t, c in enumerate(self._unigram_counts) if c}
+        for counts in (self._backoff_counts, *self._context_counts.values()):
+            if self.alpha * vocab.size + sum(counts.values()) <= 0:
+                raise InputError("cannot smooth an empty count row with alpha=0")
+        self._table: dict[Hashable, Row] = {}
 
-    def _smoothed_row(self, counts: dict[int, int]) -> np.ndarray:
+    def distribution(self, ctx: Context) -> np.ndarray:
+        counts = self._context_counts.get(self._row_key(ctx), self._backoff_counts)
         row = np.full(self.vocab.size, self.alpha, dtype=np.float64)
         for token, count in counts.items():
             row[token] += count
-        total = row.sum()
-        if total <= 0:
-            raise InputError("cannot smooth an empty count row with alpha=0")
-        row /= total
-        row.flags.writeable = False
+        row /= row.sum()
         return row
 
-    def distribution(self, ctx: Context) -> np.ndarray:
+    def _row_key(self, ctx: Context) -> tuple[int, ...]:
+        # () is a seen suffix only at order 1, where every context has it
+        # and the backoff row is never reached, so it can name that row.
         suffix = ctx[-(self.order - 1):] if self.order > 1 else ()
-        row = self._rows.get(suffix)
-        return row if row is not None else self._backoff
+        return suffix if suffix in self._context_counts else ()
 
 
 def train_ngram(corpus, order: int, smoothing_alpha: float, vocab: Vocabulary) -> NGramModel:
@@ -249,6 +274,13 @@ class InterpolatedModel(LanguageModel):
     lam=0 reproduces the base draft, lam=1 reproduces the target exactly
     (bit-identical rows), and intermediate values move the draft-target KL
     monotonically towards zero. Stands in for distillation strength.
+
+    At lam=0 or 1 the rows are one model's rows, so the blend shares that
+    model's keys and row table. In between, when both models keep row
+    tables, :func:`next_distribution` keeps the checked blends in a table
+    with one entry per (target row, base row) pair, filled on first use. A
+    plug-in on either side has no row keys, so the blend is made and
+    checked on every call and the table stays empty.
     """
 
     def __init__(self, target: LanguageModel, draft_base: LanguageModel, lam: float) -> None:
@@ -260,18 +292,24 @@ class InterpolatedModel(LanguageModel):
         self.target = target
         self.draft_base = draft_base
         self.lam = float(lam)
+        #: The model whose rows an endpoint copies bit for bit, else None.
+        self._source = {0.0: draft_base, 1.0: target}.get(self.lam)
+        self._table: dict[Hashable, Row] = getattr(self._source, "_table", {})
 
     def distribution(self, ctx: Context) -> np.ndarray:
-        if self.lam == 1.0:
-            return self.target.distribution(ctx)
-        if self.lam == 0.0:
-            return self.draft_base.distribution(ctx)
-        blend = (
+        if self._source is not None:
+            return self._source.distribution(ctx)
+        return (
             self.lam * self.target.distribution(ctx)
             + (1.0 - self.lam) * self.draft_base.distribution(ctx)
         )
-        blend.flags.writeable = False
-        return blend
+
+    def _row_key(self, ctx: Context) -> Hashable | None:
+        if self._source is not None:
+            return self._source._row_key(ctx)
+        target = self.target._row_key(ctx)
+        base = self.draft_base._row_key(ctx)
+        return None if target is None or base is None else (target, base)
 
 
 def distill_interpolate(
@@ -333,6 +371,12 @@ def load_model(path) -> NGramModel:
             raise InputError(f"expected an integer, got {value!r}")
         return value
 
+    def number(value) -> float:
+        # float() would take "0.5" or true as a number.
+        if type(value) not in (int, float):
+            raise InputError(f"expected a number, got {value!r}")
+        return float(value)
+
     try:
         vocab = Vocabulary(
             tokens=tuple(doc["vocab"]["tokens"]),
@@ -351,7 +395,7 @@ def load_model(path) -> NGramModel:
             raise InputError(f"a token id is out of range for vocabulary size {vocab.size}")
         if any(c < 0 for c in counts):
             raise InputError("counts must be non-negative")
-        return NGramModel(vocab, integer(doc["order"]), float(doc["alpha"]), contexts, unigram)
+        return NGramModel(vocab, integer(doc["order"]), number(doc["alpha"]), contexts, unigram)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"model file {path} is malformed: {exc!r}") from exc
     except InputError as exc:

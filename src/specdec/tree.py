@@ -187,7 +187,8 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     nodes or no proposal is left.
 
     The draft is queried on (context + root path) at the root and at each
-    attached node; branch width follows the draft's entropy there. Proposed
+    attached node; branch width follows the draft's entropy there, read
+    with the rank order from the row's stored facts. Proposed
     children wait on a heap in :func:`_rank_key` order and the best one is
     attached next. EOS nodes and nodes at ``policy.max_depth`` are kept but
     never queried, so a verified EOS can end decoding. At most
@@ -206,10 +207,15 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
 
     def propose(node_id: int, node_ctx: Context, path: tuple[int, ...]) -> None:
         node = tree.nodes[node_id]
-        dist = next_distribution(draft, node_ctx)
+        row = next_distribution(draft, node_ctx)
         tree.draft_queries += 1
-        for r, token in enumerate(top_tokens(dist, branch_width(dist, policy))):
-            p = float(dist[token])
+        # top_tokens(row, branch_width(row, policy)), from the row's facts:
+        # zero-probability tokens rank last and are never proposed.
+        width = 1 if row.entropy < policy.entropy_threshold else policy.max_branch
+        for r, token in enumerate(row.order[:width]):
+            p = float(row[token])
+            if p == 0.0:
+                break
             key = (-(node.cum_logprob + math.log(p)), node.depth + 1, token, path + (r,))
             heapq.heappush(heap, (key, node_id, p, node_ctx + (token,)))
 

@@ -164,3 +164,15 @@ def test_a_list_row_of_the_wrong_length_is_an_input_error():
     model = _ListModel(VOCAB, [0.5, 0.5, 0.0])
     with pytest.raises(InputError, match="length 3, expected 4"):
         greedy_decode(model, (BOS,), 3)
+
+
+@pytest.mark.parametrize(
+    "row", [[0.5, [0.5], 0.0, 0.0], ["a", "b", "c", "d"]], ids=["ragged", "strings"]
+)
+def test_a_list_row_that_is_not_numbers_is_a_one_line_input_error(row):
+    model = _ListModel(VOCAB, row)
+    with pytest.raises(InputError, match="not a vector of numbers") as excinfo:
+        next_distribution(model, (BOS,))
+    assert "\n" not in str(excinfo.value)
+    with pytest.raises(InputError, match="not a vector of numbers"):
+        greedy_decode(model, (BOS,), 3)

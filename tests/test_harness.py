@@ -202,6 +202,26 @@ def test_run_matrix_includes_ood_domain(tmp_path, corpus_file):
     assert all(r.losslessness_verified for r in records)
 
 
+def test_run_matrix_builds_one_draft_per_lambda_for_every_domain(
+    tmp_path, corpus_file, monkeypatch
+):
+    ood = tmp_path / "ood.txt"
+    ood.write_text(OOD_TEXT, encoding="utf-8")
+    config = small_config(
+        corpus_file, ood_corpus=str(ood), lambda_grid=(0.0, 0.5, 1.0), prompt_count=2
+    )
+    built = []
+    real = harness.distill_interpolate
+    monkeypatch.setattr(
+        harness, "distill_interpolate", lambda *args: built.append(real(*args)) or built[-1]
+    )
+    records = run_matrix(config)
+    assert sorted(d.lam for d in built) == [0.0, 0.5, 1.0]
+    assert {(r.domain, r.lam) for r in records} == {
+        (domain, lam) for domain in ("in", "ood") for lam in (0.0, 0.5, 1.0)
+    }
+
+
 def test_run_matrix_rejects_disjoint_ood(tmp_path, corpus_file):
     ood = tmp_path / "ood.txt"
     ood.write_text("αβγ" * 40, encoding="utf-8")

@@ -11,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specdec
 import specdec.dists as dists
 import specdec.models as models
 from specdec.decode import greedy_decode, speculative_decode
-from specdec.dists import kl_divergence, validate_distribution
+from specdec.dists import entropy, greedy_token, kl_divergence, validate_distribution
 from specdec.errors import InputError
 from specdec.metrics import estimate_kl
 from specdec.models import (
@@ -33,9 +35,9 @@ from specdec.models import (
     train_ngram,
     validate_context,
 )
-from specdec.tree import BranchPolicy
+from specdec.tree import BranchPolicy, top_tokens
 
-from conftest import TRAIN_TEXT, make_vocab, text_vocab
+from conftest import TRAIN_TEXT, PermutedModel, make_vocab, text_vocab
 
 
 def test_vocabulary_basics():
@@ -331,12 +333,18 @@ def test_next_distribution_rejects_a_nan_row():
         next_distribution(model, (vocab.bos_id,))
 
 
-def test_each_model_row_is_checked_exactly_once(monkeypatch):
+def _demo_models():
     vocab, corpus = text_vocab(TRAIN_TEXT)
     target = train_ngram(corpus, order=3, smoothing_alpha=0.1, vocab=vocab)
     draft = distill_interpolate(
         target, train_ngram(corpus, order=1, smoothing_alpha=0.5, vocab=vocab), 0.5
     )
+    return vocab, corpus, draft, target
+
+
+def test_each_model_row_is_checked_exactly_once(monkeypatch):
+    """Each distinct table row is checked once per model lifetime, on first
+    use; a plug-in model's row is checked on every call."""
     checks = []
 
     def counting(probs, size=None):
@@ -345,20 +353,36 @@ def test_each_model_row_is_checked_exactly_once(monkeypatch):
 
     monkeypatch.setattr(models, "validate_distribution", counting)
     monkeypatch.setattr(dists, "validate_distribution", counting)
+    vocab, corpus, draft, target = _demo_models()
     prompt = (vocab.bos_id,) + corpus[:6]
 
     tokens, stats = speculative_decode(draft, target, prompt, 24, BranchPolicy(0.5, 3, 4, 8))
     assert stats.draft_calls > 0 and stats.target_contexts_scored > 0
-    assert len(checks) == stats.draft_calls + stats.target_contexts_scored
+    assert len(checks) == len(draft._table) + len(target._table)
+    assert len(checks) < stats.draft_calls + stats.target_contexts_scored
 
+    checks.clear()
+    assert speculative_decode(draft, target, prompt, 24, BranchPolicy(0.5, 3, 4, 8))[0] == tokens
+    assert checks == []
+
+    vocab, corpus, draft, target = _demo_models()
+    assert greedy_decode(target, prompt, 24) == tokens
+    assert len(checks) == len(target._table) <= len(tokens)
     checks.clear()
     assert greedy_decode(target, prompt, 24) == tokens
-    assert len(checks) == len(tokens)
+    assert checks == []
 
-    checks.clear()
+    vocab, corpus, draft, target = _demo_models()
     probes = [(vocab.bos_id,) + corpus[i:i + 4] for i in range(0, 40, 8)]
     estimate_kl(draft, target, probes)
-    assert len(checks) == 2 * len(probes)
+    assert len(checks) == len(draft._table) + len(target._table) <= 2 * len(probes)
+    checks.clear()
+    estimate_kl(draft, target, probes)
+    assert checks == []
+
+    plug_in = _RowModel(make_vocab(2), [0.25, 0.5, 0.0, 0.25])
+    assert greedy_decode(plug_in, (plug_in.vocab.bos_id,), 5) == [1] * 5
+    assert len(checks) == 5
 
 
 _OPTIMIZED_SCRIPT = """
@@ -436,3 +460,96 @@ def test_ngram_rejects_a_context_key_of_the_wrong_length(key):
     vocab = make_vocab(2)
     with pytest.raises(InputError, match="order - 1 = 1"):
         NGramModel(vocab, 2, 0.5, {key: {0: 1}}, [1, 1, 0, 1])
+
+
+@pytest.mark.parametrize("alpha", ["0.5", True])
+def test_load_rejects_an_alpha_that_is_not_a_json_number(tmp_path, alpha):
+    vocab, corpus = text_vocab(TRAIN_TEXT[:200])
+    path = tmp_path / "model.json"
+    save_model(train_ngram(corpus, order=2, smoothing_alpha=0.5, vocab=vocab), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["alpha"] = alpha
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(InputError, match=r"model\.json.*expected a number"):
+        load_model(path)
+
+
+def test_load_accepts_an_integer_alpha(tmp_path):
+    vocab, corpus = text_vocab(TRAIN_TEXT[:200])
+    path = tmp_path / "model.json"
+    save_model(train_ngram(corpus, order=2, smoothing_alpha=1.0, vocab=vocab), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["alpha"] = 1
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_model(path).alpha == 1.0
+
+
+class _CountsModel(LanguageModel):
+    """Plug-in model returning a fresh Python list per call: small integer
+    weights per context, so rows are full of ties and zeros."""
+
+    def __init__(self, vocab) -> None:
+        self.vocab = vocab
+
+    def distribution(self, ctx):
+        weights = [(sum(ctx) * 7 + 3 * t) % 4 // 2 for t in range(self.vocab.size)]
+        weights[ctx[-1] % self.vocab.size] += 1
+        total = sum(weights)
+        return [w / total for w in weights]
+
+
+def _served_models():
+    vocab, corpus = text_vocab(TRAIN_TEXT)
+    target = train_ngram(corpus, order=3, smoothing_alpha=0.1, vocab=vocab)
+    base = train_ngram(corpus, order=1, smoothing_alpha=0.5, vocab=vocab)
+    ties = np.zeros(vocab.size)
+    ties[[0, 2, 3, 5]] = 0.25
+    return vocab, {
+        "ngram": target,
+        "lam=0": distill_interpolate(target, base, 0.0),
+        "lam=0.5": distill_interpolate(target, base, 0.5),
+        "lam=1": distill_interpolate(target, base, 1.0),
+        "constant": ConstantModel(vocab, ties),
+        "list plug-in": _CountsModel(vocab),
+    }
+
+
+_SERVED_VOCAB, _SERVED = _served_models()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_SERVED)),
+    tail=st.lists(st.integers(0, _SERVED_VOCAB.bos_id - 1), max_size=5),
+)
+def test_served_rows_carry_their_facts(name, tail):
+    model = _SERVED[name]
+    ctx = (_SERVED_VOCAB.bos_id, *tail)
+    for _ in range(2):  # a table row is made on the first call, read on the second
+        row = next_distribution(model, ctx)
+        probs = np.array(row)
+        assert np.array_equal(probs, model.distribution(ctx))
+        assert row.entropy == entropy(probs)
+        assert list(row.order) == top_tokens(probs, _SERVED_VOCAB.size)
+        assert row.order[0] == greedy_token(probs)
+
+
+def test_a_plug_in_base_does_not_grow_the_blend_table():
+    vocab, corpus = text_vocab(TRAIN_TEXT)
+    target = train_ngram(corpus, order=3, smoothing_alpha=0.1, vocab=vocab)
+    draft = distill_interpolate(target, PermutedModel(target), 0.5)  # fresh arrays
+    contexts = [(vocab.bos_id,) + corpus[i:i + 3] for i in range(100)]
+    for i in range(10_000):
+        next_distribution(draft, contexts[i % len(contexts)])
+    assert len(draft._table) == 0
+    for i in range(10_000):
+        next_distribution(target, contexts[i % len(contexts)])
+    assert 0 < len(target._table) <= len(target._context_counts) + 1  # one per distinct row
+
+    # An endpoint blend serves the rows of the model it copies, from that
+    # model's table: a unigram base has one row.
+    base = train_ngram(corpus, order=1, smoothing_alpha=0.5, vocab=vocab)
+    for i in range(1_000):
+        next_distribution(distill_interpolate(target, base, 0.0), contexts[i % len(contexts)])
+    assert len(base._table) == 1
+    assert distill_interpolate(target, base, 1.0)._table is target._table
