@@ -102,7 +102,8 @@ def speculative_decode(
     Emits accepted tokens plus the bonus each cycle, stopping at EOS or at
     exactly max_tokens (the final cycle's emission is truncated to fit).
     The returned tokens are bit-identical to ``greedy_decode(target,
-    prompt, max_tokens)`` for every policy; only the stats vary.
+    prompt, max_tokens)`` for every policy; only the stats vary. The prompt
+    is walked by :func:`validate_context` once per decode, not per cycle.
     """
     if draft.vocab != target.vocab:
         raise InputError("draft and target must share a vocabulary")
@@ -110,12 +111,13 @@ def speculative_decode(
         raise InputError(f"max_tokens must be >= 1, got {max_tokens}")
 
     eos = target.vocab.eos_id
-    base = tuple(int(t) for t in prompt)
+    # Checked once here: each cycle extends it with the target's own tokens
+    # and stops at EOS, so expand_tree and verify_tree take it unwalked.
+    ctx = validate_context(target.vocab, prompt)
     out: list[int] = []
     stats = DecodeStats()
 
     while len(out) < max_tokens:
-        ctx = base + tuple(out)
         tree = expand_tree(draft, ctx, policy)
         stats.draft_calls += tree.draft_queries
         tree = prune_tree(tree, policy.node_budget)
@@ -135,4 +137,5 @@ def speculative_decode(
         stats.per_cycle_acceptance.append(len(emitted))
         if eos in emitted:
             break
+        ctx = ctx.extended(emitted)
     return out, stats

@@ -81,11 +81,18 @@ class Row(np.ndarray):
 
 def check_row(values, size: int) -> Row:
     """Copy ``values`` into a float64 :class:`Row` after checking it as a
-    distribution over ``size`` tokens; raises :class:`InputError`."""
+    distribution over ``size`` tokens; raises :class:`InputError`.
+
+    Only integer and float entries count as numbers: numpy would also
+    convert bools, numeric strings and bytes to float64.
+    """
     try:
-        probs = np.asarray(values, dtype=np.float64)
+        probs = np.asarray(values)
     except (TypeError, ValueError) as exc:
         raise InputError(f"distribution is not a vector of numbers: {exc}") from None
+    if probs.dtype.kind not in "iuf":
+        raise InputError(f"distribution is not a vector of numbers: it holds {probs.dtype}")
+    probs = probs.astype(np.float64, copy=False)
     validate_distribution(probs, size)
     row = Row(probs.shape)
     row[...] = probs

@@ -9,7 +9,9 @@ timings are informational only and never enter the deterministic reports.
 
 Config files are flat ``key = value`` text; ``#`` starts a comment. Grids
 are comma-separated. The fields of ``ExperimentConfig`` are the keys, with
-their types and defaults; ``corpus`` is the only required key.
+their types and defaults; ``corpus`` is the only required key. Relative
+``corpus`` and ``ood_corpus`` paths resolve against the config file's
+directory.
 """
 
 from __future__ import annotations
@@ -163,6 +165,10 @@ class ExperimentConfig:
         for f in fields(cls):
             if f.default is MISSING and f.name not in values:
                 raise InputError(f"{path}: missing required config key {f.name!r}")
+        for key in _PATHS:
+            if values.get(key):
+                # Relative to the config file; an absolute path stays as it is.
+                values[key] = str(Path(path).parent / values[key])  # type: ignore[operator]
         return cls(**values)  # type: ignore[arg-type]
 
     def override(self, **kwargs) -> "ExperimentConfig":
@@ -183,6 +189,8 @@ class ExperimentConfig:
 _CONFIG_TYPES = get_type_hints(ExperimentConfig)
 #: The tuple-valued fields: comma-separated grids in config files.
 _GRIDS = tuple(name for name, kind in _CONFIG_TYPES.items() if get_origin(kind) is tuple)
+#: The file paths in a config file, resolved against its directory.
+_PATHS = ("corpus", "ood_corpus")
 
 
 @dataclass(frozen=True)

@@ -92,8 +92,38 @@ class Vocabulary:
         return {tok: i for i, tok in enumerate(self.tokens) if i not in (self.bos_id, self.eos_id)}
 
 
+class _CheckedContext(tuple):
+    """A context :func:`validate_context` accepted for ``vocab``.
+
+    :func:`validate_context` hands it back as given, without a walk, to any
+    caller with an equal vocabulary. Only :meth:`extended` grows one, and only
+    with tokens of checked rows: a row's argmax or ranked ids are in range,
+    and a decode stops at EOS, so the result is still a valid context.
+    """
+
+    def __new__(cls, tokens: tuple[int, ...], vocab: Vocabulary) -> "_CheckedContext":
+        ctx = super().__new__(cls, tokens)
+        ctx.vocab = vocab
+        return ctx
+
+    def __getnewargs__(self):  # so copy and pickle rebuild it
+        return tuple(self), self.vocab
+
+    def extended(self, tokens) -> "_CheckedContext":
+        """This context plus ``tokens`` taken from checked rows, none of
+        them EOS unless it is the last."""
+        return _CheckedContext(self + tuple(tokens), self.vocab)
+
+
 def validate_context(vocab: Vocabulary, ctx) -> Context:
-    """Check the context invariants and return the context as a tuple."""
+    """Check the context invariants and return the context as a tuple.
+
+    A context this function already accepted for an equal vocabulary comes
+    back as given, unwalked; one checked for another vocabulary is walked
+    again.
+    """
+    if type(ctx) is _CheckedContext and ctx.vocab == vocab:
+        return ctx
     tokens = tuple(int(t) for t in ctx)
     bos, eos, size = vocab.bos_id, vocab.eos_id, vocab.size
     if not tokens:
@@ -105,7 +135,7 @@ def validate_context(vocab: Vocabulary, ctx) -> Context:
             raise InputError(f"context token {t} out of range for vocabulary size {size}")
     if eos in tokens[:-1]:
         raise InputError("eos may only appear as the final context token")
-    return tokens
+    return _CheckedContext(tokens, vocab)
 
 
 class LanguageModel(ABC):
@@ -140,9 +170,11 @@ def next_distribution(model: LanguageModel, ctx: Context) -> Row:
     """Query ``model`` for the next-token distribution after ``ctx``.
 
     ``ctx`` must be a tuple that :func:`validate_context` accepted. Callers
-    check it once where it enters (``greedy_decode``, ``expand_tree``,
-    ``verify_tree``, ``estimate_kl``) and extend it only with tokens of
-    checked rows, so just the O(1) "already ends in eos" check runs here.
+    check it once where it enters (``greedy_decode``, ``speculative_decode``,
+    ``expand_tree``, ``verify_tree``, ``estimate_kl``; inside
+    ``speculative_decode``, expansion and verification take its checked
+    context without a walk) and extend it only with tokens of checked rows,
+    so just the O(1) "already ends in eos" check runs here.
 
     The row comes back as a :class:`~specdec.dists.Row` from
     :func:`~specdec.dists.check_row`: converted to float64, checked (one
@@ -396,7 +428,7 @@ def load_model(path) -> NGramModel:
         if any(c < 0 for c in counts):
             raise InputError("counts must be non-negative")
         return NGramModel(vocab, integer(doc["order"]), number(doc["alpha"]), contexts, unigram)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"model file {path} is malformed: {exc!r}") from exc
     except InputError as exc:
         raise InputError(f"model file {path}: {exc}") from exc

@@ -85,7 +85,9 @@ class SpecTree:
     """
 
     def __init__(self, context) -> None:
-        self.context: Context = tuple(context)
+        # A tuple is kept as given, so a context validate_context accepted
+        # keeps its type and verify_tree need not walk it again.
+        self.context: Context = context if isinstance(context, tuple) else tuple(context)
         root = SpecNode(ROOT_ID, None, -1, 0, 1.0, 0.0)
         self.nodes: dict[int, SpecNode] = {ROOT_ID: root}
         self.children: dict[int, list[int]] = {ROOT_ID: []}
@@ -110,19 +112,21 @@ class SpecTree:
         for sib in self.children[parent_id]:
             if self.nodes[sib].token == token:
                 raise InputError(f"parent {parent_id} already has a child with token {token}")
-        node = SpecNode(
-            id=self._next_id,
-            token=int(token),
-            parent=parent_id,
-            depth=parent.depth + 1,
-            draft_prob=float(draft_prob),
-            cum_logprob=parent.cum_logprob + math.log(draft_prob),
-        )
+        cum_logprob = parent.cum_logprob + math.log(draft_prob)
+        return self._attach(parent, int(token), float(draft_prob), cum_logprob).id
+
+    def _attach(
+        self, parent: SpecNode, token: int, draft_prob: float, cum_logprob: float
+    ) -> SpecNode:
+        """Attach a node the caller has checked: ``parent`` is in the tree,
+        has no child ``token``, and ``cum_logprob`` is its log-prob plus
+        ``log(draft_prob)``."""
+        node = SpecNode(self._next_id, token, parent.id, parent.depth + 1, draft_prob, cum_logprob)
         self.nodes[node.id] = node
         self.children[node.id] = []
-        self.children[parent_id].append(node.id)
+        self.children[parent.id].append(node.id)
         self._next_id += 1
-        return node.id
+        return node
 
     def path_tokens(self, node_id: int) -> tuple[int, ...]:
         """Tokens along the root path down to ``node_id`` (root excluded)."""
@@ -192,7 +196,8 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     children wait on a heap in :func:`_rank_key` order and the best one is
     attached next. EOS nodes and nodes at ``policy.max_depth`` are kept but
     never queried, so a verified EOS can end decoding. At most
-    ``node_budget`` draft queries are made.
+    ``node_budget`` draft queries are made. A proposal holds its parent's
+    context; a node's own context is built only when the node is queried.
 
     The result equals pruning the full breadth-first expansion to the
     budget: a child never outranks its parent, so the ``n`` best nodes
@@ -205,8 +210,7 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     eos = draft.vocab.eos_id
     heap: list = []
 
-    def propose(node_id: int, node_ctx: Context, path: tuple[int, ...]) -> None:
-        node = tree.nodes[node_id]
+    def propose(node: SpecNode, node_ctx: Context, path: tuple[int, ...]) -> None:
         row = next_distribution(draft, node_ctx)
         tree.draft_queries += 1
         # top_tokens(row, branch_width(row, policy)), from the row's facts:
@@ -217,14 +221,18 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
             if p == 0.0:
                 break
             key = (-(node.cum_logprob + math.log(p)), node.depth + 1, token, path + (r,))
-            heapq.heappush(heap, (key, node_id, p, node_ctx + (token,)))
+            # The path makes every key unique, so the heap never compares
+            # the parent nodes.
+            heapq.heappush(heap, (key, node, p, node_ctx))
 
-    propose(ROOT_ID, tree.context, ())
+    propose(tree.root, tree.context, ())
     while heap and tree.non_root_count < policy.node_budget:
-        (_, depth, token, path), parent_id, p, node_ctx = heapq.heappop(heap)
-        child = tree.add_child(parent_id, token, p)
+        (neg_logprob, depth, token, path), parent, p, parent_ctx = heapq.heappop(heap)
+        # Ranked ids of a checked row are distinct and in range, and the
+        # key holds the child's cumulative log-prob: no add_child checks.
+        child = tree._attach(parent, token, p, -neg_logprob)
         if tree.non_root_count < policy.node_budget and token != eos and depth < policy.max_depth:
-            propose(child, node_ctx, path)
+            propose(child, parent_ctx + (token,), path)
     for kids in tree.children.values():
         kids.sort(key=lambda c: (-tree.nodes[c].draft_prob, tree.nodes[c].token))
     return tree

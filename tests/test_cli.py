@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +125,21 @@ def test_bench_seed_override_changes_report(tmp_path, config_file):
 def test_bench_missing_config_exits_two(tmp_path):
     code = main(["bench", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path)])
     assert code == 2
+
+
+def test_config_paths_resolve_against_the_config_file(tmp_path, monkeypatch):
+    demo = Path(__file__).resolve().parent.parent / "demo"
+    monkeypatch.chdir(tmp_path)
+    argv = ["bench", "--config", str(demo / "bench.cfg"), "--max-tokens", "2", "--out", "out"]
+    assert main(argv) == 0
+    config = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))["config"]
+    assert config["corpus"] == str(demo / "corpus.txt")
+    assert config["ood_corpus"] == str(demo / "ood.txt")
+
+    # A --corpus on the command line resolves against the current directory.
+    assert main(argv + ["--corpus", "corpus.txt"]) == 2
+    shutil.copy(demo / "corpus.txt", tmp_path)
+    assert main(argv + ["--corpus", "corpus.txt"]) == 0
 
 
 def test_bench_losslessness_violation_exits_three(tmp_path, config_file, monkeypatch):

@@ -1,13 +1,18 @@
 """Contexts are checked once, where a caller hands them in.
 
-``greedy_decode``, ``expand_tree``, ``verify_tree`` and ``estimate_kl``
-each run ``validate_context`` on the context they are given;
-``next_distribution`` trusts its caller and does not walk the context
-again. The traced benchmark wraps functions under the names their callers
-look them up by, so those names are pinned here too.
+``greedy_decode``, ``speculative_decode``, ``expand_tree``, ``verify_tree``
+and ``estimate_kl`` each run ``validate_context`` on the context they are
+given. It walks a context once: one it already accepted for an equal
+vocabulary comes back as given, so a ``speculative_decode`` walks only its
+prompt. ``next_distribution`` trusts its caller and does not walk the
+context again. The traced benchmark wraps functions under the names their
+callers look them up by, so those names are pinned here too.
 """
 
 from __future__ import annotations
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -64,13 +69,16 @@ def test_entry_points_reject_malformed_contexts(entry, case):
 
 @pytest.fixture
 def context_checks(monkeypatch):
-    """Count calls to every module's ``validate_context`` name."""
+    """The length of each context that any module's ``validate_context``
+    name walks; a context it returns as given was not walked."""
     calls = []
     original = models.validate_context
 
     def counting(vocab, ctx):
-        calls.append(len(ctx))
-        return original(vocab, ctx)
+        checked = original(vocab, ctx)
+        if checked is not ctx:
+            calls.append(len(ctx))
+        return checked
 
     for module in (models, tree, decode, metrics):
         monkeypatch.setattr(module, "validate_context", counting)
@@ -92,7 +100,7 @@ def test_each_context_is_checked_once_where_it_enters(context_checks):
 
     tokens, stats = speculative_decode(draft, target, prompt, 48, BranchPolicy(0.5, 3, 4, 8))
     assert stats.cycles > 1
-    assert len(context_checks) == 2 * stats.cycles  # expand_tree and verify_tree
+    assert context_checks == [len(prompt)]  # expand_tree and verify_tree trust it
 
     for max_tokens in (1, 8, 48):
         context_checks.clear()
@@ -107,6 +115,28 @@ def test_each_context_is_checked_once_where_it_enters(context_checks):
     context_checks.clear()
     next_distribution(target, prompt)
     assert context_checks == []
+
+
+def test_a_context_checked_for_one_vocabulary_is_checked_again_for_another():
+    spec = expand_tree(MODEL, (BOS, 0), BranchPolicy(0.5, 2, 2, 4))
+    equal = ConstantModel(make_vocab(2), [0.5, 0.3, 0.0, 0.2])  # an equal vocabulary
+    assert verify_tree(equal, spec) == verify_tree(MODEL, spec)
+    smaller = ConstantModel(make_vocab(1), [0.5, 0.0, 0.5])  # bos_id 1, not 2
+    with pytest.raises(InputError, match="bos_id=1"):
+        verify_tree(smaller, spec)
+
+
+def test_a_checked_context_keeps_its_check_through_copy_and_pickle():
+    ctx = models.validate_context(VOCAB, (BOS, 0))
+    for clone in (copy.deepcopy(ctx), pickle.loads(pickle.dumps(ctx))):
+        assert clone == ctx and models.validate_context(VOCAB, clone) is clone
+
+
+def test_a_hand_built_tree_with_a_malformed_context_is_rejected():
+    checked = expand_tree(MODEL, (BOS, 0), BranchPolicy(0.5, 2, 2, 4)).context
+    for ctx in (checked + (99,), checked + (EOS, 0), [0, 1]):
+        with pytest.raises(InputError):
+            verify_tree(MODEL, _hand_built_tree(ctx))
 
 
 def test_decode_loop_calls_its_stages_through_module_names(monkeypatch):
@@ -167,7 +197,15 @@ def test_a_list_row_of_the_wrong_length_is_an_input_error():
 
 
 @pytest.mark.parametrize(
-    "row", [[0.5, [0.5], 0.0, 0.0], ["a", "b", "c", "d"]], ids=["ragged", "strings"]
+    "row",
+    [
+        [0.5, [0.5], 0.0, 0.0],
+        ["a", "b", "c", "d"],
+        [True, False, False, False],
+        ["0.25", "0.5", "0", "0.25"],
+        [b"0.25", b"0.5", b"0", b"0.25"],
+    ],
+    ids=["ragged", "strings", "bools", "numeric strings", "bytes"],
 )
 def test_a_list_row_that_is_not_numbers_is_a_one_line_input_error(row):
     model = _ListModel(VOCAB, row)

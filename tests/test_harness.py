@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -410,7 +410,11 @@ def _render(value) -> str:
 @given(config=_CONFIGS)
 def test_from_file_round_trips_rendered_config(tmp_path_factory, config):
     text = "\n".join(f"{f.name} = {_render(getattr(config, f.name))}" for f in fields(config))
-    assert _parse_config_text(tmp_path_factory.getbasetemp(), text) == config
+    tmp_dir = tmp_path_factory.getbasetemp()
+    # The corpus paths come back resolved against the config file's directory.
+    paths = {key: str(tmp_dir / value) if value else value
+             for key, value in (("corpus", config.corpus), ("ood_corpus", config.ood_corpus))}
+    assert _parse_config_text(tmp_dir, text) == replace(config, **paths)
 
 
 def test_readme_config_table_lists_every_field():

@@ -553,3 +553,66 @@ def test_a_plug_in_base_does_not_grow_the_blend_table():
         next_distribution(distill_interpolate(target, base, 0.0), contexts[i % len(contexts)])
     assert len(base._table) == 1
     assert distill_interpolate(target, base, 1.0)._table is target._table
+
+
+def _json_paths(value, prefix=()):
+    """Every position in a JSON document, as a key/index path from the root."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+#: What each kind of mutation puts in place of a position; "drop" deletes it.
+_MUTATIONS = {
+    "swap type": st.one_of(st.sampled_from([None, True, "0.5", 0.5, [], {}]),
+                           st.integers(), st.text(max_size=3)),
+    "out of range": st.sampled_from([-1, 40, 10**6]),
+    "not finite": st.sampled_from([math.nan, math.inf, -math.inf]),
+    "beyond int64": st.sampled_from([2**63, 10**400, -(2**70)]),
+}
+
+
+@pytest.fixture(scope="module")
+def order_2_file(tmp_path_factory):
+    vocab, corpus = text_vocab(TRAIN_TEXT[:200])
+    path = tmp_path_factory.mktemp("fuzz") / "model.json"
+    save_model(train_ngram(corpus, order=2, smoothing_alpha=0.5, vocab=vocab), path)
+    return path
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_load_model_survives_mutated_files(order_2_file, data):
+    """Dropped keys, swapped types, out-of-range ids, NaN and integers beyond
+    int64 load as a model or end in InputError or OSError, never in another
+    exception."""
+    doc = json.loads(order_2_file.read_text(encoding="utf-8"))
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        paths = list(_json_paths(doc))
+        if isinstance(doc, dict):
+            # Each top-level key is as likely as any other, however many
+            # positions lie under it; () mutates the whole document.
+            top = data.draw(st.sampled_from([(), *((key,) for key in doc)]), label="key")
+            paths = [p for p in paths if p[:1] == top]
+        where = data.draw(st.sampled_from(paths), label="path")
+        kind = data.draw(st.sampled_from(["drop", *_MUTATIONS]), label="kind")
+        value = None if kind == "drop" else data.draw(_MUTATIONS[kind], label="value")
+        if not where:
+            doc = value
+            continue
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        if kind == "drop":
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = value
+    path = order_2_file.with_name("mutated.json")
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        model = load_model(path)
+    except (InputError, OSError):
+        return
+    assert isinstance(model, NGramModel)
