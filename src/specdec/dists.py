@@ -6,12 +6,14 @@ to 1 within ``SUM_TOLERANCE``. Entropy and KL are reported in nats.
 
 :func:`validate_distribution` is the one check of those invariants.
 :func:`check_row` runs it and returns a :class:`Row`, which carries the
-facts the engine reads from every row: its entropy and its rank order.
+facts the engine reads from every row: its greedy token, its entropy and
+its rank order.
 :func:`specdec.models.next_distribution` hands out only rows made here. A
 row from a built-in model's finite table is made once, on first use; a
 plug-in model's row is made on every call. :func:`greedy_token`,
 :func:`entropy` and :func:`kl_divergence` are plain math on rows that were
-already checked; they do not check again.
+already checked; they do not check again, and :func:`greedy_token` reads
+the token a :class:`Row` keeps.
 """
 
 from __future__ import annotations
@@ -53,7 +55,16 @@ class Row(np.ndarray):
     keep their rows for their lifetime, so a row is one object with slots.
     """
 
-    __slots__ = ("_entropy", "_order")
+    __slots__ = ("_greedy_token", "_entropy", "_order")
+
+    @property
+    def greedy_token(self) -> int:
+        """:func:`greedy_token` of the row: the argmax, ties to the lower id."""
+        try:
+            return self._greedy_token
+        except AttributeError:
+            self._greedy_token = greedy_token(self.view(np.ndarray))
+            return self._greedy_token
 
     @property
     def entropy(self) -> float:
@@ -84,7 +95,8 @@ def check_row(values, size: int) -> Row:
     distribution over ``size`` tokens; raises :class:`InputError`.
 
     Only integer and float entries count as numbers: numpy would also
-    convert bools, numeric strings and bytes to float64.
+    convert bools, numeric strings and bytes to float64, and gives a list
+    that mixes bools with floats a float dtype.
     """
     try:
         probs = np.asarray(values)
@@ -92,6 +104,8 @@ def check_row(values, size: int) -> Row:
         raise InputError(f"distribution is not a vector of numbers: {exc}") from None
     if probs.dtype.kind not in "iuf":
         raise InputError(f"distribution is not a vector of numbers: it holds {probs.dtype}")
+    if isinstance(values, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in values):
+        raise InputError("distribution is not a vector of numbers: it holds bools")
     probs = probs.astype(np.float64, copy=False)
     validate_distribution(probs, size)
     row = Row(probs.shape)
@@ -104,8 +118,11 @@ def greedy_token(probs: np.ndarray) -> int:
     """Argmax token id of a checked row; ties break to the LOWEST id.
 
     The fixed tie-break keeps greedy decoding draft-independent, which the
-    losslessness guarantee relies on.
+    losslessness guarantee relies on. A :class:`Row` works it out once and
+    keeps it.
     """
+    if isinstance(probs, Row):
+        return probs.greedy_token
     # argmax returns the first maximal index, i.e. the lowest id.
     return int(probs.argmax())
 

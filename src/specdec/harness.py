@@ -432,7 +432,7 @@ def load_records(path) -> tuple[ExperimentConfig, list[RunRecord]]:
     """
     try:
         doc = json.loads(read_text(path, "report"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise InputError(f"report file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "specdec-report":
         raise InputError(f"{path} is not a specdec report file")
@@ -449,5 +449,5 @@ def load_records(path) -> tuple[ExperimentConfig, list[RunRecord]]:
             **{k: tuple(v) if k in _GRIDS else v for k, v in cfg_doc.items()}
         )
         return config, [RunRecord.from_dict(r) for r in doc["records"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed report: {exc!r}") from exc

@@ -388,7 +388,7 @@ def load_model(path) -> NGramModel:
     """Rebuild an n-gram model from :func:`save_model` output."""
     try:
         doc = json.loads(read_text(path, "model"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise InputError(f"model file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"model file {path} does not hold a JSON object")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,10 +27,9 @@ from .models import Context, LanguageModel, Vocabulary, next_distribution, valid
 ROOT_ID = 0
 
 
-@dataclass(frozen=True)
-class SpecNode:
-    """One speculative token. The root carries ``token=None`` and stands for
-    the decoding context itself."""
+class SpecNode(NamedTuple):
+    """One speculative token, an immutable named tuple. The root carries
+    ``token=None`` and stands for the decoding context itself."""
 
     id: int
     token: int | None
@@ -37,6 +37,10 @@ class SpecNode:
     depth: int
     draft_prob: float
     cum_logprob: float
+
+
+#: The root every tree starts from; nodes are immutable, so trees share it.
+_ROOT = SpecNode(ROOT_ID, None, -1, 0, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -88,8 +92,7 @@ class SpecTree:
         # A tuple is kept as given, so a context validate_context accepted
         # keeps its type and verify_tree need not walk it again.
         self.context: Context = context if isinstance(context, tuple) else tuple(context)
-        root = SpecNode(ROOT_ID, None, -1, 0, 1.0, 0.0)
-        self.nodes: dict[int, SpecNode] = {ROOT_ID: root}
+        self.nodes: dict[int, SpecNode] = {ROOT_ID: _ROOT}
         self.children: dict[int, list[int]] = {ROOT_ID: []}
         self.draft_queries = 0
         self._next_id = 1
@@ -208,33 +211,43 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     """
     tree = SpecTree(validate_context(draft.vocab, ctx))
     eos = draft.vocab.eos_id
+    threshold, max_branch = policy.entropy_threshold, policy.max_branch
+    budget, max_depth = policy.node_budget, policy.max_depth
     heap: list = []
+    push, pop, log = heapq.heappush, heapq.heappop, math.log
 
     def propose(node: SpecNode, node_ctx: Context, path: tuple[int, ...]) -> None:
         row = next_distribution(draft, node_ctx)
         tree.draft_queries += 1
         # top_tokens(row, branch_width(row, policy)), from the row's facts:
         # zero-probability tokens rank last and are never proposed.
-        width = 1 if row.entropy < policy.entropy_threshold else policy.max_branch
-        for r, token in enumerate(row.order[:width]):
-            p = float(row[token])
+        width = 1 if row.entropy < threshold else max_branch
+        order = row.order
+        cum_logprob, depth = node.cum_logprob, node.depth + 1
+        for r in range(min(width, len(order))):
+            token = order[r]
+            p = row.item(token)
             if p == 0.0:
                 break
-            key = (-(node.cum_logprob + math.log(p)), node.depth + 1, token, path + (r,))
             # The path makes every key unique, so the heap never compares
             # the parent nodes.
-            heapq.heappush(heap, (key, node, p, node_ctx))
+            push(heap, ((-(cum_logprob + log(p)), depth, token, path + (r,)), node, p, node_ctx))
 
     propose(tree.root, tree.context, ())
-    while heap and tree.non_root_count < policy.node_budget:
-        (neg_logprob, depth, token, path), parent, p, parent_ctx = heapq.heappop(heap)
+    attach = tree._attach
+    count = 0
+    while heap and count < budget:
+        (neg_logprob, depth, token, path), parent, p, parent_ctx = pop(heap)
         # Ranked ids of a checked row are distinct and in range, and the
         # key holds the child's cumulative log-prob: no add_child checks.
-        child = tree._attach(parent, token, p, -neg_logprob)
-        if tree.non_root_count < policy.node_budget and token != eos and depth < policy.max_depth:
+        child = attach(parent, token, p, -neg_logprob)
+        count += 1
+        if count < budget and token != eos and depth < max_depth:
             propose(child, parent_ctx + (token,), path)
+    nodes = tree.nodes
     for kids in tree.children.values():
-        kids.sort(key=lambda c: (-tree.nodes[c].draft_prob, tree.nodes[c].token))
+        if len(kids) > 1:
+            kids.sort(key=lambda c: (-nodes[c].draft_prob, nodes[c].token))
     return tree
 
 

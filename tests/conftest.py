@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import zlib
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from specdec.models import (
     BOS_STRING,
@@ -161,3 +163,49 @@ def text_vocab(text: str) -> tuple[Vocabulary, tuple[int, ...]]:
         eos_id=len(chars) + 1,
     )
     return vocab, vocab.encode(text)
+
+
+def _json_paths(value, prefix=()):
+    """Every position in a JSON document, as a key/index path from the root."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+#: What each kind of mutation puts in place of a position; "drop" deletes it.
+_MUTATIONS = {
+    "swap type": st.one_of(st.sampled_from([None, True, "0.5", 0.5, [], {}]),
+                           st.integers(), st.text(max_size=3)),
+    "out of range": st.sampled_from([-1, 40, 10**6]),
+    "not finite": st.sampled_from([math.nan, math.inf, -math.inf]),
+    "beyond int64": st.sampled_from([2**63, 10**400, -(2**70)]),
+}
+
+
+def mutate_json(data, doc):
+    """``doc`` after one to three mutations drawn from hypothesis ``data``:
+    a dropped key or item, a swapped type, an out-of-range or non-finite
+    number, or an integer beyond int64, at any position."""
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        paths = list(_json_paths(doc))
+        if isinstance(doc, dict):
+            # Each top-level key is as likely as any other, however many
+            # positions lie under it; () mutates the whole document.
+            top = data.draw(st.sampled_from([(), *((key,) for key in doc)]), label="key")
+            paths = [p for p in paths if p[:1] == top]
+        where = data.draw(st.sampled_from(paths), label="path")
+        kind = data.draw(st.sampled_from(["drop", *_MUTATIONS]), label="kind")
+        value = None if kind == "drop" else data.draw(_MUTATIONS[kind], label="value")
+        if not where:
+            doc = value
+            continue
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        if kind == "drop":
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = value
+    return doc

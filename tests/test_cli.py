@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import io
 import json
 import shutil
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specdec.harness as harness
 from specdec.cli import main
+from specdec.errors import InputError
+from specdec.harness import load_records
 from specdec.models import load_model, next_distribution
 
-from conftest import TRAIN_TEXT
+from conftest import TRAIN_TEXT, mutate_json
 
 
 @pytest.fixture
@@ -23,12 +29,8 @@ def corpus_file(tmp_path):
     return path
 
 
-@pytest.fixture
-def config_file(tmp_path, corpus_file):
-    path = tmp_path / "run.cfg"
-    path.write_text(
-        f"""
-corpus = {corpus_file}
+_CONFIG_TEXT = """
+corpus = {corpus}
 lambda_grid = 0.0, 1.0
 tau_grid = 0.35
 branch_grid = 1, 3
@@ -40,9 +42,13 @@ probe_count = 6
 probe_length = 5
 max_tokens = 24
 seed = 5
-""",
-        encoding="utf-8",
-    )
+"""
+
+
+@pytest.fixture
+def config_file(tmp_path, corpus_file):
+    path = tmp_path / "run.cfg"
+    path.write_text(_CONFIG_TEXT.format(corpus=corpus_file), encoding="utf-8")
     return path
 
 
@@ -174,7 +180,11 @@ def _future_version(doc_text: str) -> str:
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize("corrupt", [_truncate, _drop_config_key, _future_version])
+def _deeply_nested(doc_text: str) -> str:
+    return "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("corrupt", [_truncate, _drop_config_key, _future_version, _deeply_nested])
 def test_report_rejects_broken_report_with_one_line(tmp_path, config_file, capsys, corrupt):
     out = tmp_path / "bench"
     assert main(["bench", "--config", str(config_file), "--out", str(out), "--format", "json"]) == 0
@@ -186,6 +196,46 @@ def test_report_rejects_broken_report_with_one_line(tmp_path, config_file, capsy
     assert code == 1
     assert err.startswith("specdec: error: ") and err.count("\n") == 1
     assert not (tmp_path / "re").exists()
+
+
+@pytest.fixture(scope="module")
+def report_file(tmp_path_factory):
+    root = tmp_path_factory.mktemp("report")
+    (root / "corpus.txt").write_text(TRAIN_TEXT, encoding="utf-8")
+    (root / "run.cfg").write_text(_CONFIG_TEXT.format(corpus="corpus.txt"), encoding="utf-8")
+    code = main(["bench", "--config", str(root / "run.cfg"), "--out", str(root / "bench"),
+                 "--format", "json"])
+    assert code == 0
+    return root / "bench" / "report.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_reports_end_in_an_exit_code_not_a_traceback(report_file, data):
+    """Dropped keys, swapped types, NaN, integers beyond int64 and a wrong
+    version: load_records raises only InputError or OSError, and the report
+    command exits 0 to 3 with at most one line on stderr."""
+    doc = json.loads(report_file.read_text(encoding="utf-8"))
+    # The config and each record are as likely a target as the whole
+    # document, so most mutations reach past the format and version checks.
+    part = data.draw(st.sampled_from([None, "config", *range(len(doc["records"]))]), label="part")
+    if part is None:
+        doc = mutate_json(data, doc)
+    elif part == "config":
+        doc["config"] = mutate_json(data, doc["config"])
+    else:
+        doc["records"][part] = mutate_json(data, doc["records"][part])
+    path = report_file.with_name("mutated.json")
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        load_records(path)
+    except (InputError, OSError):
+        pass
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["report", str(path), "--out", str(report_file.parent / "re")])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue() and err.getvalue().count("\n") <= 1
 
 
 @pytest.mark.parametrize(

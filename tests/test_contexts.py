@@ -204,8 +204,9 @@ def test_a_list_row_of_the_wrong_length_is_an_input_error():
         [True, False, False, False],
         ["0.25", "0.5", "0", "0.25"],
         [b"0.25", b"0.5", b"0", b"0.25"],
+        [True, 0.0, 0.0, 0.0],
     ],
-    ids=["ragged", "strings", "bools", "numeric strings", "bytes"],
+    ids=["ragged", "strings", "bools", "numeric strings", "bytes", "bools and floats"],
 )
 def test_a_list_row_that_is_not_numbers_is_a_one_line_input_error(row):
     model = _ListModel(VOCAB, row)

@@ -37,7 +37,7 @@ from specdec.models import (
 )
 from specdec.tree import BranchPolicy, top_tokens
 
-from conftest import TRAIN_TEXT, PermutedModel, make_vocab, text_vocab
+from conftest import TRAIN_TEXT, PermutedModel, make_vocab, mutate_json, text_vocab
 
 
 def test_vocabulary_basics():
@@ -226,9 +226,10 @@ def test_persistence_round_trip_is_bit_exact(tmp_path):
 
 def test_load_rejects_malformed_files(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("not json at all", encoding="utf-8")
-    with pytest.raises(InputError):
-        load_model(bad)
+    for text in ("not json at all", "[" * 100_000 + "]" * 100_000):
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError):
+            load_model(bad)
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"format": "something-else"}), encoding="utf-8")
     with pytest.raises(InputError):
@@ -527,8 +528,11 @@ def test_served_rows_carry_their_facts(name, tail):
     ctx = (_SERVED_VOCAB.bos_id, *tail)
     for _ in range(2):  # a table row is made on the first call, read on the second
         row = next_distribution(model, ctx)
+        values = model.distribution(ctx)
         probs = np.array(row)
-        assert np.array_equal(probs, model.distribution(ctx))
+        assert np.array_equal(probs, values)
+        for _ in range(2):  # worked out on the first read, kept for the second
+            assert row.greedy_token == greedy_token(row) == int(np.asarray(values).argmax())
         assert row.entropy == entropy(probs)
         assert list(row.order) == top_tokens(probs, _SERVED_VOCAB.size)
         assert row.order[0] == greedy_token(probs)
@@ -555,25 +559,6 @@ def test_a_plug_in_base_does_not_grow_the_blend_table():
     assert distill_interpolate(target, base, 1.0)._table is target._table
 
 
-def _json_paths(value, prefix=()):
-    """Every position in a JSON document, as a key/index path from the root."""
-    yield prefix
-    items = value.items() if isinstance(value, dict) else (
-        enumerate(value) if isinstance(value, list) else ())
-    for key, child in items:
-        yield from _json_paths(child, prefix + (key,))
-
-
-#: What each kind of mutation puts in place of a position; "drop" deletes it.
-_MUTATIONS = {
-    "swap type": st.one_of(st.sampled_from([None, True, "0.5", 0.5, [], {}]),
-                           st.integers(), st.text(max_size=3)),
-    "out of range": st.sampled_from([-1, 40, 10**6]),
-    "not finite": st.sampled_from([math.nan, math.inf, -math.inf]),
-    "beyond int64": st.sampled_from([2**63, 10**400, -(2**70)]),
-}
-
-
 @pytest.fixture(scope="module")
 def order_2_file(tmp_path_factory):
     vocab, corpus = text_vocab(TRAIN_TEXT[:200])
@@ -588,27 +573,7 @@ def test_load_model_survives_mutated_files(order_2_file, data):
     """Dropped keys, swapped types, out-of-range ids, NaN and integers beyond
     int64 load as a model or end in InputError or OSError, never in another
     exception."""
-    doc = json.loads(order_2_file.read_text(encoding="utf-8"))
-    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
-        paths = list(_json_paths(doc))
-        if isinstance(doc, dict):
-            # Each top-level key is as likely as any other, however many
-            # positions lie under it; () mutates the whole document.
-            top = data.draw(st.sampled_from([(), *((key,) for key in doc)]), label="key")
-            paths = [p for p in paths if p[:1] == top]
-        where = data.draw(st.sampled_from(paths), label="path")
-        kind = data.draw(st.sampled_from(["drop", *_MUTATIONS]), label="kind")
-        value = None if kind == "drop" else data.draw(_MUTATIONS[kind], label="value")
-        if not where:
-            doc = value
-            continue
-        parent = doc
-        for key in where[:-1]:
-            parent = parent[key]
-        if kind == "drop":
-            del parent[where[-1]]
-        else:
-            parent[where[-1]] = value
+    doc = mutate_json(data, json.loads(order_2_file.read_text(encoding="utf-8")))
     path = order_2_file.with_name("mutated.json")
     path.write_text(json.dumps(doc), encoding="utf-8")
     try:

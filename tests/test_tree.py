@@ -15,6 +15,7 @@ from specdec.models import ConstantModel, distill_interpolate, train_ngram
 from specdec.tree import (
     ROOT_ID,
     BranchPolicy,
+    SpecNode,
     SpecTree,
     branch_width,
     expand_tree,
@@ -285,20 +286,50 @@ def test_chain_policy_queries_once_per_depth():
         assert tree.non_root_count == depth
 
 
-def test_expansion_keeps_rank_order_when_scores_round_equal():
-    # 'b' outranks 'a' by one ulp; below 'b' their cumulative scores round
-    # to the same float, so only the rank order tells the children apart.
+def one_ulp_draft() -> ConstantModel:
+    """'b' outranks 'a' by one ulp; below 'b' their cumulative scores round
+    to the same float, so only the rank order tells the children apart."""
     vocab = make_vocab(3)
     high = 0.48
     low = float(np.nextafter(high, 0.0))
     assert math.log(high) + math.log(high) == math.log(high) + math.log(low)
-    draft = ConstantModel(vocab, np.array([low, high, 1.0 - high - low, 0.0, 0.0]))
+    return ConstantModel(vocab, np.array([low, high, 1.0 - high - low, 0.0, 0.0]))
+
+
+def test_expansion_keeps_rank_order_when_scores_round_equal():
+    draft = one_ulp_draft()
+    vocab = draft.vocab
     policy = BranchPolicy(0.0, 2, 2, 6)
     tree = expand_tree(draft, (vocab.bos_id,), policy)
     reference = prune_tree(full_expand(draft, (vocab.bos_id,), policy), 6)
     assert render_tree(tree, vocab) == render_tree(reference, vocab)
     for kids in tree.children.values():
         assert [tree.nodes[k].token for k in kids] in ([], [1, 0])
+
+
+@pytest.mark.parametrize("budget", range(2, 7))
+def test_a_budget_cut_between_equal_scores_keeps_the_pruned_nodes(budget):
+    # Depth-2 nodes tie on score, so a cut below 6 nodes keeps the ones
+    # that depth, token and creation order rank first.
+    draft = one_ulp_draft()
+    ctx = (draft.vocab.bos_id,)
+    policy = BranchPolicy(0.0, 2, 2, budget)
+    tree = expand_tree(draft, ctx, policy)
+    reference = prune_tree(full_expand(draft, ctx, policy), budget)
+    assert tree.non_root_count == budget
+    assert render_tree(tree, draft.vocab) == render_tree(reference, draft.vocab)
+
+
+def test_spec_node_is_an_immutable_named_tuple():
+    tree = SpecTree(context=(3,))
+    node = tree.nodes[tree.add_child(ROOT_ID, 1, 0.5)]
+    assert SpecNode._fields == ("id", "token", "parent", "depth", "draft_prob", "cum_logprob")
+    assert node == (1, 1, ROOT_ID, 1, 0.5, math.log(0.5))
+    assert tree.root == (ROOT_ID, None, -1, 0, 1.0, 0.0)
+    for field in SpecNode._fields:
+        with pytest.raises(AttributeError):
+            setattr(node, field, 0)
+    assert tree.nodes[1] == node
 
 
 _NGRAM_VOCAB, _NGRAM_CORPUS = text_vocab(TRAIN_TEXT)
