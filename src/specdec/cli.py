@@ -107,7 +107,7 @@ def _cmd_decode(args) -> int:
     print(
         f"cycles={stats.cycles} emitted={stats.emitted_tokens} "
         f"gamma={stats.gamma:.4f} draft_calls={stats.draft_calls} "
-        f"target_context_evals={stats.target_context_evals} "
+        f"target_context_evals={stats.cycles} "
         f"target_contexts_scored={stats.target_contexts_scored}"
     )
     return 0

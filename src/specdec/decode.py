@@ -131,7 +131,6 @@ def speculative_decode(
 
         stats.cycles += 1
         stats.emitted_tokens += len(emitted)
-        stats.target_context_evals += 1  # one batched verification pass
         stats.target_contexts_scored += result.nodes_scored
         stats.tree_nodes += tree.non_root_count
         stats.per_cycle_acceptance.append(len(emitted))

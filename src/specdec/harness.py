@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -42,7 +42,10 @@ from .models import (
     BOS_STRING,
     EOS_STRING,
     Vocabulary,
+    dataclass_from_json,
     distill_interpolate,
+    from_json,
+    read_json,
     read_text,
     train_ngram,
 )
@@ -174,13 +177,6 @@ class ExperimentConfig:
     def override(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
 
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
     @property
     def cost_model(self) -> CostModel:
         return CostModel(self.draft_cost, self.batch_cost)
@@ -227,18 +223,13 @@ class RunRecord:
     def to_dict(self) -> dict:
         return {key: getattr(self, name) for name, key in _REPORT_KEYS.items()}
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunRecord":
-        return cls(**{name: _RECORD_TYPES[name](doc[key]) for name, key in _REPORT_KEYS.items()})
 
-
-_RECORD_TYPES = get_type_hints(RunRecord)
 #: Report key of each reported RunRecord field, in column order. The
 #: wall-clock time is informational and never enters a report.
 _REPORT_KEYS = {
-    name: "lambda" if name == "lam" else name
-    for name in _RECORD_TYPES
-    if name != "wall_clock_ms"
+    f.name: "lambda" if f.name == "lam" else f.name
+    for f in fields(RunRecord)
+    if f.name != "wall_clock_ms"
 }
 CSV_COLUMNS = list(_REPORT_KEYS.values())
 
@@ -352,6 +343,7 @@ def run_matrix(config: ExperimentConfig) -> list[RunRecord]:
                         budget=budget,
                         prompts=len(prompts),
                         **{name: getattr(merged, name) for name in STAT_COUNTERS},
+                        target_context_evals=merged.cycles,  # one batched pass per cycle
                         gamma=gamma,
                         kl_estimate=kl,
                         predicted_speedup=predicted_speedup(
@@ -415,7 +407,7 @@ def emit_report(
         doc = {
             "format": "specdec-report",
             "version": REPORT_VERSION,
-            "config": config.to_dict(),
+            "config": asdict(config),
             "records": [r.to_dict() for r in ordered],
         }
         json_path = out / "report.json"
@@ -428,26 +420,13 @@ def emit_report(
 def load_records(path) -> tuple[ExperimentConfig, list[RunRecord]]:
     """Read a report.json back into (config, records) for re-emission.
 
-    Anything but a complete report of this version raises InputError.
+    Anything but a complete report of this version, each field of its JSON
+    type, raises InputError.
     """
+    doc = read_json(path, "report", "specdec-report", REPORT_VERSION)
     try:
-        doc = json.loads(read_text(path, "report"))
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-        raise InputError(f"report file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != "specdec-report":
-        raise InputError(f"{path} is not a specdec report file")
-    if doc.get("version") != REPORT_VERSION:
-        raise InputError(f"{path} has unsupported report version {doc.get('version')!r}")
-    cfg_doc = doc.get("config")
-    if not isinstance(cfg_doc, dict):
-        raise InputError(f"{path}: report has no config")
-    if set(cfg_doc) != set(_CONFIG_TYPES):
-        odd = sorted(set(cfg_doc) ^ set(_CONFIG_TYPES))
-        raise InputError(f"{path}: report config keys missing or unknown: {odd}")
-    try:
-        config = ExperimentConfig(
-            **{k: tuple(v) if k in _GRIDS else v for k, v in cfg_doc.items()}
-        )
-        return config, [RunRecord.from_dict(r) for r in doc["records"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{path}: malformed report: {exc!r}") from exc
+        config = dataclass_from_json(ExperimentConfig, doc.get("config"), "config")
+        records = from_json(tuple[dict, ...], doc.get("records"), "records: ")
+        return config, [dataclass_from_json(RunRecord, r, "record", _REPORT_KEYS) for r in records]
+    except (InputError, OverflowError) as exc:  # a huge integer as a float
+        raise InputError(f"report file {path}: {exc}") from exc

@@ -25,15 +25,13 @@ KL_DRAFT_TARGET = "draft-target"
 class DecodeStats:
     """Per-run counters from the speculative decode loop.
 
-    target_context_evals counts one batched verification pass per cycle
-    (the unit the cost model charges ``batch_cost`` for), so it equals
-    ``cycles``. target_contexts_scored is the finer number: distinct
-    root-path contexts the target actually evaluated.
+    Each cycle is one batched verification pass (the unit the cost model
+    charges ``batch_cost`` for). target_contexts_scored is the finer number:
+    distinct root-path contexts the target actually evaluated.
     """
 
     cycles: int = 0
     emitted_tokens: int = 0
-    target_context_evals: int = 0
     target_contexts_scored: int = 0
     draft_calls: int = 0
     tree_nodes: int = 0  # post-prune non-root nodes, summed over cycles

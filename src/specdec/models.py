@@ -31,6 +31,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Hashable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -384,42 +385,61 @@ def read_text(path, what: str) -> str:
         raise OSError(f"{what} file {path} is not valid UTF-8: {exc}") from exc
 
 
+def read_json(path, what: str, format_name: str, version: int) -> dict:
+    """The JSON object in a UTF-8 file, with the given ``format`` and ``version``."""
+    try:
+        doc = json.loads(read_text(path, what))
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+        raise InputError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} file {path} does not hold a JSON object")
+    if doc.get("format") != format_name:
+        raise InputError(f"{what} file {path} has unknown format {doc.get('format')!r}")
+    if type(doc.get("version")) is not int or doc["version"] != version:
+        raise InputError(f"{what} file {path} has unsupported version {doc.get('version')!r}")
+    return doc
+
+
+_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean",
+          dict: "an object"}
+
+
+def from_json(kind, value, where: str = ""):
+    """A parsed JSON value as ``kind``, or an InputError starting ``where``.
+    ``int`` is a JSON integer, never a bool; ``float`` is a JSON integer or
+    float; ``str``, ``bool`` and ``dict`` take only their own JSON type;
+    ``tuple[T, ...]`` is a JSON list of ``T``. A cast would take "1" as 1."""
+    if get_origin(kind) is tuple:
+        if type(value) is not list:
+            raise InputError(f"{where}expected a list, got {value!r}")
+        return tuple(from_json(get_args(kind)[0], item, where) for item in value)
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise InputError(f"{where}expected {_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def dataclass_from_json(cls, value, what: str, keys: dict[str, str] | None = None):
+    """A ``cls`` from a JSON object holding exactly ``keys`` (field name to
+    JSON key; by default every field under its own name), each value decoded
+    by :func:`from_json` as its field's type."""
+    hints = get_type_hints(cls)
+    keys = keys or {name: name for name in hints}
+    if set(from_json(dict, value, f"{what}: ")) != set(keys.values()):
+        odd = sorted(set(value) ^ set(keys.values()))
+        raise InputError(f"{what} keys missing or unknown: {odd}")
+    return cls(**{n: from_json(hints[n], value[k], f"{what} {k}: ") for n, k in keys.items()})
+
+
 def load_model(path) -> NGramModel:
     """Rebuild an n-gram model from :func:`save_model` output."""
+    doc = read_json(path, "model", FORMAT_NAME, FORMAT_VERSION)
     try:
-        doc = json.loads(read_text(path, "model"))
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-        raise InputError(f"model file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputError(f"model file {path} does not hold a JSON object")
-    if doc.get("format") != FORMAT_NAME:
-        raise InputError(f"model file {path} has unknown format {doc.get('format')!r}")
-    if doc.get("version") != FORMAT_VERSION:
-        raise InputError(f"model file {path} has unsupported version {doc.get('version')!r}")
-
-    def integer(value) -> int:
-        # int() would truncate 1.7 to 1 and take "1" or true as 1.
-        if type(value) is not int:
-            raise InputError(f"expected an integer, got {value!r}")
-        return value
-
-    def number(value) -> float:
-        # float() would take "0.5" or true as a number.
-        if type(value) not in (int, float):
-            raise InputError(f"expected a number, got {value!r}")
-        return float(value)
-
-    try:
-        vocab = Vocabulary(
-            tokens=tuple(doc["vocab"]["tokens"]),
-            bos_id=integer(doc["vocab"]["bos_id"]),
-            eos_id=integer(doc["vocab"]["eos_id"]),
-        )
+        vocab = dataclass_from_json(Vocabulary, doc["vocab"], "vocab")
         contexts = {
-            tuple(integer(t) for t in ctx): {integer(t): integer(c) for t, c in counts}
-            for ctx, counts in doc["contexts"]
+            from_json(tuple[int, ...], ctx): {from_json(int, t): from_json(int, c) for t, c in row}
+            for ctx, row in doc["contexts"]
         }
-        unigram = [integer(c) for c in doc["unigram"]]
+        unigram = from_json(tuple[int, ...], doc["unigram"])
         # train_ngram checks its corpus; a file's tables are checked here.
         ids = [t for ctx, row in contexts.items() for t in (*ctx, *row)]
         counts = [*unigram, *(c for row in contexts.values() for c in row.values())]
@@ -427,7 +447,9 @@ def load_model(path) -> NGramModel:
             raise InputError(f"a token id is out of range for vocabulary size {vocab.size}")
         if any(c < 0 for c in counts):
             raise InputError("counts must be non-negative")
-        return NGramModel(vocab, integer(doc["order"]), number(doc["alpha"]), contexts, unigram)
+        return NGramModel(
+            vocab, from_json(int, doc["order"]), from_json(float, doc["alpha"]), contexts, unigram
+        )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"model file {path} is malformed: {exc!r}") from exc
     except InputError as exc:

@@ -7,6 +7,7 @@ import json
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import specdec.harness as harness
 from specdec.cli import main
 from specdec.errors import InputError
-from specdec.harness import load_records
+from specdec.harness import CSV_COLUMNS, ExperimentConfig, RunRecord, load_records
 from specdec.models import load_model, next_distribution
 
 from conftest import TRAIN_TEXT, mutate_json
@@ -207,6 +208,40 @@ def report_file(tmp_path_factory):
                  "--format", "json"])
     assert code == 0
     return root / "bench" / "report.json"
+
+
+#: Values of the wrong JSON type for each field type of a report.
+_WRONG_JSON = {
+    int: ["3", 2.5, True],
+    float: ["0.5", True],
+    str: [7],
+    bool: ["no", 1],
+    tuple[int, ...]: ["abc", [0.5], ["x"]],
+    tuple[float, ...]: ["abc", ["x"]],
+}
+_CONFIG_HINTS = get_type_hints(ExperimentConfig)
+_RECORD_HINTS = get_type_hints(RunRecord)
+
+
+@pytest.mark.parametrize(
+    "part,key,value",
+    [("config", key, value) for key, kind in _CONFIG_HINTS.items() for value in _WRONG_JSON[kind]]
+    + [("record", key, value) for key in CSV_COLUMNS
+       for value in _WRONG_JSON[_RECORD_HINTS["lam" if key == "lambda" else key]]],
+)
+def test_report_rejects_a_field_of_the_wrong_json_type(
+    report_file, tmp_path, capsys, part, key, value
+):
+    doc = json.loads(report_file.read_text(encoding="utf-8"))
+    (doc["config"] if part == "config" else doc["records"][0])[key] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["report", str(path), "--out", str(tmp_path / "re")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("specdec: error: ") and err.count("\n") == 1
+    assert f"{part} {key}: expected" in err
+    assert not (tmp_path / "re").exists()
 
 
 @settings(max_examples=300, deadline=None)

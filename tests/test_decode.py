@@ -153,7 +153,6 @@ def test_speculative_equals_greedy_seeded_sample():
         assert stats.emitted_tokens == len(spec)
         assert stats.cycles == len(stats.per_cycle_acceptance)
         assert sum(stats.per_cycle_acceptance) == stats.emitted_tokens
-        assert stats.target_context_evals == stats.cycles
 
 
 def test_perfect_draft_hits_chain_ceiling():

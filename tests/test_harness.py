@@ -17,7 +17,6 @@ from specdec.errors import InputError, LosslessnessError
 from specdec.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
-    RunRecord,
     emit_report,
     ingest_corpus,
     load_records,
@@ -285,9 +284,7 @@ def test_emit_report_rejects_bad_inputs(tmp_path, corpus_file):
     records = run_matrix(config)
     with pytest.raises(InputError):
         emit_report(records, config, tmp_path, "yaml")
-    unverified = RunRecord.from_dict(
-        {**records[0].to_dict(), "losslessness_verified": False}
-    )
+    unverified = replace(records[0], losslessness_verified=False)
     with pytest.raises(InputError):
         emit_report([unverified], config, tmp_path, "csv")
 

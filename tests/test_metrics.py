@@ -36,19 +36,16 @@ def test_mean_acceptance_requires_cycles():
 
 def test_combine_stats_sums_counters():
     a = DecodeStats(
-        cycles=2, emitted_tokens=5, target_context_evals=2,
-        target_contexts_scored=4, draft_calls=6, tree_nodes=6,
+        cycles=2, emitted_tokens=5, target_contexts_scored=4, draft_calls=6, tree_nodes=6,
         per_cycle_acceptance=[2, 3],
     )
     b = DecodeStats(
-        cycles=1, emitted_tokens=4, target_context_evals=1,
-        target_contexts_scored=4, draft_calls=3, tree_nodes=3,
+        cycles=1, emitted_tokens=4, target_contexts_scored=4, draft_calls=3, tree_nodes=3,
         per_cycle_acceptance=[4],
     )
     merged = combine_stats([a, b])
     assert merged.cycles == 3
     assert merged.emitted_tokens == 9
-    assert merged.target_context_evals == 3
     assert merged.target_contexts_scored == 8
     assert merged.draft_calls == 9
     assert merged.tree_nodes == 9

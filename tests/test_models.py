@@ -475,6 +475,17 @@ def test_load_rejects_an_alpha_that_is_not_a_json_number(tmp_path, alpha):
         load_model(path)
 
 
+def test_load_rejects_vocabulary_tokens_that_are_not_strings(tmp_path):
+    vocab, corpus = text_vocab(TRAIN_TEXT[:200])
+    path = tmp_path / "model.json"
+    save_model(train_ngram(corpus, order=2, smoothing_alpha=0.5, vocab=vocab), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["vocab"]["tokens"][:2] = [1, 2]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(InputError, match=r"model\.json.*expected a string, got 1"):
+        load_model(path)
+
+
 def test_load_accepts_an_integer_alpha(tmp_path):
     vocab, corpus = text_vocab(TRAIN_TEXT[:200])
     path = tmp_path / "model.json"
