@@ -7,7 +7,7 @@ to 1 within ``SUM_TOLERANCE``. Entropy and KL are reported in nats.
 :func:`validate_distribution` is the one check of those invariants.
 :func:`check_row` runs it and returns a :class:`Row`, which carries the
 facts the engine reads from every row: its greedy token, its entropy and
-its rank order.
+its proposal fan, the ids and log-probabilities of its best tokens.
 :func:`specdec.models.next_distribution` hands out only rows made here. A
 row from a built-in model's finite table is made once, on first use; a
 plug-in model's row is made on every call. :func:`greedy_token`,
@@ -18,7 +18,7 @@ the token a :class:`Row` keeps.
 
 from __future__ import annotations
 
-from array import array
+import math
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class Row(np.ndarray):
     keep their rows for their lifetime, so a row is one object with slots.
     """
 
-    __slots__ = ("_greedy_token", "_entropy", "_order")
+    __slots__ = ("_greedy_token", "_entropy", "_fan_width", "_fan")
 
     @property
     def greedy_token(self) -> int:
@@ -75,19 +75,30 @@ class Row(np.ndarray):
             self._entropy = entropy(self.view(np.ndarray))
             return self._entropy
 
-    @property
-    def order(self) -> array:
-        """Every token id by descending probability, ties to the lower id,
-        as :func:`specdec.tree.top_tokens` ranks them; ``order[0]`` is the
-        :func:`greedy_token`. Held in the smallest unsigned type that fits
-        every id."""
+    def fan(self, width: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """The ids and ``math.log`` probabilities of the first ``width``
+        tokens with nonzero probability, by descending probability with ties
+        to the lower id, as :func:`specdec.tree.top_tokens` ranks them.
+
+        The row keeps one fan: the first read for a width makes it, a
+        narrower read takes a prefix of it and a wider one replaces it.
+        """
         try:
-            return self._order
+            kept = self._fan_width
         except AttributeError:
-            ranked = np.argsort(-self.view(np.ndarray), kind="stable")
-            kind = np.min_scalar_type(self.size - 1)
-            self._order = array(kind.char, ranked.astype(kind).tobytes())
-            return self._order
+            pass
+        else:
+            if width == kept:
+                return self._fan
+            if width < kept:
+                ids, logps = self._fan
+                return ids[:width], logps[:width]
+        probs = self.view(np.ndarray)
+        ranked = np.argsort(-probs, kind="stable")[:width]
+        ranked = ranked[probs[ranked] > 0.0]  # zeros rank last
+        self._fan = fan = (tuple(ranked.tolist()), tuple(map(math.log, probs[ranked].tolist())))
+        self._fan_width = width
+        return fan
 
 
 def check_row(values, size: int) -> Row:

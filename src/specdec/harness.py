@@ -212,6 +212,22 @@ class RunRecord:
     losslessness_verified: bool
     wall_clock_ms: float = 0.0  # informational; excluded from reports
 
+    def __post_init__(self) -> None:
+        # The ranges of every record run_matrix writes, so a report read
+        # back holds only values a run can produce.
+        for name, kind in _RECORD_TYPES.items():
+            if kind not in (int, float):
+                continue
+            value, key = getattr(self, name), _REPORT_KEYS.get(name, name)
+            # tau = inf is a chain.
+            if kind is float and (math.isnan(value) or (math.isinf(value) and name != "tau")):
+                raise InputError(f"{key} must be finite, got {value}")
+            low = 1 if name in ("branch", "depth", "budget", "prompts", "gamma") else 0
+            if value < low:
+                raise InputError(f"{key} must be >= {low}, got {value}")
+        if self.lam > 1:
+            raise InputError(f"lambda must lie in [0, 1], got {self.lam}")
+
     @property
     def cell_key(self) -> tuple:
         return (self.domain, self.lam, self.tau, self.branch, self.depth, self.budget)
@@ -223,6 +239,8 @@ class RunRecord:
     def to_dict(self) -> dict:
         return {key: getattr(self, name) for name, key in _REPORT_KEYS.items()}
 
+
+_RECORD_TYPES = get_type_hints(RunRecord)
 
 #: Report key of each reported RunRecord field, in column order. The
 #: wall-clock time is informational and never enters a report.

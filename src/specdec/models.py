@@ -121,9 +121,10 @@ def validate_context(vocab: Vocabulary, ctx) -> Context:
 
     A context this function already accepted for an equal vocabulary comes
     back as given, unwalked; one checked for another vocabulary is walked
-    again.
+    again. The vocabulary is tested for identity before equality, which
+    compares every token string.
     """
-    if type(ctx) is _CheckedContext and ctx.vocab == vocab:
+    if type(ctx) is _CheckedContext and (ctx.vocab is vocab or ctx.vocab == vocab):
         return ctx
     tokens = tuple(int(t) for t in ctx)
     bos, eos, size = vocab.bos_id, vocab.eos_id, vocab.size
@@ -180,11 +181,12 @@ def next_distribution(model: LanguageModel, ctx: Context) -> Row:
     The row comes back as a :class:`~specdec.dists.Row` from
     :func:`~specdec.dists.check_row`: converted to float64, checked (one
     entry per token id, none negative, mass 1, also under ``python -O``),
-    and carrying its entropy and rank order. A built-in model keeps one
-    table entry per distinct row, filled on first use, so each of its rows
-    is checked and ranked once in the model's lifetime. A plug-in model's
-    row is made on every call. The check here is the only one, so the
-    :mod:`specdec.dists` math that follows trusts the row.
+    and carrying its greedy token, entropy and proposal fan. A built-in
+    model keeps one table entry per distinct row, filled on first use, so
+    each of its rows is checked once in the model's lifetime, and ranked
+    at its first fan read and again only for a wider fan. A plug-in model's
+    row, fan included, is made on every call. The check here is the only
+    one, so the :mod:`specdec.dists` math that follows trusts the row.
     """
     if ctx[-1] == model.vocab.eos_id:
         raise InputError("context already ends in eos; nothing to predict")

@@ -42,6 +42,10 @@ class SpecNode(NamedTuple):
 #: The root every tree starts from; nodes are immutable, so trees share it.
 _ROOT = SpecNode(ROOT_ID, None, -1, 0, 1.0, 0.0)
 
+#: Makes a SpecNode from a tuple of its fields without the Python frame of
+#: the named tuple's own constructor.
+_new_node = tuple.__new__
+
 
 @dataclass(frozen=True)
 class BranchPolicy:
@@ -124,11 +128,14 @@ class SpecTree:
         """Attach a node the caller has checked: ``parent`` is in the tree,
         has no child ``token``, and ``cum_logprob`` is its log-prob plus
         ``log(draft_prob)``."""
-        node = SpecNode(self._next_id, token, parent.id, parent.depth + 1, draft_prob, cum_logprob)
-        self.nodes[node.id] = node
-        self.children[node.id] = []
-        self.children[parent.id].append(node.id)
-        self._next_id += 1
+        node_id = self._next_id
+        node = _new_node(
+            SpecNode, (node_id, token, parent.id, parent.depth + 1, draft_prob, cum_logprob)
+        )
+        self.nodes[node_id] = node
+        self.children[node_id] = []
+        self.children[parent.id].append(node_id)
+        self._next_id = node_id + 1
         return node
 
     def path_tokens(self, node_id: int) -> tuple[int, ...]:
@@ -194,13 +201,16 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     nodes or no proposal is left.
 
     The draft is queried on (context + root path) at the root and at each
-    attached node; branch width follows the draft's entropy there, read
-    with the rank order from the row's stored facts. Proposed
-    children wait on a heap in :func:`_rank_key` order and the best one is
-    attached next. EOS nodes and nodes at ``policy.max_depth`` are kept but
-    never queried, so a verified EOS can end decoding. At most
-    ``node_budget`` draft queries are made. A proposal holds its parent's
-    context; a node's own context is built only when the node is queried.
+    attached node; branch width follows the draft's entropy there, and the
+    proposals are the row's kept fan for that width (:meth:`Row.fan
+    <specdec.dists.Row.fan>`): the ranked ids and their log-probabilities,
+    read once per row, not once per proposal. Proposed children wait on a
+    heap in :func:`_rank_key` order and the best one is attached next; only
+    an attached node reads its draft probability. EOS nodes and nodes at
+    ``policy.max_depth`` are kept but never queried, so a verified EOS can
+    end decoding. At most ``node_budget`` draft queries are made. A proposal
+    holds its parent's context; a node's own context is built only when the
+    node is queried.
 
     The result equals pruning the full breadth-first expansion to the
     budget: a child never outranks its parent, so the ``n`` best nodes
@@ -214,36 +224,32 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     threshold, max_branch = policy.entropy_threshold, policy.max_branch
     budget, max_depth = policy.node_budget, policy.max_depth
     heap: list = []
-    push, pop, log = heapq.heappush, heapq.heappop, math.log
+    push, pop = heapq.heappush, heapq.heappop
 
     def propose(node: SpecNode, node_ctx: Context, path: tuple[int, ...]) -> None:
         row = next_distribution(draft, node_ctx)
-        tree.draft_queries += 1
-        # top_tokens(row, branch_width(row, policy)), from the row's facts:
-        # zero-probability tokens rank last and are never proposed.
-        width = 1 if row.entropy < threshold else max_branch
-        order = row.order
+        # top_tokens(row, branch_width(row, policy)) with their log-probs.
+        ids, logps = row.fan(1 if row.entropy < threshold else max_branch)
         cum_logprob, depth = node.cum_logprob, node.depth + 1
-        for r in range(min(width, len(order))):
-            token = order[r]
-            p = row.item(token)
-            if p == 0.0:
-                break
-            # The path makes every key unique, so the heap never compares
-            # the parent nodes.
-            push(heap, ((-(cum_logprob + log(p)), depth, token, path + (r,)), node, p, node_ctx))
+        for r, token in enumerate(ids):
+            # The key is the first four entries; the path makes every key
+            # unique, so the heap never compares what follows it.
+            push(heap, (-(cum_logprob + logps[r]), depth, token, path + (r,), node, row, node_ctx))
 
     propose(tree.root, tree.context, ())
+    queries = 1
     attach = tree._attach
     count = 0
     while heap and count < budget:
-        (neg_logprob, depth, token, path), parent, p, parent_ctx = pop(heap)
-        # Ranked ids of a checked row are distinct and in range, and the
-        # key holds the child's cumulative log-prob: no add_child checks.
-        child = attach(parent, token, p, -neg_logprob)
+        neg_logprob, depth, token, path, parent, row, parent_ctx = pop(heap)
+        # Fan ids of a checked row are distinct and in range, and the key
+        # holds the child's cumulative log-prob: no add_child checks.
+        child = attach(parent, token, row.item(token), -neg_logprob)
         count += 1
         if count < budget and token != eos and depth < max_depth:
             propose(child, parent_ctx + (token,), path)
+            queries += 1
+    tree.draft_queries = queries
     nodes = tree.nodes
     for kids in tree.children.values():
         if len(kids) > 1:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -241,6 +242,34 @@ def test_report_rejects_a_field_of_the_wrong_json_type(
     assert code == 1
     assert err.startswith("specdec: error: ") and err.count("\n") == 1
     assert f"{part} {key}: expected" in err
+    assert not (tmp_path / "re").exists()
+
+
+#: Record values of the right JSON type that no run can produce. tau = inf
+#: is a chain, and the round-trip test in test_harness.py reads it back.
+_OUT_OF_RANGE = [
+    ("gamma", math.nan), ("gamma", math.inf), ("gamma", 0.5),
+    ("cycles", -5), ("emitted_tokens", -1), ("target_context_evals", -1),
+    ("target_contexts_scored", -1), ("draft_calls", -1), ("tree_nodes", -1),
+    ("prompts", 0), ("branch", 0), ("depth", 0), ("budget", 0),
+    ("lambda", 7.0), ("lambda", -0.5), ("lambda", math.nan),
+    ("tau", -1.0), ("tau", math.nan),
+    ("kl_estimate", -1.0), ("kl_estimate", math.inf),
+    ("predicted_speedup", -1.0), ("predicted_speedup", math.nan),
+]
+
+
+@pytest.mark.parametrize("key,value", _OUT_OF_RANGE)
+def test_report_rejects_a_record_value_out_of_range(report_file, tmp_path, capsys, key, value):
+    doc = json.loads(report_file.read_text(encoding="utf-8"))
+    doc["records"][0][key] = value
+    path = tmp_path / "ranged.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["report", str(path), "--out", str(tmp_path / "re")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("specdec: error: ") and err.count("\n") == 1
+    assert f": {key} must" in err
     assert not (tmp_path / "re").exists()
 
 

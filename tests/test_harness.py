@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import re
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -26,6 +28,8 @@ from specdec.harness import (
 from specdec.models import BOS_STRING, EOS_STRING
 
 from conftest import TRAIN_TEXT
+
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demo" / "bench.cfg"
 
 OOD_TEXT = (
     "nine green engines run on steam and sing near the iron gate. "
@@ -299,6 +303,33 @@ def test_report_json_round_trip(tmp_path, corpus_file):
     doc = json.loads((tmp_path / "out" / "report.json").read_text())
     assert doc["format"] == "specdec-report"
     assert "wall_clock_ms" not in json.dumps(doc)
+
+
+def test_a_demo_run_with_its_models_kept_alive_retains_at_most_150_kb(monkeypatch):
+    """What each model row keeps (its checked values, greedy token, entropy
+    and proposal fan) is held for the model's lifetime. perfbench's
+    demo-matrix keeps every draft alive in its latency keys, so its peak RSS
+    grows by this amount per bench round."""
+    config = ExperimentConfig.from_file(DEMO_CONFIG)
+    original, kept = harness.speculative_decode, []
+
+    def keep_draft(draft, target, prompt, max_tokens, policy):
+        kept.append(draft)
+        return original(draft, target, prompt, max_tokens, policy)
+
+    monkeypatch.setattr(harness, "speculative_decode", keep_draft)
+    run_matrix(config)  # imports and other one-time allocations happen here
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_matrix(config)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 2 * 288
+    assert retained <= 150 * 1024
 
 
 # The report format as version 1 wrote it, held literally: CSV_COLUMNS and

@@ -545,8 +545,18 @@ def test_served_rows_carry_their_facts(name, tail):
         for _ in range(2):  # worked out on the first read, kept for the second
             assert row.greedy_token == greedy_token(row) == int(np.asarray(values).argmax())
         assert row.entropy == entropy(probs)
-        assert list(row.order) == top_tokens(probs, _SERVED_VOCAB.size)
-        assert row.order[0] == greedy_token(probs)
+        nonzero = int(np.count_nonzero(probs))
+        fans = {}
+        for width in range(1, _SERVED_VOCAB.size + 1):
+            ids = tuple(top_tokens(probs, min(width, nonzero)))
+            fans[width] = ids, tuple(math.log(probs[t]) for t in ids)
+        assert fans[1][0] == (greedy_token(probs),)
+        # Wider after narrower replaces the kept fan; narrower after wider
+        # reads its prefix. A table row keeps its fan across the two calls.
+        for widths in (fans, reversed(fans)):
+            for width in widths:
+                for _ in range(2):
+                    assert row.fan(width) == fans[width]
 
 
 def test_a_plug_in_base_does_not_grow_the_blend_table():
