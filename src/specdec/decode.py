@@ -11,7 +11,7 @@ changes how many target passes that output costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dists import greedy_token
 from .errors import InputError
@@ -20,9 +20,8 @@ from .models import LanguageModel, next_distribution, validate_context
 from .tree import BranchPolicy, ROOT_ID, SpecTree, expand_tree, prune_tree
 
 
-@dataclass(frozen=True)
-class VerificationResult:
-    """Outcome of verifying one speculative tree.
+class VerificationResult(NamedTuple):
+    """Outcome of verifying one speculative tree, an immutable named tuple.
 
     bonus_token is the target's greedy token at the stopping node, or None
     when the accepted path ended in EOS (no context remains to predict
@@ -40,17 +39,30 @@ class VerificationResult:
         return len(self.accepted_tokens) + (1 if self.bonus_token is not None else 0)
 
 
+def _window(*models: LanguageModel) -> int | None:
+    """The trailing context tokens a decode must keep for ``models``: the
+    largest ``context_window``, at least 1 because next_distribution reads
+    the last token, or None if any model reads the whole context."""
+    windows = [model.context_window for model in models]
+    return None if None in windows else max(1, *windows)
+
+
 def greedy_decode(target: LanguageModel, prompt, max_tokens: int) -> list[int]:
     """Baseline: append the target's argmax token until EOS or max_tokens.
 
     This is the ground truth every speculative run must reproduce exactly.
+    A target with a ``context_window`` is queried on the context's last
+    tokens only, so a step's cost does not grow with the output.
     """
     if max_tokens < 1:
         raise InputError(f"max_tokens must be >= 1, got {max_tokens}")
     eos = target.vocab.eos_id
+    window = _window(target)
     ctx = validate_context(target.vocab, prompt)
     out: list[int] = []
     while len(out) < max_tokens:
+        if window is not None:
+            ctx = ctx[-window:]
         tok = greedy_token(next_distribution(target, ctx))
         out.append(tok)
         if tok == eos:
@@ -70,7 +82,7 @@ def verify_tree(target: LanguageModel, tree: SpecTree) -> VerificationResult:
     eos = target.vocab.eos_id
     ctx = validate_context(target.vocab, tree.context)
     node_id = ROOT_ID
-    accepted: list[int] = []
+    accepted: tuple[int, ...] = ()
     scored = 0
     while True:
         dist = next_distribution(target, ctx)
@@ -82,10 +94,10 @@ def verify_tree(target: LanguageModel, tree: SpecTree) -> VerificationResult:
                 match = child_id
                 break
         if match is None:
-            return VerificationResult(tuple(accepted), want, scored)
-        accepted.append(want)
+            return VerificationResult(accepted, want, scored)
+        accepted += (want,)
         if want == eos:
-            return VerificationResult(tuple(accepted), None, scored)
+            return VerificationResult(accepted, None, scored)
         node_id = match
         ctx += (want,)
 
@@ -104,6 +116,10 @@ def speculative_decode(
     The returned tokens are bit-identical to ``greedy_decode(target,
     prompt, max_tokens)`` for every policy; only the stats vary. The prompt
     is walked by :func:`validate_context` once per decode, not per cycle.
+    When both models declare a ``context_window``, the loop keeps only the
+    context's last ``max(draft window, target window, 1)`` tokens, so trees
+    and verification see that tail plus their path and a cycle's cost does
+    not grow with the output.
     """
     if draft.vocab != target.vocab:
         raise InputError("draft and target must share a vocabulary")
@@ -111,9 +127,11 @@ def speculative_decode(
         raise InputError(f"max_tokens must be >= 1, got {max_tokens}")
 
     eos = target.vocab.eos_id
-    # Checked once here: each cycle extends it with the target's own tokens
-    # and stops at EOS, so expand_tree and verify_tree take it unwalked.
-    ctx = validate_context(target.vocab, prompt)
+    window = _window(draft, target)
+    # Checked once here and cut to the window: each cycle extends it with
+    # the target's own tokens and stops at EOS, so expand_tree and
+    # verify_tree take it unwalked.
+    ctx = validate_context(target.vocab, prompt).extended((), window)
     out: list[int] = []
     stats = DecodeStats()
 
@@ -123,9 +141,9 @@ def speculative_decode(
         tree = prune_tree(tree, policy.node_budget)
         result = verify_tree(target, tree)
 
-        emitted = list(result.accepted_tokens)
+        emitted = result.accepted_tokens
         if result.bonus_token is not None:
-            emitted.append(result.bonus_token)
+            emitted += (result.bonus_token,)
         emitted = emitted[: max_tokens - len(out)]
         out.extend(emitted)
 
@@ -136,5 +154,5 @@ def speculative_decode(
         stats.per_cycle_acceptance.append(len(emitted))
         if eos in emitted:
             break
-        ctx = ctx.extended(emitted)
+        ctx = ctx.extended(emitted, window)
     return out, stats

@@ -11,7 +11,8 @@ Config files are flat ``key = value`` text; ``#`` starts a comment. Grids
 are comma-separated. The fields of ``ExperimentConfig`` are the keys, with
 their types and defaults; ``corpus`` is the only required key. Relative
 ``corpus`` and ``ood_corpus`` paths resolve against the config file's
-directory.
+directory; a report echoes them as the file wrote them, so its bytes do not
+depend on how the config's own path was spelled.
 """
 
 from __future__ import annotations
@@ -168,14 +169,27 @@ class ExperimentConfig:
         for f in fields(cls):
             if f.default is MISSING and f.name not in values:
                 raise InputError(f"{path}: missing required config key {f.name!r}")
-        for key in _PATHS:
-            if values.get(key):
-                # Relative to the config file; an absolute path stays as it is.
-                values[key] = str(Path(path).parent / values[key])  # type: ignore[operator]
-        return cls(**values)  # type: ignore[arg-type]
+        written = {key: values[key] for key in _PATHS if values.get(key)}
+        for key in written:
+            # Relative to the config file; an absolute path stays as it is.
+            values[key] = str(Path(path).parent / values[key])  # type: ignore[operator]
+        return cls(**values)._with_written(written)  # type: ignore[arg-type]
 
     def override(self, **kwargs) -> "ExperimentConfig":
-        return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
+        changed = {k: v for k, v in kwargs.items() if v is not None}
+        kept = {k: v for k, v in self.written_paths.items() if k not in changed}
+        return replace(self, **changed)._with_written(kept)
+
+    @property
+    def written_paths(self) -> dict[str, str]:
+        """The ``corpus`` and ``ood_corpus`` values as a config file wrote
+        them, before :meth:`from_file` resolved them; the report echoes
+        these. Empty for a config not read from a file."""
+        return self.__dict__.get("_written", {})
+
+    def _with_written(self, written: dict[str, str]) -> "ExperimentConfig":
+        object.__setattr__(self, "_written", written)  # not a field: no report key
+        return self
 
     @property
     def cost_model(self) -> CostModel:
@@ -394,7 +408,8 @@ def emit_report(
     csv  -> report.csv (one row per record, fixed column order) and
             scatter.csv (kl_estimate, gamma pairs for the KL-vs-acceptance
             plot, ordered by cell key so a lambda sweep reads top-down).
-    json -> report.json (full config echo plus all records).
+    json -> report.json (full config echo plus all records; the corpus
+            paths as the config file wrote them).
     Only losslessness-verified records may be emitted.
     """
     if not records:
@@ -425,7 +440,7 @@ def emit_report(
         doc = {
             "format": "specdec-report",
             "version": REPORT_VERSION,
-            "config": asdict(config),
+            "config": {**asdict(config), **config.written_paths},
             "records": [r.to_dict() for r in ordered],
         }
         json_path = out / "report.json"

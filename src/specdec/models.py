@@ -7,6 +7,14 @@ can plug in; at desk scale the models are additively-smoothed n-grams plus
 an interpolation wrapper that blends a weak draft towards the target, which
 gives direct control over the draft-target KL divergence.
 
+A model whose rows depend only on the last ``k`` tokens of a context says
+so with ``context_window = k`` (``order - 1`` for an n-gram, 0 for a
+constant row). The decode loops then keep only that tail of their context,
+so a cycle costs the same at token 4,000 as at token 10, and such a model
+receives its trailing tokens, which need not start at BOS. The default,
+``None``, means the whole context: a plug-in that declares nothing always
+receives the full context from BOS.
+
 Persistence format (``save_model`` / ``load_model``): a JSON document ::
 
     {
@@ -42,6 +50,7 @@ BOS_STRING = "<s>"
 EOS_STRING = "</s>"
 
 #: A decoding context: token ids, first entry is the vocabulary's bos_id.
+#: A model with a ``context_window`` may receive only its trailing tokens.
 Context = tuple[int, ...]
 
 
@@ -94,12 +103,17 @@ class Vocabulary:
 
 
 class _CheckedContext(tuple):
-    """A context :func:`validate_context` accepted for ``vocab``.
+    """A context :func:`validate_context` accepted for ``vocab``, or the
+    trailing tokens of one.
 
     :func:`validate_context` hands it back as given, without a walk, to any
     caller with an equal vocabulary. Only :meth:`extended` grows one, and only
     with tokens of checked rows: a row's argmax or ranked ids are in range,
-    and a decode stops at EOS, so the result is still a valid context.
+    and a decode stops at EOS, so the result is still a valid context or the
+    tail of one. A tail is made only for models whose ``context_window`` it
+    covers. Like a whole context, a tail is trusted only by callers with an
+    equal vocabulary; any other walks it as a fresh context, which must
+    start at BOS.
     """
 
     def __new__(cls, tokens: tuple[int, ...], vocab: Vocabulary) -> "_CheckedContext":
@@ -110,10 +124,12 @@ class _CheckedContext(tuple):
     def __getnewargs__(self):  # so copy and pickle rebuild it
         return tuple(self), self.vocab
 
-    def extended(self, tokens) -> "_CheckedContext":
+    def extended(self, tokens: tuple[int, ...], keep: int | None = None) -> "_CheckedContext":
         """This context plus ``tokens`` taken from checked rows, none of
-        them EOS unless it is the last."""
-        return _CheckedContext(self + tuple(tokens), self.vocab)
+        them EOS unless it is the last; only its last ``keep`` tokens if
+        ``keep`` is given."""
+        ctx = self + tokens
+        return _CheckedContext(ctx if keep is None else ctx[-keep:], self.vocab)
 
 
 def validate_context(vocab: Vocabulary, ctx) -> Context:
@@ -147,14 +163,26 @@ class LanguageModel(ABC):
     distributions, and instances are immutable after construction (safe to
     query from multiple threads), apart from the row table that
     :func:`next_distribution` fills.
+
+    ``context_window`` is the number of trailing context tokens the rows
+    depend on: two contexts that end in the same ``context_window`` tokens
+    get bit-identical rows and equal row keys. ``None``, the default, means
+    the whole context. A plug-in declares a window by setting the attribute
+    on its class or instance; it must not change after construction.
     """
 
     vocab: Vocabulary
+    context_window: int | None = None
 
     @abstractmethod
     def distribution(self, ctx: Context) -> np.ndarray:
         """Next-token distribution after ``ctx``; contract checks live in
-        :func:`next_distribution`."""
+        :func:`next_distribution`.
+
+        ``ctx`` starts at BOS unless the model declares a
+        ``context_window``; then it may be only the context's last
+        ``context_window`` tokens or more.
+        """
 
     def _row_key(self, ctx: Context) -> Hashable | None:
         """Key of the row after ``ctx`` in the model's row table ``_table``,
@@ -176,7 +204,9 @@ def next_distribution(model: LanguageModel, ctx: Context) -> Row:
     ``expand_tree``, ``verify_tree``, ``estimate_kl``; inside
     ``speculative_decode``, expansion and verification take its checked
     context without a walk) and extend it only with tokens of checked rows,
-    so just the O(1) "already ends in eos" check runs here.
+    so just the O(1) "already ends in eos" check runs here. The decode
+    loops pass a model with a ``context_window`` only the last tokens of
+    the context, at least one and at least the window.
 
     The row comes back as a :class:`~specdec.dists.Row` from
     :func:`~specdec.dists.check_row`: converted to float64, checked (one
@@ -203,6 +233,8 @@ class ConstantModel(LanguageModel):
     """Emits one fixed distribution for every context. Degenerate but handy:
     a one-hot row gives a fully deterministic chain model."""
 
+    context_window = 0
+
     def __init__(self, vocab: Vocabulary, probs) -> None:
         self.vocab = vocab
         arr = np.asarray(probs, dtype=np.float64)
@@ -224,7 +256,9 @@ class NGramModel(LanguageModel):
 
     Contexts never observed in training (including contexts shorter than
     order-1) back off to the additively-smoothed unigram row built from the
-    raw corpus counts.
+    raw corpus counts. The rows depend on the last ``order - 1`` tokens
+    only, the model's ``context_window``: a context that holds fewer has
+    no seen suffix and backs off, whether or not it starts at BOS.
 
     Construction keeps the counts and builds no row. :meth:`distribution`
     smooths a row when asked, and :func:`next_distribution` keeps each
@@ -249,6 +283,7 @@ class NGramModel(LanguageModel):
                 raise InputError(f"context {list(ctx)} must hold order - 1 = {order - 1} ids")
         self.vocab = vocab
         self.order = order
+        self.context_window = order - 1
         self.alpha = float(alpha)
         self._context_counts = {k: dict(v) for k, v in context_counts.items()}
         self._unigram_counts = np.asarray(unigram_counts, dtype=np.int64)
@@ -316,6 +351,10 @@ class InterpolatedModel(LanguageModel):
     with one entry per (target row, base row) pair, filled on first use. A
     plug-in on either side has no row keys, so the blend is made and
     checked on every call and the table stays empty.
+
+    The blend's ``context_window`` is its source's at lam=0 or 1; in between
+    it is the larger of its sides' windows, or None if either side reads
+    the whole context.
     """
 
     def __init__(self, target: LanguageModel, draft_base: LanguageModel, lam: float) -> None:
@@ -330,6 +369,10 @@ class InterpolatedModel(LanguageModel):
         #: The model whose rows an endpoint copies bit for bit, else None.
         self._source = {0.0: draft_base, 1.0: target}.get(self.lam)
         self._table: dict[Hashable, Row] = getattr(self._source, "_table", {})
+        if self._source is not None:
+            self.context_window = self._source.context_window
+        elif None not in (target.context_window, draft_base.context_window):
+            self.context_window = max(target.context_window, draft_base.context_window)
 
     def distribution(self, ctx: Context) -> np.ndarray:
         if self._source is not None:

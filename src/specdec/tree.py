@@ -90,6 +90,12 @@ class SpecTree:
     order (most probable first, ties to the lower token id).
     ``draft_queries`` records how many draft distribution calls expansion
     consumed, for cost accounting.
+
+    ``context`` is the context the root stands for, and a node's context is
+    it plus the node's root path. In a tree that ``speculative_decode``
+    builds for models that declare a ``context_window``, it is only the
+    decoding context's last tokens, enough for both models' windows, so it
+    need not start at BOS.
     """
 
     def __init__(self, context) -> None:

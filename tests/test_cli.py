@@ -141,13 +141,34 @@ def test_config_paths_resolve_against_the_config_file(tmp_path, monkeypatch):
     argv = ["bench", "--config", str(demo / "bench.cfg"), "--max-tokens", "2", "--out", "out"]
     assert main(argv) == 0
     config = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))["config"]
-    assert config["corpus"] == str(demo / "corpus.txt")
-    assert config["ood_corpus"] == str(demo / "ood.txt")
+    # The echo holds the paths as the config file wrote them.
+    assert config["corpus"] == "corpus.txt"
+    assert config["ood_corpus"] == "ood.txt"
 
     # A --corpus on the command line resolves against the current directory.
     assert main(argv + ["--corpus", "corpus.txt"]) == 2
     shutil.copy(demo / "corpus.txt", tmp_path)
     assert main(argv + ["--corpus", "corpus.txt"]) == 0
+    config = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))["config"]
+    assert config["corpus"] == "corpus.txt"
+    assert config["ood_corpus"] == "ood.txt"
+
+
+def test_report_bytes_do_not_depend_on_how_the_config_path_is_spelled(tmp_path, monkeypatch):
+    root = Path(__file__).resolve().parent.parent
+    spellings = [
+        (root, "demo/bench.cfg"),
+        (root, str(root / "demo" / "bench.cfg")),
+        (tmp_path, str(root / "demo" / "bench.cfg")),
+        (root / "demo", "bench.cfg"),
+    ]
+    reports = []
+    for i, (cwd, config) in enumerate(spellings):
+        monkeypatch.chdir(cwd)
+        out = tmp_path / f"out{i}"
+        assert main(["bench", "--config", config, "--max-tokens", "2", "--out", str(out)]) == 0
+        reports.append([(out / name).read_bytes() for name in ("report.json", "report.csv")])
+    assert all(report == reports[0] for report in reports)
 
 
 def test_bench_losslessness_violation_exits_three(tmp_path, config_file, monkeypatch):

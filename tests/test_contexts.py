@@ -215,3 +215,66 @@ def test_a_list_row_that_is_not_numbers_is_a_one_line_input_error(row):
     assert "\n" not in str(excinfo.value)
     with pytest.raises(InputError, match="not a vector of numbers"):
         greedy_decode(model, (BOS,), 3)
+
+
+class _Unwindowed(models.LanguageModel):
+    """Plug-in wrapper that declares no window, so it reads whole contexts."""
+
+    def __init__(self, model) -> None:
+        self.vocab = model.vocab
+        self.model = model
+
+    def distribution(self, ctx):
+        return self.model.distribution(ctx)
+
+
+@pytest.fixture
+def context_lengths(monkeypatch):
+    """The length of each context that reaches ``next_distribution`` through
+    the ``tree`` and ``decode`` module names."""
+    lengths = []
+    original = models.next_distribution
+
+    def counting(model, ctx):
+        lengths.append(len(ctx))
+        return original(model, ctx)
+
+    for module in (tree, decode):
+        monkeypatch.setattr(module, "next_distribution", counting)
+    return lengths
+
+
+LONG = 4096
+
+
+@pytest.mark.parametrize(
+    "policy", [BranchPolicy.chain(4), BranchPolicy(0.35, 4, 4, 8)], ids=["chain", "tree"]
+)
+def test_long_outputs_match_greedy_on_contexts_of_window_plus_depth(policy, context_lengths):
+    vocab, corpus, draft, target = _demo_pair()
+    prompt = (vocab.bos_id,) + corpus[:7]
+    window = max(draft.context_window, target.context_window, 1)
+    assert window == 2
+
+    want = greedy_decode(target, prompt, LONG)
+    tokens, stats = speculative_decode(draft, target, prompt, LONG, policy)
+    assert len(want) == LONG and vocab.eos_id not in want
+    assert tokens == want
+    assert stats.emitted_tokens == LONG
+    assert len(context_lengths) == LONG + stats.target_contexts_scored + stats.draft_calls
+    assert len(prompt) > window + policy.max_depth  # so the prompt is cut too
+    assert max(context_lengths) <= window + policy.max_depth
+
+
+def test_a_plug_in_without_a_window_sees_whole_contexts(context_lengths):
+    vocab, corpus, draft, target = _demo_pair()
+    draft, target = _Unwindowed(draft), _Unwindowed(target)
+    prompt = (vocab.bos_id,) + corpus[:7]
+    policy = BranchPolicy.chain(4)
+
+    want = greedy_decode(target, prompt, LONG)
+    assert max(context_lengths) == len(prompt) + LONG - 1
+    context_lengths.clear()
+    tokens, _ = speculative_decode(draft, target, prompt, LONG, policy)
+    assert tokens == want
+    assert max(context_lengths) >= len(prompt) + LONG - policy.max_depth - 1

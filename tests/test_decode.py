@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from specdec.decode import greedy_decode, speculative_decode, verify_tree
+from specdec.decode import VerificationResult, greedy_decode, speculative_decode, verify_tree
 from specdec.errors import InputError
 from specdec.models import ConstantModel, distill_interpolate, train_ngram
 from specdec.tree import ROOT_ID, BranchPolicy, SpecTree, expand_tree, prune_tree
@@ -106,6 +106,17 @@ def test_verify_immediate_mismatch_bonus_only():
     assert result.bonus_token == 0
     assert result.cycle_acceptance == 1
     assert result.nodes_scored == 1
+
+
+def test_verification_result_is_an_immutable_named_tuple():
+    vocab = make_vocab(3)
+    model = ConstantModel(vocab, one_hot(vocab.size, 1))
+    result = verify_tree(model, expand_tree(model, (vocab.bos_id,), BranchPolicy.chain(2)))
+    assert VerificationResult._fields == ("accepted_tokens", "bonus_token", "nodes_scored")
+    assert result == ((1, 1), 1, 3) and result.cycle_acceptance == 3
+    for field in VerificationResult._fields:
+        with pytest.raises(AttributeError):
+            setattr(result, field, 0)
 
 
 def test_verify_accepted_eos_suppresses_bonus():

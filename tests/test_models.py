@@ -580,6 +580,68 @@ def test_a_plug_in_base_does_not_grow_the_blend_table():
     assert distill_interpolate(target, base, 1.0)._table is target._table
 
 
+def _windowed_models():
+    vocab, corpus = text_vocab(TRAIN_TEXT)
+    ngrams = {order: train_ngram(corpus, order, 0.1, vocab) for order in (1, 2, 3, 4)}
+    models = {f"order {order}": model for order, model in ngrams.items()}
+    for lam in (0.0, 0.5, 1.0):
+        # The larger window on the target side, then on the base side.
+        models[f"4 over 2, lam={lam}"] = distill_interpolate(ngrams[4], ngrams[2], lam)
+        models[f"2 over 3, lam={lam}"] = distill_interpolate(ngrams[2], ngrams[3], lam)
+    models["constant"] = ConstantModel(vocab, np.full(vocab.size, 1.0 / vocab.size))
+    return vocab, corpus, models
+
+
+_WINDOWED_VOCAB, _WINDOWED_CORPUS, _WINDOWED = _windowed_models()
+
+
+def _last(ctx, k):
+    """The last ``k`` tokens of ``ctx``; all of it if it holds fewer."""
+    return ctx[max(len(ctx) - k, 0):]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_WINDOWED)),
+    tokens=st.one_of(
+        # Seen suffixes: corpus text, near BOS when short.
+        st.integers(0, len(_WINDOWED_CORPUS) - 8).flatmap(
+            lambda i: st.integers(0, 7).map(lambda n: _WINDOWED_CORPUS[i:i + n])),
+        # Mostly unseen suffixes, BOS included.
+        st.lists(st.integers(0, _WINDOWED_VOCAB.bos_id), max_size=7).map(tuple),
+    ),
+)
+def test_a_windowed_model_serves_the_same_row_for_its_tail(name, tokens):
+    model = _WINDOWED[name]
+    window = model.context_window
+    full = (_WINDOWED_VOCAB.bos_id, *tokens)
+    tail = _last(full, window)
+    assert model._row_key(tail) == model._row_key(full)
+    assert model.distribution(tail).tobytes() == model.distribution(full).tobytes()
+    # next_distribution reads the last token, so a decode keeps at least one.
+    row = next_distribution(model, _last(full, max(window, 1)))
+    assert row.tobytes() == next_distribution(model, full).tobytes()
+
+
+def test_models_declare_the_context_window_they_read():
+    assert [_WINDOWED[f"order {k}"].context_window for k in (1, 2, 3, 4)] == [0, 1, 2, 3]
+    assert [_WINDOWED[f"4 over 2, lam={lam}"].context_window for lam in (0.0, 0.5, 1.0)] == [
+        1, 3, 3]
+    assert [_WINDOWED[f"2 over 3, lam={lam}"].context_window for lam in (0.0, 0.5, 1.0)] == [
+        2, 2, 1]
+    assert _WINDOWED["constant"].context_window == 0
+    # A plug-in reads the whole context unless it declares a window, and a
+    # blend with a plug-in side does too, except at the other side's endpoint.
+    ngram, plug_in = _WINDOWED["order 3"], PermutedModel(_WINDOWED["order 3"])
+    assert plug_in.context_window is None
+    for target, base in ((ngram, plug_in), (plug_in, ngram)):
+        assert distill_interpolate(target, base, 0.5).context_window is None
+    assert distill_interpolate(ngram, plug_in, 0.0).context_window is None
+    assert distill_interpolate(ngram, plug_in, 1.0).context_window == 2
+    plug_in.context_window = 2  # a plug-in may declare its window
+    assert distill_interpolate(ngram, plug_in, 0.5).context_window == 2
+
+
 @pytest.fixture(scope="module")
 def order_2_file(tmp_path_factory):
     vocab, corpus = text_vocab(TRAIN_TEXT[:200])

@@ -1,0 +1,146 @@
+"""Mutation runner: does each named fault in ``src/specdec`` fail a test?
+
+Each mutant replaces one exact text in one source file and names the tests
+expected to catch it. The runner copies the repository into a temporary
+directory once, applies each mutant there in turn (restoring the file
+after), runs its tests with pytest and prints caught/total. A mutant is
+caught when pytest reports failing tests (exit code 1). The working tree is
+never modified. Standard library only.
+
+    python tools/mutants.py            # every mutant
+    python tools/mutants.py NAME ...   # the named ones
+    python tools/mutants.py --list
+
+``tests/test_mutants.py`` checks that each old text still occurs exactly
+once in ``src/specdec``, so a refactor that moves it must update this list.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/specdec
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest arguments, relative to the repository root
+
+
+MUTANTS = (
+    Mutant("unstable rank sort", "dists.py",
+           'np.argsort(-probs, kind="stable")', "np.argsort(-probs)",
+           ("tests/test_models.py::test_served_rows_carry_their_facts",)),
+    Mutant("propose zero-probability tokens", "dists.py",
+           "ranked = ranked[probs[ranked] > 0.0]", "ranked = ranked",
+           ("tests/test_models.py::test_served_rows_carry_their_facts",)),
+    Mutant("narrower fan read returns the whole fan", "dists.py",
+           "return ids[:width], logps[:width]", "return ids, logps",
+           ("tests/test_models.py::test_served_rows_carry_their_facts",)),
+    Mutant("wider fan read keeps the narrower fan", "dists.py",
+           "if width < kept:", "if width != kept:",
+           ("tests/test_models.py::test_served_rows_carry_their_facts",)),
+    Mutant("accept bool rows", "dists.py",
+           "any(isinstance(v, (bool, np.bool_)) for v in values)", "False",
+           ("tests/test_contexts.py::test_a_list_row_that_is_not_numbers_is_a_one_line_input_error",)),
+    Mutant("trust a checked context for any vocabulary", "models.py",
+           "if type(ctx) is _CheckedContext and (ctx.vocab is vocab or ctx.vocab == vocab):",
+           "if type(ctx) is _CheckedContext:",
+           ("tests/test_contexts.py",)),
+    Mutant("drop __getnewargs__", "models.py",
+           "    def __getnewargs__(self):", "    def _unused(self):",
+           ("tests/test_contexts.py",)),
+    Mutant("blend keys keep plug-in rows", "models.py",
+           "return None if target is None or base is None else (target, base)",
+           "return (target, base)",
+           ("tests/test_models.py::test_a_plug_in_base_does_not_grow_the_blend_table",)),
+    Mutant("load_model lets OverflowError escape", "models.py",
+           "except (KeyError, TypeError, ValueError, OverflowError) as exc:",
+           "except (KeyError, TypeError, ValueError) as exc:",
+           ("tests/test_models.py::test_load_model_survives_mutated_files",
+            "tests/test_models.py::test_load_rejects_non_integer_or_misshapen_tables")),
+    Mutant("n-gram window of order - 2", "models.py",
+           "self.context_window = order - 1", "self.context_window = order - 2",
+           ("tests/test_models.py", "tests/test_contexts.py")),
+    Mutant("blend window takes the smaller side", "models.py",
+           "max(target.context_window, draft_base.context_window)",
+           "min(target.context_window, draft_base.context_window)",
+           ("tests/test_models.py",)),
+    Mutant("trim keeps one token fewer", "models.py",
+           "ctx if keep is None else ctx[-keep:]", "ctx if keep is None else ctx[1 - keep:]",
+           ("tests/test_contexts.py",)),
+    Mutant("SpecTree copies its context", "tree.py",
+           "context if isinstance(context, tuple) else tuple(context)", "tuple(context)",
+           ("tests/test_contexts.py",)),
+    Mutant("drop the child sort", "tree.py",
+           "kids.sort(key=lambda c: (-nodes[c].draft_prob, nodes[c].token))", "pass",
+           ("tests/test_tree.py",)),
+    Mutant("expand_tree skips the context check", "tree.py",
+           "tree = SpecTree(validate_context(draft.vocab, ctx))", "tree = SpecTree(ctx)",
+           ("tests/test_contexts.py",)),
+    Mutant("estimate_kl skips the context check", "metrics.py",
+           "probes = [validate_context(target.vocab, ctx) for ctx in probes]", "pass",
+           ("tests/test_contexts.py",)),
+    Mutant("verify_tree skips the context check", "decode.py",
+           "ctx = validate_context(target.vocab, tree.context)", "ctx = tree.context",
+           ("tests/test_contexts.py",)),
+    Mutant("config paths not resolved", "harness.py",
+           "values[key] = str(Path(path).parent / values[key])", "pass",
+           ("tests/test_cli.py::test_config_paths_resolve_against_the_config_file",)),
+)
+
+
+def run(mutants, copy: Path) -> int:
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    caught = 0
+    for m in mutants:
+        path = copy / "src" / "specdec" / m.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(m.old) != 1:
+            print(f"STALE     {m.name}: old text occurs {text.count(m.old)} times in {m.file}")
+            continue
+        path.write_text(text.replace(m.old, m.new), encoding="utf-8")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *m.tests],
+                cwd=copy, env=env, capture_output=True, text=True,
+            )
+        finally:
+            path.write_text(text, encoding="utf-8")
+        ok = proc.returncode == 1
+        caught += ok
+        status = "caught" if ok else f"SURVIVED (pytest exit {proc.returncode})"
+        print(f"{status:9s} {m.name}", flush=True)
+    return caught
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--list"]:
+        for m in MUTANTS:
+            print(f"{m.name}  [{m.file}]")
+        return 0
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench-out"))
+        caught = run(chosen, copy)
+    print(f"{caught}/{len(chosen)} caught")
+    return 0 if caught == len(chosen) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
