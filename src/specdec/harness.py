@@ -397,6 +397,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, except that an
+    infinite float (``tau = inf``, a chain) is written as the number
+    ``1e999``: strict JSON parsers accept it and Python reads it back as
+    ``inf``, where json.dumps would write the non-JSON constant
+    ``Infinity``. Every other value is written as json.dumps writes it."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json_text(v, inner) for v in value]
+        brackets = "[]"
+    elif value == math.inf:
+        return "1e999"
+    else:
+        return json.dumps(value, allow_nan=False)
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def emit_report(
     records: list[RunRecord],
     config: ExperimentConfig,
@@ -409,7 +431,8 @@ def emit_report(
             scatter.csv (kl_estimate, gamma pairs for the KL-vs-acceptance
             plot, ordered by cell key so a lambda sweep reads top-down).
     json -> report.json (full config echo plus all records; the corpus
-            paths as the config file wrote them).
+            paths as the config file wrote them; an infinite tau as
+            ``1e999``, so the file is strict JSON).
     Only losslessness-verified records may be emitted.
     """
     if not records:
@@ -444,7 +467,7 @@ def emit_report(
             "records": [r.to_dict() for r in ordered],
         }
         json_path = out / "report.json"
-        json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        json_path.write_text(_json_text(doc) + "\n", encoding="utf-8")
         written.append(json_path)
 
     return written

@@ -161,18 +161,25 @@ class LanguageModel(ABC):
 
     Implementations must be pure: identical contexts yield bit-identical
     distributions, and instances are immutable after construction (safe to
-    query from multiple threads), apart from the row table that
-    :func:`next_distribution` fills.
+    query from multiple threads), apart from the row table ``_table`` and
+    the tail index ``_tails`` that :func:`next_distribution` fills.
 
     ``context_window`` is the number of trailing context tokens the rows
     depend on: two contexts that end in the same ``context_window`` tokens
     get bit-identical rows and equal row keys. ``None``, the default, means
     the whole context. A plug-in declares a window by setting the attribute
     on its class or instance; it must not change after construction.
+
+    ``_tails`` is None, or a dict that :func:`next_distribution` fills with
+    the table's rows keyed by each context's last ``context_window`` tokens
+    (all of a shorter context). Only a model that keeps a table and a
+    window may have one; :class:`InterpolatedModel` opts in where its own
+    keys cost more than the tail.
     """
 
     vocab: Vocabulary
     context_window: int | None = None
+    _tails: dict[Context, Row] | None = None
 
     @abstractmethod
     def distribution(self, ctx: Context) -> np.ndarray:
@@ -217,21 +224,35 @@ def next_distribution(model: LanguageModel, ctx: Context) -> Row:
     at its first fan read and again only for a wider fan. A plug-in model's
     row, fan included, is made on every call. The check here is the only
     one, so the :mod:`specdec.dists` math that follows trusts the row.
+
+    A model with a tail index (``_tails``) is probed there first, with one
+    slice and one dict lookup; on a miss the table path runs and the row is
+    filed under the tail as well, so the index only ever holds table rows.
     """
     if ctx[-1] == model.vocab.eos_id:
         raise InputError("context already ends in eos; nothing to predict")
+    tails = model._tails
+    if tails is not None:
+        window = model.context_window
+        tail = ctx[len(ctx) - window:] if len(ctx) > window else ctx
+        row = tails.get(tail)
+        if row is not None:
+            return row
     key = model._row_key(ctx)
     if key is None:
         return check_row(model.distribution(ctx), model.vocab.size)
     row = model._table.get(key)
     if row is None:
         row = model._table[key] = check_row(model.distribution(ctx), model.vocab.size)
+    if tails is not None:
+        tails[tail] = row
     return row
 
 
 class ConstantModel(LanguageModel):
     """Emits one fixed distribution for every context. Degenerate but handy:
-    a one-hot row gives a fully deterministic chain model."""
+    a one-hot row gives a fully deterministic chain model. Its row table
+    holds that one row under the key ``()``, so it is checked once."""
 
     context_window = 0
 
@@ -242,9 +263,13 @@ class ConstantModel(LanguageModel):
         arr = arr.copy()
         arr.flags.writeable = False
         self._probs = arr
+        self._table: dict[Hashable, Row] = {}
 
     def distribution(self, ctx: Context) -> np.ndarray:
         return self._probs
+
+    def _row_key(self, ctx: Context) -> tuple[()]:
+        return ()
 
 
 class NGramModel(LanguageModel):
@@ -352,6 +377,12 @@ class InterpolatedModel(LanguageModel):
     plug-in on either side has no row keys, so the blend is made and
     checked on every call and the table stays empty.
 
+    Such a table's key is a pair of both sides' keys, which costs two key
+    lookups and a tuple per call. So a blend with 0 < lam < 1 over two
+    tabled models also keeps a tail index (see :class:`LanguageModel`): a
+    row is found by the context's last ``context_window`` tokens alone. At
+    lam=0 or 1 the blend shares its source's index, None for an n-gram.
+
     The blend's ``context_window`` is its source's at lam=0 or 1; in between
     it is the larger of its sides' windows, or None if either side reads
     the whole context.
@@ -371,8 +402,11 @@ class InterpolatedModel(LanguageModel):
         self._table: dict[Hashable, Row] = getattr(self._source, "_table", {})
         if self._source is not None:
             self.context_window = self._source.context_window
+            self._tails = self._source._tails
         elif None not in (target.context_window, draft_base.context_window):
             self.context_window = max(target.context_window, draft_base.context_window)
+            if _keyed(target) and _keyed(draft_base):
+                self._tails = {}
 
     def distribution(self, ctx: Context) -> np.ndarray:
         if self._source is not None:
@@ -388,6 +422,16 @@ class InterpolatedModel(LanguageModel):
         target = self.target._row_key(ctx)
         base = self.draft_base._row_key(ctx)
         return None if target is None or base is None else (target, base)
+
+
+def _keyed(model: LanguageModel) -> bool:
+    """Whether ``model`` keeps a row table and every one of its rows has a
+    key in it: true for n-grams and constants, and for a blend whose
+    sources are all keyed; false for a plug-in."""
+    if isinstance(model, InterpolatedModel):
+        sources = [model._source] if model._source is not None else [model.target, model.draft_base]
+        return all(map(_keyed, sources))
+    return isinstance(model, (NGramModel, ConstantModel))
 
 
 def distill_interpolate(

@@ -125,24 +125,15 @@ class SpecTree:
         for sib in self.children[parent_id]:
             if self.nodes[sib].token == token:
                 raise InputError(f"parent {parent_id} already has a child with token {token}")
-        cum_logprob = parent.cum_logprob + math.log(draft_prob)
-        return self._attach(parent, int(token), float(draft_prob), cum_logprob).id
-
-    def _attach(
-        self, parent: SpecNode, token: int, draft_prob: float, cum_logprob: float
-    ) -> SpecNode:
-        """Attach a node the caller has checked: ``parent`` is in the tree,
-        has no child ``token``, and ``cum_logprob`` is its log-prob plus
-        ``log(draft_prob)``."""
         node_id = self._next_id
-        node = _new_node(
-            SpecNode, (node_id, token, parent.id, parent.depth + 1, draft_prob, cum_logprob)
-        )
-        self.nodes[node_id] = node
+        self.nodes[node_id] = _new_node(SpecNode, (
+            node_id, int(token), parent_id, parent.depth + 1, float(draft_prob),
+            parent.cum_logprob + math.log(draft_prob),
+        ))
         self.children[node_id] = []
-        self.children[parent.id].append(node_id)
+        self.children[parent_id].append(node_id)
         self._next_id = node_id + 1
-        return node
+        return node_id
 
     def path_tokens(self, node_id: int) -> tuple[int, ...]:
         """Tokens along the root path down to ``node_id`` (root excluded)."""
@@ -218,6 +209,11 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     holds its parent's context; a node's own context is built only when the
     node is queried.
 
+    It is one loop: a query pushes fan ranks 1 and up and hands rank 0 to
+    ``heapq.heappushpop``, which returns it without touching the heap when
+    it is the best proposal left, as it always is in a chain. Nodes are
+    filed into the tree directly, with ids 1, 2, ... in attach order.
+
     The result equals pruning the full breadth-first expansion to the
     budget: a child never outranks its parent, so the ``n`` best nodes
     always include their ancestors and pop off the heap in rank order. The
@@ -226,38 +222,51 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     orders agree.
     """
     tree = SpecTree(validate_context(draft.vocab, ctx))
+    nodes, children = tree.nodes, tree.children
     eos = draft.vocab.eos_id
     threshold, max_branch = policy.entropy_threshold, policy.max_branch
     budget, max_depth = policy.node_budget, policy.max_depth
     heap: list = []
-    push, pop = heapq.heappush, heapq.heappop
-
-    def propose(node: SpecNode, node_ctx: Context, path: tuple[int, ...]) -> None:
-        row = next_distribution(draft, node_ctx)
-        # top_tokens(row, branch_width(row, policy)) with their log-probs.
-        ids, logps = row.fan(1 if row.entropy < threshold else max_branch)
-        cum_logprob, depth = node.cum_logprob, node.depth + 1
-        for r, token in enumerate(ids):
+    push, pushpop, pop = heapq.heappush, heapq.heappushpop, heapq.heappop
+    # The node to query: its id, depth, cumulative log-prob, context and
+    # sibling-rank path; starts at the root.
+    query, node_id, depth, cum_logprob, node_ctx, path = True, ROOT_ID, 0, 0.0, tree.context, ()
+    queries = count = 0
+    while True:
+        if query:
+            row = next_distribution(draft, node_ctx)
+            queries += 1
+            # top_tokens(row, branch_width(row, policy)) with their log-probs.
+            ids, logps = row.fan(1 if row.entropy < threshold else max_branch)
+            depth += 1
             # The key is the first four entries; the path makes every key
             # unique, so the heap never compares what follows it.
-            push(heap, (-(cum_logprob + logps[r]), depth, token, path + (r,), node, row, node_ctx))
-
-    propose(tree.root, tree.context, ())
-    queries = 1
-    attach = tree._attach
-    count = 0
-    while heap and count < budget:
-        neg_logprob, depth, token, path, parent, row, parent_ctx = pop(heap)
+            for r in range(1, len(ids)):
+                push(heap, (-(cum_logprob + logps[r]), depth, ids[r], path + (r,),
+                            node_id, row, node_ctx))
+            entry = pushpop(heap, (-(cum_logprob + logps[0]), depth, ids[0], path + (0,),
+                                   node_id, row, node_ctx))
+        elif heap:
+            entry = pop(heap)
+        else:
+            break
+        neg_logprob, depth, token, path, parent, row, node_ctx = entry
         # Fan ids of a checked row are distinct and in range, and the key
         # holds the child's cumulative log-prob: no add_child checks.
-        child = attach(parent, token, row.item(token), -neg_logprob)
         count += 1
-        if count < budget and token != eos and depth < max_depth:
-            propose(child, parent_ctx + (token,), path)
-            queries += 1
+        nodes[count] = _new_node(
+            SpecNode, (count, token, parent, depth, row.item(token), -neg_logprob)
+        )
+        children[count] = []
+        children[parent].append(count)
+        if count == budget:
+            break
+        query = token != eos and depth < max_depth
+        if query:
+            node_id, cum_logprob, node_ctx = count, -neg_logprob, node_ctx + (token,)
+    tree._next_id = count + 1
     tree.draft_queries = queries
-    nodes = tree.nodes
-    for kids in tree.children.values():
+    for kids in children.values():
         if len(kids) > 1:
             kids.sort(key=lambda c: (-nodes[c].draft_prob, nodes[c].token))
     return tree

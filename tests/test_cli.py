@@ -113,6 +113,34 @@ def test_bench_and_report_round_trip(tmp_path, config_file, capsys):
     assert not (reemit / "report.json").exists()
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_an_infinite_tau_is_written_as_strict_json_and_reads_back(tmp_path, config_file):
+    # tau_grid = inf asks for a chain; a corpus path may spell "Infinity".
+    corpus = tmp_path / "Infinity.txt"
+    corpus.write_text(TRAIN_TEXT, encoding="utf-8")
+    config = tmp_path / "inf.cfg"
+    text = _CONFIG_TEXT.format(corpus=corpus).replace("tau_grid = 0.35", "tau_grid = 0.35, inf")
+    config.write_text(text, encoding="utf-8")
+    out, reemit = tmp_path / "bench", tmp_path / "reemit"
+    assert main(["bench", "--config", str(config), "--out", str(out)]) == 0
+    doc = json.loads((out / "report.json").read_text(encoding="utf-8"),
+                     parse_constant=_refuse_constant)
+    assert doc["config"]["tau_grid"] == [0.35, math.inf]
+    assert doc["config"]["corpus"] == str(corpus)
+    assert {record["tau"] for record in doc["records"]} == {0.35, math.inf}
+    assert main(["report", str(out / "report.json"), "--out", str(reemit)]) == 0
+    for name in ("report.csv", "scatter.csv", "report.json"):
+        assert (reemit / name).read_bytes() == (out / name).read_bytes()
+
+    # A report with finite taus is exactly what json.dumps writes.
+    assert main(["bench", "--config", str(config_file), "--out", str(out)]) == 0
+    text = (out / "report.json").read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 def test_bench_format_csv_skips_json(tmp_path, config_file):
     out = tmp_path / "csvonly"
     code = main(["bench", "--config", str(config_file), "--out", str(out), "--format", "csv"])

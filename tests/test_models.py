@@ -386,6 +386,25 @@ def test_each_model_row_is_checked_exactly_once(monkeypatch):
     assert len(checks) == 5
 
 
+def test_a_constant_model_checks_its_one_row_once(monkeypatch):
+    checks = []
+
+    def counting(probs, size=None):
+        checks.append(size)
+        validate_distribution(probs, size)
+
+    vocab, corpus, _, target = _demo_models()
+    draft = ConstantModel(vocab, np.full(vocab.size, 1.0 / vocab.size))
+    monkeypatch.setattr(models, "validate_distribution", counting)
+    monkeypatch.setattr(dists, "validate_distribution", counting)
+    prompt = (vocab.bos_id,) + corpus[:6]
+    tokens, stats = speculative_decode(draft, target, prompt, 24, BranchPolicy.chain(4))
+    assert tokens == greedy_decode(target, prompt, 24)
+    assert stats.draft_calls > 1
+    assert list(draft._table) == [()]
+    assert len(checks) == 1 + len(target._table)
+
+
 _OPTIMIZED_SCRIPT = """
 import sys
 import numpy as np
@@ -600,17 +619,17 @@ def _last(ctx, k):
     return ctx[max(len(ctx) - k, 0):]
 
 
-@settings(max_examples=400, deadline=None)
-@given(
-    name=st.sampled_from(sorted(_WINDOWED)),
-    tokens=st.one_of(
-        # Seen suffixes: corpus text, near BOS when short.
-        st.integers(0, len(_WINDOWED_CORPUS) - 8).flatmap(
-            lambda i: st.integers(0, 7).map(lambda n: _WINDOWED_CORPUS[i:i + n])),
-        # Mostly unseen suffixes, BOS included.
-        st.lists(st.integers(0, _WINDOWED_VOCAB.bos_id), max_size=7).map(tuple),
-    ),
+#: Tokens after BOS: seen suffixes (corpus text, near BOS when short) and
+#: mostly unseen ones, BOS included.
+_CONTEXT_TOKENS = st.one_of(
+    st.integers(0, len(_WINDOWED_CORPUS) - 8).flatmap(
+        lambda i: st.integers(0, 7).map(lambda n: _WINDOWED_CORPUS[i:i + n])),
+    st.lists(st.integers(0, _WINDOWED_VOCAB.bos_id), max_size=7).map(tuple),
 )
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(_WINDOWED)), tokens=_CONTEXT_TOKENS)
 def test_a_windowed_model_serves_the_same_row_for_its_tail(name, tokens):
     model = _WINDOWED[name]
     window = model.context_window
@@ -664,3 +683,72 @@ def test_load_model_survives_mutated_files(order_2_file, data):
     except (InputError, OSError):
         return
     assert isinstance(model, NGramModel)
+
+
+_BLEND_SIDES = {
+    order: train_ngram(_WINDOWED_CORPUS, order, 0.1, _WINDOWED_VOCAB) for order in range(1, 6)
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    target_order=st.integers(1, 5),
+    base_order=st.integers(1, 5),
+    lam=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    contexts=st.lists(_CONTEXT_TOKENS, min_size=1, max_size=6),
+)
+def test_a_blend_tail_index_serves_the_row_its_table_holds(target_order, base_order, lam,
+                                                           contexts):
+    """A blend's tail index files each row under the context's last
+    ``context_window`` tokens (all of a shorter context) and serves the
+    table's own row object, so each distinct row is still checked once."""
+    target, base = _BLEND_SIDES[target_order], _BLEND_SIDES[base_order]
+    blend = distill_interpolate(target, base, lam)
+    window = blend.context_window
+    assert window == max(target_order, base_order) - 1
+    assert blend._tails == {}
+    tails, keys = set(), set()
+    for tokens in contexts:
+        full = (_WINDOWED_VOCAB.bos_id, *tokens)
+        tail, key = _last(full, window), blend._row_key(full)
+        tails.add(tail)
+        keys.add(key)
+        # Either the whole context or the shortest one a decode passes, twice.
+        for ctx in (full, _last(full, max(window, 1))) * 2:
+            row = next_distribution(blend, ctx)
+            assert row is blend._tails[tail] is blend._table[key]
+            fresh = distill_interpolate(target, base, lam)
+            assert next_distribution(fresh, ctx).tobytes() == row.tobytes()
+        assert blend.distribution(full).tobytes() == row.tobytes()
+    assert set(blend._tails) == tails
+    assert set(blend._table) == keys
+
+
+def test_only_a_blend_of_two_tabled_models_keeps_a_tail_index():
+    ngram, other = _BLEND_SIDES[3], _BLEND_SIDES[2]
+    constant = _WINDOWED["constant"]
+    # A plug-in that declares a window: a blend with it has one too.
+    plug_in = PermutedModel(ngram)
+    plug_in.context_window = ngram.context_window
+    assert ngram._tails is None and constant._tails is None and plug_in._tails is None
+    for lam in (0.0, 1.0):
+        assert distill_interpolate(ngram, other, lam)._tails is None
+        assert distill_interpolate(ngram, constant, lam)._tails is None
+    for target, base in ((ngram, plug_in), (plug_in, ngram)):
+        for lam in (0.0, 0.5, 1.0):
+            blend = distill_interpolate(target, base, lam)
+            assert blend.context_window == ngram.context_window
+            assert blend._tails is None
+    blend = distill_interpolate(ngram, plug_in, 0.5)
+    for i in range(20):
+        ctx = (_WINDOWED_VOCAB.bos_id,) + _WINDOWED_CORPUS[i:i + 3]
+        assert next_distribution(blend, ctx) is not next_distribution(blend, ctx)
+    assert blend._table == {}
+
+    middle = distill_interpolate(ngram, constant, 0.5)
+    assert middle._tails == {}
+    # An endpoint of a blend serves that blend's rows from its index; a
+    # blend of a blend indexes only if every model under it is tabled.
+    assert distill_interpolate(middle, other, 1.0)._tails is middle._tails
+    assert distill_interpolate(middle, other, 0.5)._tails == {}
+    assert distill_interpolate(distill_interpolate(ngram, plug_in, 0.5), other, 0.5)._tails is None

@@ -99,6 +99,20 @@ def test_add_child_validation():
     assert tree.nodes[child].cum_logprob == pytest.approx(math.log(0.5), abs=1e-15)
 
 
+def test_add_child_on_an_expanded_tree_takes_the_next_free_id():
+    vocab, corpus = text_vocab(TRAIN_TEXT)
+    target = train_ngram(corpus, 3, 0.1, vocab)
+    draft = distill_interpolate(target, train_ngram(corpus, 1, 0.5, vocab), 0.5)
+    for policy in (BranchPolicy.chain(4), BranchPolicy(0.35, 4, 4, 8)):
+        tree = expand_tree(draft, (vocab.bos_id,) + corpus[:6], policy)
+        assert sorted(tree.nodes) == list(range(tree.non_root_count + 1))
+        taken = {tree.nodes[c].token for c in tree.children[ROOT_ID]}
+        token = min(set(range(vocab.size)) - taken)
+        count = tree.non_root_count
+        assert tree.add_child(ROOT_ID, token, 0.5) == count + 1
+        tree.validate()
+
+
 def test_expand_one_hot_draft_yields_chain():
     vocab = make_vocab(3)
     draft = ConstantModel(vocab, one_hot(vocab.size, 1))

@@ -63,6 +63,17 @@ MUTANTS = (
            "return None if target is None or base is None else (target, base)",
            "return (target, base)",
            ("tests/test_models.py::test_a_plug_in_base_does_not_grow_the_blend_table",)),
+    Mutant("unclamped tail slice", "models.py",
+           "tail = ctx[len(ctx) - window:] if len(ctx) > window else ctx",
+           "tail = ctx[len(ctx) - window:]",
+           ("tests/test_models.py::test_a_blend_tail_index_serves_the_row_its_table_holds",)),
+    Mutant("tail index on a blend with a plug-in side", "models.py",
+           "if _keyed(target) and _keyed(draft_base):", "if True:",
+           ("tests/test_models.py::test_only_a_blend_of_two_tabled_models_keeps_a_tail_index",)),
+    Mutant("constant model keeps no table", "models.py",
+           "def _row_key(self, ctx: Context) -> tuple[()]:",
+           "def _unused(self, ctx: Context) -> tuple[()]:",
+           ("tests/test_models.py::test_a_constant_model_checks_its_one_row_once",)),
     Mutant("load_model lets OverflowError escape", "models.py",
            "except (KeyError, TypeError, ValueError, OverflowError) as exc:",
            "except (KeyError, TypeError, ValueError) as exc:",
@@ -81,6 +92,12 @@ MUTANTS = (
     Mutant("SpecTree copies its context", "tree.py",
            "context if isinstance(context, tuple) else tuple(context)", "tuple(context)",
            ("tests/test_contexts.py",)),
+    Mutant("rank 0 taken without heappushpop", "tree.py",
+           "entry = pushpop(heap, (", "entry = ((",
+           ("tests/test_tree.py",)),
+    Mutant("expansion leaves the next free id unset", "tree.py",
+           "tree._next_id = count + 1", "pass",
+           ("tests/test_tree.py::test_add_child_on_an_expanded_tree_takes_the_next_free_id",)),
     Mutant("drop the child sort", "tree.py",
            "kids.sort(key=lambda c: (-nodes[c].draft_prob, nodes[c].token))", "pass",
            ("tests/test_tree.py",)),
@@ -93,6 +110,9 @@ MUTANTS = (
     Mutant("verify_tree skips the context check", "decode.py",
            "ctx = validate_context(target.vocab, tree.context)", "ctx = tree.context",
            ("tests/test_contexts.py",)),
+    Mutant("infinite tau written as Infinity", "harness.py",
+           "elif value == math.inf:", "elif False:",
+           ("tests/test_cli.py::test_an_infinite_tau_is_written_as_strict_json_and_reads_back",)),
     Mutant("config paths not resolved", "harness.py",
            "values[key] = str(Path(path).parent / values[key])", "pass",
            ("tests/test_cli.py::test_config_paths_resolve_against_the_config_file",)),
