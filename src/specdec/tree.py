@@ -86,8 +86,10 @@ class SpecTree:
     """Rooted tree of speculative tokens with cumulative draft log-probs.
 
     Nodes keep their creation ids across pruning. Children lists keep
-    creation order, which :func:`expand_tree` sorts into the draft's rank
-    order (most probable first, ties to the lower token id).
+    creation order. In a tree :func:`expand_tree` builds, that is the
+    draft's rank order (most probable first, ties to the lower token id):
+    siblings attach in rank order except inside a tie run, and expansion
+    sorts the lists of the parents that had one.
     ``draft_queries`` records how many draft distribution calls expansion
     consumed, for cost accounting.
 
@@ -201,56 +203,77 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     attached node; branch width follows the draft's entropy there, and the
     proposals are the row's kept fan for that width (:meth:`Row.fan
     <specdec.dists.Row.fan>`): the ranked ids and their log-probabilities,
-    read once per row, not once per proposal. Proposed children wait on a
-    heap in :func:`_rank_key` order and the best one is attached next; only
-    an attached node reads its draft probability. EOS nodes and nodes at
+    read once per row, not once per proposal. A chain policy
+    (``max_branch=1`` or an infinite threshold) has width 1 whatever the
+    entropy, so it never reads it. Proposals wait on a heap in
+    :func:`_rank_key` order and the best one is attached next; only an
+    attached node reads its draft probability. EOS nodes and nodes at
     ``policy.max_depth`` are kept but never queried, so a verified EOS can
-    end decoding. At most ``node_budget`` draft queries are made. A proposal
-    holds its parent's context; a node's own context is built only when the
-    node is queried.
+    end decoding. At most ``node_budget`` draft queries are made. A node's
+    own context is built only when the node is queried.
 
-    It is one loop: a query pushes fan ranks 1 and up and hands rank 0 to
+    It is one loop, and the heap holds a node's next proposal, not its whole
+    fan. A query makes one *cursor* for the queried node: its fan, its
+    cumulative log-prob, id, row and context, the base of its children's
+    path codes and its next unpushed rank. It hands rank 0 to
     ``heapq.heappushpop``, which returns it without touching the heap when
-    it is the best proposal left, as it always is in a chain. Nodes are
-    filed into the tree directly, with ids 1, 2, ... in attach order.
+    it is the best proposal left, as it always is in a chain. Attaching a
+    node pushes the next rank of its parent's cursor, since a sibling's key
+    is never below the key of the one ranked above it. Nodes are filed into
+    the tree directly, with ids 1, 2, ... in attach order.
+
+    Siblings may attach out of rank order only inside a *tie run*: ranks
+    whose keys ``-(cum + logp)`` are exactly equal, where the lower token
+    id attaches first even if its probability is lower and the two only
+    rounded equal. So pushing a rank also pushes every following rank with
+    exactly its key, at a query as at a successor, and only the children of
+    a parent with a tie run are sorted back into rank order.
 
     The result equals pruning the full breadth-first expansion to the
     budget: a child never outranks its parent, so the ``n`` best nodes
     always include their ancestors and pop off the heap in rank order. The
-    sibling-rank path stands in for the breadth-first creation id that
-    breaks the last ties in :func:`_rank_key`, since at equal depth the two
-    orders agree.
+    last tiebreak in :func:`_rank_key` is the breadth-first creation id; a
+    node's path code, ``parent_code * max_branch + rank``, stands in for it,
+    since fans are at most ``max_branch`` wide, so at equal depth the codes
+    order like the sibling-rank paths and like creation ids. Codes are
+    unique per depth, so the heap never compares cursors.
     """
     tree = SpecTree(validate_context(draft.vocab, ctx))
     nodes, children = tree.nodes, tree.children
     eos = draft.vocab.eos_id
     threshold, max_branch = policy.entropy_threshold, policy.max_branch
     budget, max_depth = policy.node_budget, policy.max_depth
+    chain = max_branch == 1 or threshold == math.inf
     heap: list = []
     push, pushpop, pop = heapq.heappush, heapq.heappushpop, heapq.heappop
+    tied: list[int] = []  # parents whose children may attach out of rank order
     # The node to query: its id, depth, cumulative log-prob, context and
-    # sibling-rank path; starts at the root.
-    query, node_id, depth, cum_logprob, node_ctx, path = True, ROOT_ID, 0, 0.0, tree.context, ()
+    # path code; starts at the root.
+    query, node_id, depth, cum_logprob, node_ctx, code = True, ROOT_ID, 0, 0.0, tree.context, 0
     queries = count = 0
     while True:
         if query:
             row = next_distribution(draft, node_ctx)
             queries += 1
             # top_tokens(row, branch_width(row, policy)) with their log-probs.
-            ids, logps = row.fan(1 if row.entropy < threshold else max_branch)
+            ids, logps = row.fan(1 if chain or row.entropy < threshold else max_branch)
             depth += 1
-            # The key is the first four entries; the path makes every key
-            # unique, so the heap never compares what follows it.
-            for r in range(1, len(ids)):
-                push(heap, (-(cum_logprob + logps[r]), depth, ids[r], path + (r,),
-                            node_id, row, node_ctx))
-            entry = pushpop(heap, (-(cum_logprob + logps[0]), depth, ids[0], path + (0,),
-                                   node_id, row, node_ctx))
+            code *= max_branch
+            # The cursor: fan ids and log-probs, the node's cumulative
+            # log-prob, id, row and context, its children's code base and
+            # the next unpushed rank.
+            cursor = [ids, logps, cum_logprob, node_id, row, node_ctx, code, 1]
+            neg_logprob = -(cum_logprob + logps[0])
+            if len(ids) > 1 and -(cum_logprob + logps[1]) == neg_logprob:
+                _push_ties(heap, cursor, depth, neg_logprob)
+                tied.append(node_id)
+            entry = pushpop(heap, (neg_logprob, depth, ids[0], code, cursor))
         elif heap:
             entry = pop(heap)
         else:
             break
-        neg_logprob, depth, token, path, parent, row, node_ctx = entry
+        neg_logprob, depth, token, code, cursor = entry
+        ids, logps, cum_logprob, parent, row, node_ctx, base, rank = cursor
         # Fan ids of a checked row are distinct and in range, and the key
         # holds the child's cumulative log-prob: no add_child checks.
         count += 1
@@ -261,15 +284,31 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
         children[parent].append(count)
         if count == budget:
             break
+        if rank < len(ids):
+            neg_next = -(cum_logprob + logps[rank])
+            push(heap, (neg_next, depth, ids[rank], base + rank, cursor))
+            cursor[7] = rank = rank + 1
+            if rank < len(ids) and -(cum_logprob + logps[rank]) == neg_next:
+                _push_ties(heap, cursor, depth, neg_next)
+                tied.append(parent)
         query = token != eos and depth < max_depth
         if query:
             node_id, cum_logprob, node_ctx = count, -neg_logprob, node_ctx + (token,)
     tree._next_id = count + 1
     tree.draft_queries = queries
-    for kids in children.values():
-        if len(kids) > 1:
-            kids.sort(key=lambda c: (-nodes[c].draft_prob, nodes[c].token))
+    for parent in tied:
+        children[parent].sort(key=lambda c: (-nodes[c].draft_prob, nodes[c].token))
     return tree
+
+
+def _push_ties(heap: list, cursor: list, depth: int, neg_logprob: float) -> None:
+    """Push the cursor's ranks from its next unpushed one on while their key
+    is exactly ``neg_logprob``, and move its next unpushed rank past them."""
+    ids, logps, cum_logprob, _, _, _, base, rank = cursor
+    while rank < len(ids) and -(cum_logprob + logps[rank]) == neg_logprob:
+        heapq.heappush(heap, (neg_logprob, depth, ids[rank], base + rank, cursor))
+        rank += 1
+    cursor[7] = rank
 
 
 def _rank_key(node: SpecNode) -> tuple[float, int, int, int]:

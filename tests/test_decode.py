@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from specdec.decode import VerificationResult, greedy_decode, speculative_decode, verify_tree
+from specdec.dists import Row
 from specdec.errors import InputError
 from specdec.models import ConstantModel, distill_interpolate, train_ngram
 from specdec.tree import ROOT_ID, BranchPolicy, SpecTree, expand_tree, prune_tree
@@ -301,3 +302,21 @@ def test_best_first_decode_matches_expand_all_then_prune():
                 assert stats.emitted_tokens == sum(ref_cycles)
                 assert stats.tree_nodes == ref_nodes
                 assert stats.draft_calls <= stats.cycles * policy.node_budget
+
+
+def test_a_chain_decode_never_reads_the_draft_entropy(monkeypatch):
+    vocab, corpus = text_vocab("the cat sat on the mat. the dog sat on the rug. " * 4)
+    target = train_ngram(corpus, 3, 0.1, vocab)
+    draft = distill_interpolate(target, train_ngram(corpus, 1, 0.5, vocab), 0.5)
+    prompt = (vocab.bos_id,) + corpus[:6]
+    want = greedy_decode(target, prompt, 24)
+
+    def unread(row):
+        raise AssertionError("a chain read Row.entropy")
+
+    monkeypatch.setattr(Row, "entropy", property(unread))
+    # An infinite threshold or a width of 1 makes a chain whatever the entropy.
+    for policy in (BranchPolicy.chain(4), BranchPolicy(0.35, 1, 4, 4)):
+        assert speculative_decode(draft, target, prompt, 24, policy)[0] == want
+    with pytest.raises(AssertionError, match="Row.entropy"):
+        speculative_decode(draft, target, prompt, 24, BranchPolicy(0.35, 4, 4, 8))

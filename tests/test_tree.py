@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 from itertools import combinations
 
@@ -332,6 +333,48 @@ def test_a_budget_cut_between_equal_scores_keeps_the_pruned_nodes(budget):
     reference = prune_tree(full_expand(draft, ctx, policy), budget)
     assert tree.non_root_count == budget
     assert render_tree(tree, draft.vocab) == render_tree(reference, draft.vocab)
+
+
+def successor_tie_draft() -> ConstantModel:
+    """Ranks 1 and 2 ('c', then 'b') are one ulp apart, and the lower-ranked
+    'b' has the lower id. Where their cumulative scores round equal, 'b'
+    attaches first; both wait behind rank 0 ('d'), so the tie is met when
+    a sibling is pushed after an attach, not at a query."""
+    vocab = make_vocab(4)
+    big, high = 0.4, 0.25
+    low = float(np.nextafter(high, 0.0))
+    return ConstantModel(vocab, np.array([1.0 - big - high - low, low, high, big, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("budget", range(3, 14))
+def test_a_tie_behind_an_attached_sibling_attaches_as_the_pruned_tree_does(budget):
+    draft = successor_tie_draft()
+    ctx = (draft.vocab.bos_id,)
+    policy = BranchPolicy(0.0, 3, 3, budget)
+    tree = expand_tree(draft, ctx, policy)
+    reference = prune_tree(full_expand(draft, ctx, policy), budget)
+    assert render_tree(tree, draft.vocab) == render_tree(reference, draft.vocab)
+
+
+def test_expansion_pushes_one_proposal_per_query_and_attach(monkeypatch):
+    # Each query offers its rank 0 and each attach pushes one sibling, so a
+    # tie-free draft costs the heap no more than that, however wide its fans.
+    calls = {"push": 0, "pushpop": 0}
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(heapq, "heappush", counted("push", heapq.heappush))
+    monkeypatch.setattr(heapq, "heappushpop", counted("pushpop", heapq.heappushpop))
+    vocab = make_vocab(6)
+    tree = expand_tree(RandomTableModel(vocab, seed=3), (vocab.bos_id, 0, 1),
+                       BranchPolicy(0.0, 4, 4, 8))
+    assert tree.non_root_count == 8 and tree.draft_queries > 1
+    assert calls["pushpop"] == tree.draft_queries
+    assert calls["push"] + calls["pushpop"] <= tree.draft_queries + tree.non_root_count
 
 
 def test_spec_node_is_an_immutable_named_tuple():

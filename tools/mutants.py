@@ -99,7 +99,20 @@ MUTANTS = (
            "tree._next_id = count + 1", "pass",
            ("tests/test_tree.py::test_add_child_on_an_expanded_tree_takes_the_next_free_id",)),
     Mutant("drop the child sort", "tree.py",
-           "kids.sort(key=lambda c: (-nodes[c].draft_prob, nodes[c].token))", "pass",
+           "children[parent].sort(key=lambda c: (-nodes[c].draft_prob, nodes[c].token))", "pass",
+           ("tests/test_tree.py",)),
+    Mutant("no tie run at the query", "tree.py",
+           "if len(ids) > 1 and -(cum_logprob + logps[1]) == neg_logprob:", "if False:",
+           ("tests/test_tree.py",)),
+    Mutant("no tie run at a successor push", "tree.py",
+           "if rank < len(ids) and -(cum_logprob + logps[rank]) == neg_next:", "if False:",
+           ("tests/test_tree.py",)),
+    Mutant("tie-parent sort skipped", "tree.py",
+           "tied.append(parent)", "pass",
+           ("tests/test_tree.py",)),
+    Mutant("chain shortcut for a finite threshold", "tree.py",
+           "chain = max_branch == 1 or threshold == math.inf",
+           "chain = max_branch == 1 or threshold > 0",
            ("tests/test_tree.py",)),
     Mutant("expand_tree skips the context check", "tree.py",
            "tree = SpecTree(validate_context(draft.vocab, ctx))", "tree = SpecTree(ctx)",
