@@ -26,6 +26,7 @@ from .metrics import (
     CostModel,
     DecodeStats,
     combine_stats,
+    estimate_acceptance,
     estimate_kl,
     mean_acceptance,
     predicted_speedup,
@@ -79,6 +80,7 @@ __all__ = [
     "distill_interpolate",
     "emit_report",
     "entropy",
+    "estimate_acceptance",
     "estimate_kl",
     "expand_tree",
     "greedy_decode",

@@ -35,6 +35,7 @@ from .metrics import (
     STAT_COUNTERS,
     CostModel,
     combine_stats,
+    estimate_acceptance,
     estimate_kl,
     mean_acceptance,
     predicted_speedup,
@@ -52,7 +53,7 @@ from .models import (
 )
 from .tree import BranchPolicy
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 
 def ingest_corpus(path) -> tuple[Vocabulary, tuple[int, ...]]:
@@ -316,7 +317,11 @@ def run_matrix(config: ExperimentConfig) -> list[RunRecord]:
 
     Each cell decodes the identical prompt set speculatively and via the
     greedy baseline; any divergence raises :class:`LosslessnessError`
-    (never skipped). Records come back sorted by cell key.
+    (never skipped). Every cell's policy, chains included, carries the
+    lambda's acceptance vector, measured once on the in-domain probes with
+    :func:`estimate_acceptance` over the widest fan of ``branch_grid``, and
+    the config's cost model, so trees rank nodes by expected acceptance and
+    draft only what pays. Records come back sorted by cell key.
     """
     vocab, target, draft_base, held = build_models(config)
     rng = np.random.default_rng(config.seed)
@@ -344,6 +349,12 @@ def run_matrix(config: ExperimentConfig) -> list[RunRecord]:
 
     # One draft per lambda serves every domain, so its row table fills once.
     drafts = {lam: distill_interpolate(target, draft_base, lam) for lam in lambdas}
+    # One acceptance vector per lambda, from the in-domain probes; the OOD
+    # cells reuse it, so every domain runs the same policies.
+    width = max(config.branch_grid)
+    acceptance = {
+        lam: estimate_acceptance(drafts[lam], target, samples["in"][0], width) for lam in lambdas
+    }
     records: list[RunRecord] = []
     for domain in sorted(samples):
         probes, prompts = samples[domain]
@@ -351,7 +362,7 @@ def run_matrix(config: ExperimentConfig) -> list[RunRecord]:
             draft = drafts[lam]
             kl = estimate_kl(draft, target, probes, config.kl_direction)
             for tau, branch, depth, budget in policies:
-                policy = BranchPolicy(tau, branch, depth, budget)
+                policy = BranchPolicy(tau, branch, depth, budget, acceptance[lam], cost)
                 started = time.perf_counter()
                 per_prompt = []
                 for prompt in prompts:

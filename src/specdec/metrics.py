@@ -1,4 +1,5 @@
-"""Decode statistics, draft-target KL estimation, and the analytic speedup model.
+"""Decode statistics, draft-target KL and acceptance estimation, and the
+analytic speedup model.
 
 Speedup here is a MODEL in target-call units, not a wall-clock claim: one
 batched tree verification costs ``batch_cost`` target calls and each draft
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .dists import kl_divergence
+from .dists import greedy_token, kl_divergence
 from .errors import InputError
 from .models import LanguageModel, next_distribution, validate_context
 
@@ -87,6 +88,17 @@ class CostModel:
             raise InputError(f"batch_cost must be finite and >= 1, got {self.batch_cost}")
 
 
+def _checked_probes(draft: LanguageModel, target: LanguageModel, probes) -> list:
+    """The probe contexts, each checked against the target's vocabulary;
+    an empty set or models of two vocabularies raise InputError."""
+    probes = [validate_context(target.vocab, ctx) for ctx in probes]
+    if not probes:
+        raise InputError("probe set is empty")
+    if draft.vocab != target.vocab:
+        raise InputError("draft and target must share a vocabulary")
+    return probes
+
+
 def estimate_kl(
     draft: LanguageModel,
     target: LanguageModel,
@@ -99,11 +111,7 @@ def estimate_kl(
     matching an alignment objective that drives the draft towards the
     target; ``direction`` flips the convention if a report needs it.
     """
-    probes = [validate_context(target.vocab, ctx) for ctx in probes]
-    if not probes:
-        raise InputError("probe set is empty")
-    if draft.vocab != target.vocab:
-        raise InputError("draft and target must share a vocabulary")
+    probes = _checked_probes(draft, target, probes)
     if direction not in (KL_TARGET_DRAFT, KL_DRAFT_TARGET):
         raise InputError(f"unknown kl direction {direction!r}")
     total = 0.0
@@ -112,6 +120,45 @@ def estimate_kl(
         d = next_distribution(draft, ctx)
         total += kl_divergence(t, d) if direction == KL_TARGET_DRAFT else kl_divergence(d, t)
     return total / len(probes)
+
+
+def estimate_acceptance(
+    draft: LanguageModel, target: LanguageModel, probes, width: int
+) -> tuple[float, ...]:
+    """Per-rank acceptance vector of ``draft`` under greedy verification.
+
+    Entry r estimates how often the target's greedy token is rank r of the
+    draft's proposal fan ``Row.fan(width)`` (rank 0 is the draft's argmax),
+    as the share of ``probes`` where it is, with add-1/2 smoothing:
+    ``(hits + 1/2) / (probes + 1)``, so every rate lies in (0, 1). The rates
+    are then made non-increasing by :func:`non_increasing`, so a lower rank
+    never promises more than a higher one. This is Sequoia's positional
+    acceptance vector (Chen et al. 2024, arXiv 2402.12374).
+    """
+    probes = _checked_probes(draft, target, probes)
+    if width < 1:
+        raise InputError(f"width must be >= 1, got {width}")
+    hits = [0] * width
+    for ctx in probes:
+        want = greedy_token(next_distribution(target, ctx))
+        ids, _ = next_distribution(draft, ctx).fan(width)
+        if want in ids:
+            hits[ids.index(want)] += 1
+    return non_increasing([(h + 0.5) / (len(probes) + 1) for h in hits])
+
+
+def non_increasing(values) -> tuple[float, ...]:
+    """The least-squares non-increasing fit of ``values`` by pool adjacent
+    violators: each run that would rise is replaced by its mean, computed
+    once, so pooled entries are exactly equal."""
+    blocks: list[list] = []  # [sum, count] of each pooled run
+    for value in values:
+        blocks.append([value, 1])
+        while len(blocks) > 1 and blocks[-2][0] / blocks[-2][1] < blocks[-1][0] / blocks[-1][1]:
+            total, count = blocks.pop()
+            blocks[-1][0] += total
+            blocks[-1][1] += count
+    return tuple(mean for total, count in blocks for mean in [total / count] * count)
 
 
 def predicted_speedup(gamma: float, cost: CostModel, avg_draft_calls_per_cycle: float) -> float:

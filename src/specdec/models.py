@@ -345,13 +345,12 @@ def train_ngram(corpus, order: int, smoothing_alpha: float, vocab: Vocabulary) -
         raise InputError(f"order must be >= 1, got {order}")
     if len(tokens) < order:
         raise InputError(f"corpus of length {len(tokens)} cannot train order-{order} model")
+    size = vocab.size
     for t in tokens:
-        if not 0 <= t < vocab.size:
-            raise InputError(f"corpus token {t} out of range for vocabulary size {vocab.size}")
+        if not 0 <= t < size:
+            raise InputError(f"corpus token {t} out of range for vocabulary size {size}")
 
-    unigram = np.zeros(vocab.size, dtype=np.int64)
-    for t in tokens:
-        unigram[t] += 1
+    unigram = np.bincount(tokens, minlength=size).astype(np.int64, copy=False)
 
     context_counts: dict[tuple[int, ...], dict[int, int]] = {}
     width = order - 1

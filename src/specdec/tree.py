@@ -4,24 +4,27 @@ The draft model grows a tree of candidate continuations rooted at the
 current decoding context. Per-node branching is all-or-nothing: a peaked
 (low-entropy) draft distribution proposes a single child, an uncertain one
 fans out to the top ``max_branch`` tokens. Proposed children are attached
-best-first by cumulative draft log-probability until the tree holds a
-global budget of ``n`` nodes, and only attached nodes are queried for
-children of their own. The result is the ``n`` best nodes of the full
-entropy-gated tree; since a child never outranks its parent, every kept
-node's root path is kept too, as verification needs.
+best-first until the tree holds a global budget of ``n`` nodes, and only
+attached nodes are queried for children of their own. Nodes rank by
+cumulative draft log-probability, or, when the policy carries a per-rank
+acceptance vector, by expected acceptance, and then a node attaches only
+while it pays for its draft call. The result is the ``n`` best nodes of the
+full entropy-gated tree; since a child never outranks its parent, every
+kept node's root path is kept too, as verification needs.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .dists import entropy
 from .errors import InputError
+from .metrics import CostModel, predicted_speedup
 from .models import Context, LanguageModel, Vocabulary, next_distribution, validate_context
 
 ROOT_ID = 0
@@ -55,12 +58,40 @@ class BranchPolicy:
         the top ``max_branch`` tokens are expanded. ``math.inf`` (or
         ``max_branch=1``) degenerates to classic chain speculation.
     node_budget: global cap on non-root nodes in a tree.
+    acceptance: optional per-rank acceptance vector, as
+        :func:`~specdec.metrics.estimate_acceptance` measures it: entry r is
+        the rate at which verification accepts a node that is rank r of its
+        parent's proposal fan. At least ``max_branch`` rates, each in
+        (0, 1], non-increasing. With it, :func:`expand_tree` ranks a node by
+        its expected acceptance, the product of the rates along its root
+        path, and attaches it only while that reaches ``floor``. Without it
+        (the default), nodes rank by cumulative draft log-probability and
+        the budget is the only stop.
+    cost: the :class:`~specdec.metrics.CostModel` the floor is derived
+        from; given exactly when ``acceptance`` is.
+
+    Derived once, never set:
+
+    floor: ``draft_cost * S``, where S is the best
+        :func:`~specdec.metrics.predicted_speedup` that a chain of depth
+        1 to ``max_depth`` reaches under the vector: depth d costs d draft
+        calls and emits ``1 + r0 + r0**2 + ... + r0**d`` tokens a cycle. A
+        node pays for its draft call when its expected acceptance exceeds
+        ``draft_cost`` times the speedup it serves. 0 without a vector.
+    log_rates, log_floor: ``math.log`` of the rates and of the floor, which
+        expansion compares with sums of log rates; None and ``-inf``
+        without a vector.
     """
 
     entropy_threshold: float
     max_branch: int
     max_depth: int
     node_budget: int
+    acceptance: tuple[float, ...] | None = None
+    cost: CostModel | None = None
+    floor: float = field(init=False, repr=False, compare=False)
+    log_rates: tuple[float, ...] | None = field(init=False, repr=False, compare=False)
+    log_floor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.entropy_threshold >= 0:  # NaN fails this test too
@@ -75,11 +106,45 @@ class BranchPolicy:
             raise InputError(
                 f"max_branch={self.max_branch} exceeds node_budget={self.node_budget}"
             )
+        derived = {"floor": 0.0, "log_rates": None, "log_floor": -math.inf}
+        if (self.acceptance is None) != (self.cost is None):
+            raise InputError("an acceptance vector and a cost model come together")
+        if self.acceptance is not None:
+            rates = tuple(map(float, self.acceptance))
+            if len(rates) < self.max_branch:
+                raise InputError(
+                    f"acceptance has {len(rates)} rates, fewer than max_branch={self.max_branch}"
+                )
+            if not all(0.0 < r <= 1.0 for r in rates):  # NaN fails this test too
+                raise InputError(f"acceptance rates must lie in (0, 1], got {rates}")
+            if any(a < b for a, b in zip(rates, rates[1:])):
+                raise InputError(f"acceptance rates must be non-increasing, got {rates}")
+            floor = self.cost.draft_cost * _best_chain_speedup(rates[0], self.cost, self.max_depth)
+            derived = {
+                "acceptance": rates,
+                "floor": floor,
+                "log_rates": tuple(map(math.log, rates)),
+                "log_floor": math.log(floor) if floor > 0 else -math.inf,
+            }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def chain(cls, depth: int) -> "BranchPolicy":
         """Single-path policy: the linear speculative decoding special case."""
         return cls(entropy_threshold=math.inf, max_branch=1, max_depth=depth, node_budget=depth)
+
+
+def _best_chain_speedup(rate: float, cost: CostModel, max_depth: int) -> float:
+    """The best predicted speedup of a chain of depth 1 to ``max_depth``
+    whose every node is accepted at ``rate``."""
+    gamma = reach = 1.0
+    best = 0.0
+    for depth in range(1, max_depth + 1):
+        reach *= rate
+        gamma += reach
+        best = max(best, predicted_speedup(gamma, cost, depth))
+    return best
 
 
 class SpecTree:
@@ -197,7 +262,8 @@ def top_tokens(dist: np.ndarray, k: int) -> list[int]:
 
 def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     """Grow a speculative tree best-first until it holds ``policy.node_budget``
-    nodes or no proposal is left.
+    nodes or no proposal is left; with an acceptance vector, a proposal
+    that would not pay for itself is never made.
 
     The draft is queried on (context + root path) at the root and at each
     attached node; branch width follows the draft's entropy there, and the
@@ -205,38 +271,56 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     <specdec.dists.Row.fan>`): the ranked ids and their log-probabilities,
     read once per row, not once per proposal. A chain policy
     (``max_branch=1`` or an infinite threshold) has width 1 whatever the
-    entropy, so it never reads it. Proposals wait on a heap in
-    :func:`_rank_key` order and the best one is attached next; only an
-    attached node reads its draft probability. EOS nodes and nodes at
-    ``policy.max_depth`` are kept but never queried, so a verified EOS can
-    end decoding. At most ``node_budget`` draft queries are made. A node's
-    own context is built only when the node is queried.
+    entropy, so it never reads it. Proposals wait on a heap, best score
+    first with :func:`_rank_key`'s tiebreaks, and the best one is attached
+    next; only an attached node reads its draft probability. EOS nodes and
+    nodes at ``policy.max_depth`` are kept but never queried, so a verified
+    EOS can end decoding. At most ``node_budget`` draft queries are made. A
+    node's own context is built only when the node is queried.
+
+    A node's *score* is what it ranks by: its cumulative draft log-prob
+    without a vector, or with ``policy.acceptance`` the sum of
+    ``policy.log_rates`` over the fan ranks on its root path, the log of
+    its expected acceptance. Its ``cum_logprob`` is the draft log-prob
+    either way; with a vector the loop files scores and a last pass swaps
+    in the log-probs. With a vector two rules make the tree draft only what
+    pays: a node attaches only if its score is at least
+    ``policy.log_floor``, and a node, the root included, is queried only if
+    its best child, rank 0, would reach the floor, which the rate of rank 0
+    tells before the draft call. So rank 0 of a query always clears the
+    floor, and a later rank is pushed only if it does; the ranks after one
+    that fails never can, and are never pushed. Without a vector the floor
+    is ``-inf`` and neither rule costs a comparison per node.
 
     It is one loop, and the heap holds a node's next proposal, not its whole
-    fan. A query makes one *cursor* for the queried node: its fan, its
-    cumulative log-prob, id, row and context, the base of its children's
-    path codes and its next unpushed rank. It hands rank 0 to
-    ``heapq.heappushpop``, which returns it without touching the heap when
-    it is the best proposal left, as it always is in a chain. Attaching a
-    node pushes the next rank of its parent's cursor, since a sibling's key
-    is never below the key of the one ranked above it. Nodes are filed into
-    the tree directly, with ids 1, 2, ... in attach order.
+    fan. A query makes one *cursor* for the queried node: its fan ids and
+    their number, the scores of the fan's ranks, the node's score, id, row
+    and context, the base of its children's path codes and its next
+    unpushed rank. It hands rank 0 to ``heapq.heappushpop``, which returns
+    it without touching the heap when it is the best proposal left, as it
+    always is in a chain. Attaching a node pushes the next rank of its
+    parent's cursor, since a sibling's key is never below the key of the
+    one ranked above it: fan log-probs and rates are both non-increasing.
+    Nodes are filed into the tree directly, with ids 1, 2, ... in attach
+    order.
 
     Siblings may attach out of rank order only inside a *tie run*: ranks
-    whose keys ``-(cum + logp)`` are exactly equal, where the lower token
-    id attaches first even if its probability is lower and the two only
-    rounded equal. So pushing a rank also pushes every following rank with
-    exactly its key, at a query as at a successor, and only the children of
-    a parent with a tie run are sorted back into rank order.
+    whose keys ``-(score + rank score)`` are exactly equal, where the lower
+    token id attaches first even if its probability is lower: two log-probs
+    that only rounded equal, or two equal rates. So pushing a rank also
+    pushes every following rank with exactly its key, at a query as at a
+    successor, and only the children of a parent with a tie run are sorted
+    back into rank order.
 
     The result equals pruning the full breadth-first expansion to the
-    budget: a child never outranks its parent, so the ``n`` best nodes
-    always include their ancestors and pop off the heap in rank order. The
-    last tiebreak in :func:`_rank_key` is the breadth-first creation id; a
-    node's path code, ``parent_code * max_branch + rank``, stands in for it,
-    since fans are at most ``max_branch`` wide, so at equal depth the codes
-    order like the sibling-rank paths and like creation ids. Codes are
-    unique per depth, so the heap never compares cursors.
+    budget, by score and, with a vector, to the floor: a child never
+    outranks its parent, so the ``n`` best nodes always include their
+    ancestors and pop off the heap in rank order. The last tiebreak in
+    :func:`_rank_key` is the breadth-first creation id; a node's path code,
+    ``parent_code * max_branch + rank``, stands in for it, since fans are
+    at most ``max_branch`` wide, so at equal depth the codes order like the
+    sibling-rank paths and like creation ids. Codes are unique per depth,
+    so the heap never compares cursors.
     """
     tree = SpecTree(validate_context(draft.vocab, ctx))
     nodes, children = tree.nodes, tree.children
@@ -244,71 +328,87 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     threshold, max_branch = policy.entropy_threshold, policy.max_branch
     budget, max_depth = policy.node_budget, policy.max_depth
     chain = max_branch == 1 or threshold == math.inf
+    # With a vector, a node is queried only if its rank 0 would reach the
+    # floor, and a later rank is pushed only if it does.
+    rates, neg_floor = policy.log_rates, -policy.log_floor
     heap: list = []
     push, pushpop, pop = heapq.heappush, heapq.heappushpop, heapq.heappop
     tied: list[int] = []  # parents whose children may attach out of rank order
-    # The node to query: its id, depth, cumulative log-prob, context and
-    # path code; starts at the root.
-    query, node_id, depth, cum_logprob, node_ctx, code = True, ROOT_ID, 0, 0.0, tree.context, 0
+    # The node to query: its id, depth, score, context and path code; starts
+    # at the root.
+    query, node_id, depth, score, node_ctx, code = True, ROOT_ID, 0, 0.0, tree.context, 0
     queries = count = 0
     while True:
-        if query:
+        if query and (not rates or -(score + rates[0]) <= neg_floor):
             row = next_distribution(draft, node_ctx)
             queries += 1
             # top_tokens(row, branch_width(row, policy)) with their log-probs.
-            ids, logps = row.fan(1 if chain or row.entropy < threshold else max_branch)
+            ids, keys = row.fan(1 if chain or row.entropy < threshold else max_branch)
+            if rates:
+                keys = rates
+            width = len(ids)
             depth += 1
             code *= max_branch
-            # The cursor: fan ids and log-probs, the node's cumulative
-            # log-prob, id, row and context, its children's code base and
-            # the next unpushed rank.
-            cursor = [ids, logps, cum_logprob, node_id, row, node_ctx, code, 1]
-            neg_logprob = -(cum_logprob + logps[0])
-            if len(ids) > 1 and -(cum_logprob + logps[1]) == neg_logprob:
-                _push_ties(heap, cursor, depth, neg_logprob)
+            # The cursor: fan ids, width and rank scores, the node's score,
+            # id, row and context, its children's code base and the next
+            # unpushed rank.
+            cursor = [ids, width, keys, score, node_id, row, node_ctx, code, 1]
+            neg_key = -(score + keys[0])
+            if width > 1 and -(score + keys[1]) == neg_key:
+                _push_ties(heap, cursor, depth, neg_key)
                 tied.append(node_id)
-            entry = pushpop(heap, (neg_logprob, depth, ids[0], code, cursor))
+            entry = pushpop(heap, (neg_key, depth, ids[0], code, cursor))
         elif heap:
             entry = pop(heap)
         else:
             break
-        neg_logprob, depth, token, code, cursor = entry
-        ids, logps, cum_logprob, parent, row, node_ctx, base, rank = cursor
+        neg_key, depth, token, code, cursor = entry
+        ids, width, keys, score, parent, row, node_ctx, base, rank = cursor
         # Fan ids of a checked row are distinct and in range, and the key
-        # holds the child's cumulative log-prob: no add_child checks.
+        # holds the child's score, which is its cumulative log-prob when
+        # there is no vector: no add_child checks.
         count += 1
         nodes[count] = _new_node(
-            SpecNode, (count, token, parent, depth, row.item(token), -neg_logprob)
+            SpecNode, (count, token, parent, depth, row.item(token), -neg_key)
         )
         children[count] = []
         children[parent].append(count)
         if count == budget:
             break
-        if rank < len(ids):
-            neg_next = -(cum_logprob + logps[rank])
-            push(heap, (neg_next, depth, ids[rank], base + rank, cursor))
-            cursor[7] = rank = rank + 1
-            if rank < len(ids) and -(cum_logprob + logps[rank]) == neg_next:
-                _push_ties(heap, cursor, depth, neg_next)
-                tied.append(parent)
+        if rank < width:
+            neg_next = -(score + keys[rank])
+            if neg_next <= neg_floor:
+                push(heap, (neg_next, depth, ids[rank], base + rank, cursor))
+                cursor[8] = rank = rank + 1
+                if rank < width and -(score + keys[rank]) == neg_next:
+                    _push_ties(heap, cursor, depth, neg_next)
+                    tied.append(parent)
         query = token != eos and depth < max_depth
         if query:
-            node_id, cum_logprob, node_ctx = count, -neg_logprob, node_ctx + (token,)
+            node_id, score, node_ctx = count, -neg_key, node_ctx + (token,)
     tree._next_id = count + 1
     tree.draft_queries = queries
+    if rates:
+        # The loop filed each node's score; keep its draft log-prob instead.
+        # Parents attach before their children, so theirs is already set.
+        for i in range(1, count + 1):
+            _, token, parent, depth, prob, _ = nodes[i]
+            nodes[i] = _new_node(
+                SpecNode, (i, token, parent, depth, prob, nodes[parent][5] + math.log(prob))
+            )
     for parent in tied:
         children[parent].sort(key=lambda c: (-nodes[c].draft_prob, nodes[c].token))
     return tree
 
 
-def _push_ties(heap: list, cursor: list, depth: int, neg_logprob: float) -> None:
+def _push_ties(heap: list, cursor: list, depth: int, neg_key: float) -> None:
     """Push the cursor's ranks from its next unpushed one on while their key
-    is exactly ``neg_logprob``, and move its next unpushed rank past them."""
-    ids, logps, cum_logprob, _, _, _, base, rank = cursor
-    while rank < len(ids) and -(cum_logprob + logps[rank]) == neg_logprob:
-        heapq.heappush(heap, (neg_logprob, depth, ids[rank], base + rank, cursor))
+    is exactly ``neg_key``, and move its next unpushed rank past them."""
+    ids, width, keys, score, _, _, _, base, rank = cursor
+    while rank < width and -(score + keys[rank]) == neg_key:
+        heapq.heappush(heap, (neg_key, depth, ids[rank], base + rank, cursor))
         rank += 1
-    cursor[7] = rank
+    cursor[8] = rank
 
 
 def _rank_key(node: SpecNode) -> tuple[float, int, int, int]:

@@ -123,23 +123,62 @@ def full_expand(draft: LanguageModel, ctx, policy) -> SpecTree:
     """Reference expansion: query the draft at every frontier node,
     breadth-first, up to ``policy.max_depth``, ignoring the node budget.
 
-    ``prune_tree(full_expand(...), policy.node_budget)`` is the tree that
+    ``tree.scores`` maps each node to what it ranks by: its cumulative draft
+    log-probability, or, with ``policy.acceptance``, the sum of the logs of
+    the rates of the fan ranks on its root path. With a vector, a node (the
+    root included) is queried only if its score plus the log of rank 0's
+    rate reaches ``log(policy.floor)``; ``tree.queried`` holds the ids
+    queried. ``best_nodes(full_expand(...), policy)`` is the tree that
     budgeted best-first expansion must build.
     """
     tree = SpecTree(ctx)
     eos = draft.vocab.eos_id
+    rates = policy.acceptance
+    log_rates = None if rates is None else [math.log(r) for r in rates]
+    tree.log_floor = math.log(policy.floor) if policy.floor > 0 else -math.inf
+    tree.scores = {ROOT_ID: 0.0}
+    tree.queried = set()
     frontier = deque([(ROOT_ID, tree.context)])
     while frontier:
         node_id, node_ctx = frontier.popleft()
-        node = tree.nodes[node_id]
+        node, score = tree.nodes[node_id], tree.scores[node_id]
         if node.depth >= policy.max_depth or node.token == eos:
+            continue
+        if log_rates is not None and score + log_rates[0] < tree.log_floor:
             continue
         dist = next_distribution(draft, node_ctx)
         tree.draft_queries += 1
-        for token in top_tokens(dist, branch_width(dist, policy)):
+        tree.queried.add(node_id)
+        for rank, token in enumerate(top_tokens(dist, branch_width(dist, policy))):
             child = tree.add_child(node_id, token, float(dist[token]))
+            tree.scores[child] = (
+                tree.nodes[child].cum_logprob if log_rates is None else score + log_rates[rank]
+            )
             frontier.append((child, node_ctx + (token,)))
     return tree
+
+
+def best_nodes(full: SpecTree, policy) -> SpecTree:
+    """The tree best-first expansion must build, cut from ``full =
+    full_expand(...)``: the nodes whose score reaches the floor, then the
+    ``policy.node_budget`` best of them by (-score, depth, token, creation
+    id), as :func:`prune_tree` ranks by cumulative log-probability.
+
+    Its ``draft_queries`` is what that expansion spends: one query for each
+    of the root and the kept nodes that ``full`` queried, except a last
+    node that filled the budget, since expansion stops there.
+    """
+    scores = full.scores
+    ranked = sorted(
+        (node for nid, node in full.nodes.items()
+         if nid != ROOT_ID and scores[nid] >= full.log_floor),
+        key=lambda node: (-scores[node.id], node.depth, node.token, node.id),
+    )[:policy.node_budget]
+    kept = full._replace_nodes({node.id for node in ranked})
+    queried = [nid for nid in (ROOT_ID, *(node.id for node in ranked)) if nid in full.queried]
+    filled = len(ranked) == policy.node_budget and ranked[-1].id in full.queried
+    kept.draft_queries = len(queried) - filled
+    return kept
 
 
 TRAIN_TEXT = (

@@ -254,7 +254,7 @@ def test_emit_report_single_record(tmp_path, corpus_file):
     paths = emit_report(records, config, tmp_path / "out", "csv")
     csv_path = paths[0]
     lines = csv_path.read_text(encoding="utf-8").splitlines()
-    assert lines[0].startswith("# specdec report v2")
+    assert lines[0].startswith("# specdec report v3")
     assert lines[1] == ",".join(CSV_COLUMNS)
     assert len(lines) == 3
     assert lines[2].startswith("in,1,")
@@ -332,6 +332,64 @@ def test_a_demo_run_with_its_models_kept_alive_retains_at_most_150_kb(monkeypatc
     assert retained <= 150 * 1024
 
 
+@pytest.fixture(scope="module")
+def demo_seed_7():
+    """The demo matrix at seed 7, and the (draft, policy) of every decode."""
+    config = ExperimentConfig.from_file(DEMO_CONFIG).override(seed=7)
+    original, decodes = harness.speculative_decode, []
+
+    def record(draft, target, prompt, max_tokens, policy):
+        decodes.append((draft, policy))
+        return original(draft, target, prompt, max_tokens, policy)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "speculative_decode", record)
+        records = run_matrix(config)
+    return config, records, decodes
+
+
+def _chain_and_tree_cells(records):
+    by_key = {r.cell_key: r for r in records}
+    pairs = [(by_key[(r.domain, r.lam, r.tau, 1, r.depth, r.budget)], r)
+             for r in records if r.branch > 1]
+    assert pairs
+    return pairs
+
+
+def test_demo_dynamic_trees_predict_at_least_their_chains_speedup_at_every_lambda(demo_seed_7):
+    _, records, _ = demo_seed_7
+    for chain, tree in _chain_and_tree_cells(records):
+        assert tree.predicted_speedup >= chain.predicted_speedup, tree.cell_label
+
+
+def test_demo_dynamic_trees_accept_at_least_their_chains_gamma_at_lambda_half_and_one(
+    demo_seed_7
+):
+    _, records, _ = demo_seed_7
+    pairs = [(c, t) for c, t in _chain_and_tree_cells(records) if t.lam in (0.5, 1.0)]
+    assert {t.lam for _, t in pairs} == {0.5, 1.0}
+    for chain, tree in pairs:
+        assert tree.gamma >= chain.gamma, tree.cell_label
+
+
+def test_demo_domains_of_one_lambda_decode_under_equal_hashable_policies(demo_seed_7):
+    # perfbench's demo-matrix groups latency samples by (draft, policy), so
+    # a policy that differed between domains would split its samples.
+    config, records, decodes = demo_seed_7
+    per_draft: dict = {}
+    for draft, policy in decodes:
+        per_draft.setdefault(draft, {})
+        per_draft[draft][policy] = per_draft[draft].get(policy, 0) + 1
+    assert len(per_draft) == len(config.lambda_grid)
+    grid = {(r.tau, r.branch, r.depth, r.budget) for r in records}
+    for counts in per_draft.values():
+        assert len(counts) == len(grid)
+        assert set(counts.values()) == {2 * config.prompt_count}  # both domains
+        for policy in counts:
+            assert policy.acceptance is not None and policy.cost == config.cost_model
+            assert len(policy.acceptance) == max(config.branch_grid)
+
+
 # The report format as version 1 wrote it, held literally: CSV_COLUMNS and
 # the to_dict methods are derived from the dataclasses, so comparing them
 # with each other cannot catch a renamed or reordered field.
@@ -353,7 +411,7 @@ def test_report_format_matches_v1_literally(tmp_path, corpus_file):
     config = small_config(corpus_file)
     emit_report(run_matrix(config), config, tmp_path, "both")
     lines = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[:2] == ["# specdec report v2", V1_CSV_HEADER]
+    assert lines[:2] == ["# specdec report v3", V1_CSV_HEADER]
     doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert set(doc) == {"format", "version", "config", "records"}
     assert set(doc["config"]) == V1_CONFIG_KEYS

@@ -14,13 +14,15 @@ from specdec.metrics import (
     CostModel,
     DecodeStats,
     combine_stats,
+    estimate_acceptance,
     estimate_kl,
     mean_acceptance,
+    non_increasing,
     predicted_speedup,
 )
 from specdec.models import ConstantModel
 
-from conftest import TableModel, make_vocab
+from conftest import TableModel, make_vocab, one_hot
 
 
 def test_mean_acceptance_basic():
@@ -145,3 +147,47 @@ def test_estimate_kl_validation():
         estimate_kl(m1, m2, [(v1.bos_id,)])
     with pytest.raises(InputError):
         estimate_kl(m1, m1, [(v1.bos_id,)], "sideways")
+
+
+def test_estimate_acceptance_counts_fan_ranks_with_add_half_smoothing():
+    vocab = make_vocab(4)
+    bos, eos = vocab.bos_id, vocab.eos_id
+    draft = ConstantModel(vocab, np.array([0.4, 0.3, 0.2, 0.1, 0.0, 0.0]))  # ranks a b c d
+    wants_a = np.array([0.7, 0.1, 0.1, 0.1, 0.0, 0.0])
+    wants_b = np.array([0.1, 0.7, 0.1, 0.1, 0.0, 0.0])
+    wants_eos = one_hot(vocab.size, eos)  # outside the draft's fan
+    target = TableModel(vocab, {(bos, 1): wants_b, (bos, 2): wants_eos}, wants_a)
+    probes = [(bos,), (bos, 0), (bos, 1), (bos, 2)]
+    # Hits per rank: 2, 1, 0, 0 of 4 probes; each (hits + 1/2) / 5.
+    assert estimate_acceptance(draft, target, probes, 4) == (0.5, 0.3, 0.1, 0.1)
+    assert estimate_acceptance(draft, target, probes, 2) == (0.5, 0.3)
+    assert estimate_acceptance(draft, draft, probes, 1) == (4.5 / 5,)
+
+
+def test_estimate_acceptance_pools_a_rank_that_beats_the_one_above_it():
+    vocab = make_vocab(3)
+    draft = ConstantModel(vocab, np.array([0.5, 0.3, 0.2, 0.0, 0.0]))
+    target = ConstantModel(vocab, np.array([0.3, 0.5, 0.2, 0.0, 0.0]))
+    probes = [(vocab.bos_id,), (vocab.bos_id, 0), (vocab.bos_id, 1)]
+    # Raw rates 0.125, 0.875, 0.125: ranks 0 and 1 pool to their mean.
+    assert estimate_acceptance(draft, target, probes, 3) == (0.5, 0.5, 0.125)
+
+
+def test_non_increasing_pools_adjacent_violators():
+    assert non_increasing([]) == ()
+    assert non_increasing([0.9, 0.3, 0.3, 0.1]) == (0.9, 0.3, 0.3, 0.1)
+    assert non_increasing([3.0, 1.0, 2.0]) == (3.0, 1.5, 1.5)
+    assert non_increasing([1.0, 2.0, 3.0]) == (2.0, 2.0, 2.0)
+    assert non_increasing([4.0, 1.0, 2.0, 6.0]) == (4.0, 3.0, 3.0, 3.0)
+
+
+def test_estimate_acceptance_validation():
+    v1, v2 = make_vocab(2), make_vocab(3)
+    m1 = ConstantModel(v1, np.full(4, 0.25))
+    m2 = ConstantModel(v2, np.full(5, 0.2))
+    with pytest.raises(InputError):
+        estimate_acceptance(m1, m1, [], 2)
+    with pytest.raises(InputError):
+        estimate_acceptance(m1, m2, [(v1.bos_id,)], 2)
+    with pytest.raises(InputError):
+        estimate_acceptance(m1, m1, [(v1.bos_id,)], 0)

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specdec.decode import greedy_decode, speculative_decode
 from specdec.errors import InputError
+from specdec.metrics import CostModel
 from specdec.models import ConstantModel, distill_interpolate, train_ngram
 from specdec.tree import (
     ROOT_ID,
@@ -28,6 +30,7 @@ from specdec.tree import (
 from conftest import (
     TRAIN_TEXT,
     RandomTableModel,
+    best_nodes,
     full_expand,
     make_vocab,
     one_hot,
@@ -417,6 +420,17 @@ def draft_and_context(kind: str, seed: int, n_chars: int, lam: float, prompt_len
     return ConstantModel(vocab, weights / weights.sum()), ctx
 
 
+#: Acceptance vectors for the property test: none, or four non-increasing
+#: rates from a few values, so equal rates (tie runs) are common. Four 0.01
+#: rates put rank 0 below every positive floor, so the tree is empty.
+ACCEPTANCE = st.one_of(
+    st.none(),
+    st.lists(st.sampled_from([1.0, 0.9, 0.5, 0.3, 0.3, 0.1, 0.01]), min_size=4, max_size=4)
+    .map(lambda rates: tuple(sorted(rates, reverse=True))),
+    st.just((0.01,) * 4),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     kind=st.sampled_from(["random", "uniform", "steps", "ngram"]),
@@ -428,17 +442,86 @@ def draft_and_context(kind: str, seed: int, n_chars: int, lam: float, prompt_len
     max_branch=st.integers(1, 4),
     max_depth=st.integers(1, 4),
     extra_budget=st.integers(0, 10),
+    acceptance=ACCEPTANCE,
+    draft_cost=st.sampled_from([0.0, 0.05, 0.3]),
 )
 def test_best_first_expansion_equals_pruned_full_expansion(
-    kind, seed, n_chars, lam, prompt_len, threshold, max_branch, max_depth, extra_budget
+    kind, seed, n_chars, lam, prompt_len, threshold, max_branch, max_depth, extra_budget,
+    acceptance, draft_cost,
 ):
     draft, ctx = draft_and_context(kind, seed, n_chars, lam, prompt_len)
-    policy = BranchPolicy(threshold, max_branch, max_depth, max_branch + extra_budget)
+    cost = None if acceptance is None else CostModel(draft_cost, 1.0)
+    policy = BranchPolicy(
+        threshold, max_branch, max_depth, max_branch + extra_budget, acceptance, cost
+    )
     tree = expand_tree(draft, ctx, policy)
     full = full_expand(draft, ctx, policy)
-    reference = prune_tree(full, policy.node_budget)
+    reference = best_nodes(full, policy)
+    if acceptance is None:
+        assert render_tree(reference, draft.vocab) == render_tree(
+            prune_tree(full, policy.node_budget), draft.vocab
+        )
     tree.validate()
     assert render_tree(tree, draft.vocab) == render_tree(reference, draft.vocab)
     assert tree.non_root_count == reference.non_root_count
+    assert tree.draft_queries == reference.draft_queries
     assert tree.draft_queries <= min(policy.node_budget, full.draft_queries)
     assert prune_tree(tree, policy.node_budget) is tree
+
+
+def test_a_policy_with_an_acceptance_vector_checks_it_and_derives_its_floor():
+    cost = CostModel(0.05, 1.0)
+    policy = BranchPolicy(0.35, 4, 3, 8, [0.9, 0.5, 0.5, 0.1, 0.1], cost)
+    assert policy.acceptance == (0.9, 0.5, 0.5, 0.1, 0.1)
+    assert policy == BranchPolicy(0.35, 4, 3, 8, (0.9, 0.5, 0.5, 0.1, 0.1), cost)
+    assert hash(policy) == hash(BranchPolicy(0.35, 4, 3, 8, (0.9, 0.5, 0.5, 0.1, 0.1), cost))
+    assert policy != BranchPolicy(0.35, 4, 3, 8)
+    # Chains of depth 1, 2, 3 at r0 = 0.9 emit 1.9, 2.71, 3.439 tokens a
+    # cycle for 1.05, 1.10, 1.15 target calls; depth 3 is best.
+    assert policy.floor == pytest.approx(0.05 * 3.439 / 1.15, rel=1e-12)
+    assert policy.log_floor == math.log(policy.floor)
+    assert policy.log_rates == tuple(math.log(r) for r in policy.acceptance)
+    free = BranchPolicy(0.35, 4, 3, 8, (0.9,) * 4, CostModel(0.0, 1.0))
+    assert free.floor == 0.0 and free.log_floor == -math.inf
+    plain = BranchPolicy(0.35, 4, 3, 8)
+    assert (plain.acceptance, plain.cost, plain.log_rates) == (None, None, None)
+    assert plain.floor == 0.0 and plain.log_floor == -math.inf
+    for bad in ([0.9, 0.5, 0.1], [0.9, 0.5, 0.6, 0.1], [0.9, 0.5, 0.0, 0.0],
+                [1.5, 0.5, 0.1, 0.1], [0.9, math.nan, 0.1, 0.1]):
+        with pytest.raises(InputError):
+            BranchPolicy(0.35, 4, 3, 8, bad, cost)
+    with pytest.raises(InputError):
+        BranchPolicy(0.35, 4, 3, 8, (0.9,) * 4)
+    with pytest.raises(InputError):
+        BranchPolicy(0.35, 4, 3, 8, cost=cost)
+
+
+def test_a_node_whose_best_child_misses_the_floor_is_not_queried():
+    # Four equal rates of 0.3 at draft_cost 0.05: the best chain is depth 2
+    # (1.39 tokens for 1.1 target calls), so the floor is about 0.063. The
+    # root's children (0.3) and grandchildren (0.09) clear it, but no
+    # grandchild is queried, since its own children would reach 0.027.
+    vocab = make_vocab(4)
+    draft = ConstantModel(vocab, np.array([0.4, 0.3, 0.2, 0.1, 0.0, 0.0]))
+    policy = BranchPolicy(0.0, 4, 4, 20, (0.3,) * 4, CostModel(0.05, 1.0))
+    assert policy.floor == pytest.approx(0.05 * 1.39 / 1.1, rel=1e-12)
+    tree = expand_tree(draft, (vocab.bos_id,), policy)
+    assert tree.draft_queries == 5
+    assert tree.non_root_count == 4 + 16
+    assert max(node.depth for node in tree.nodes.values()) == 2
+    # Equal rates tie every sibling: children keep the draft's rank order.
+    assert [tree.nodes[c].token for c in tree.children[ROOT_ID]] == [0, 1, 2, 3]
+
+
+def test_a_rank_0_rate_below_the_floor_drafts_nothing_and_decodes_losslessly():
+    vocab, corpus = _NGRAM_VOCAB, _NGRAM_CORPUS
+    draft = distill_interpolate(_NGRAM_TARGET, _NGRAM_BASE, 0.0)
+    policy = BranchPolicy(0.35, 4, 4, 8, (0.01,) * 4, CostModel(0.05, 1.0))
+    assert policy.floor > 0.01
+    prompt = (vocab.bos_id,) + corpus[:6]
+    tree = expand_tree(draft, prompt, policy)
+    assert (tree.draft_queries, tree.non_root_count) == (0, 0)
+    tokens, stats = speculative_decode(draft, _NGRAM_TARGET, prompt, 24, policy)
+    assert tokens == greedy_decode(_NGRAM_TARGET, prompt, 24)
+    assert stats.draft_calls == stats.tree_nodes == 0
+    assert stats.per_cycle_acceptance == [1] * 24

@@ -102,10 +102,10 @@ MUTANTS = (
            "children[parent].sort(key=lambda c: (-nodes[c].draft_prob, nodes[c].token))", "pass",
            ("tests/test_tree.py",)),
     Mutant("no tie run at the query", "tree.py",
-           "if len(ids) > 1 and -(cum_logprob + logps[1]) == neg_logprob:", "if False:",
+           "if width > 1 and -(score + keys[1]) == neg_key:", "if False:",
            ("tests/test_tree.py",)),
     Mutant("no tie run at a successor push", "tree.py",
-           "if rank < len(ids) and -(cum_logprob + logps[rank]) == neg_next:", "if False:",
+           "if rank < width and -(score + keys[rank]) == neg_next:", "if False:",
            ("tests/test_tree.py",)),
     Mutant("tie-parent sort skipped", "tree.py",
            "tied.append(parent)", "pass",
@@ -114,6 +114,25 @@ MUTANTS = (
            "chain = max_branch == 1 or threshold == math.inf",
            "chain = max_branch == 1 or threshold > 0",
            ("tests/test_tree.py",)),
+    Mutant("acceptance vector ignored in the key", "tree.py",
+           "keys = rates", "keys = keys",
+           ("tests/test_tree.py",)),
+    Mutant("floor check dropped", "tree.py",
+           "if neg_next <= neg_floor:", "if True:",
+           ("tests/test_tree.py",)),
+    Mutant("query rule dropped", "tree.py",
+           "if query and (not rates or -(score + rates[0]) <= neg_floor):", "if query:",
+           ("tests/test_tree.py",)),
+    Mutant("acceptance rates left unsorted", "metrics.py",
+           "return non_increasing([(h + 0.5) / (len(probes) + 1) for h in hits])",
+           "return tuple((h + 0.5) / (len(probes) + 1) for h in hits)",
+           ("tests/test_metrics.py",)),
+    Mutant("acceptance vector estimated per (domain, lambda)", "harness.py",
+           "BranchPolicy(tau, branch, depth, budget, acceptance[lam], cost)",
+           "BranchPolicy(tau, branch, depth, budget,"
+           " estimate_acceptance(draft, target, probes, width), cost)",
+           ("tests/test_harness.py::"
+            "test_demo_domains_of_one_lambda_decode_under_equal_hashable_policies",)),
     Mutant("expand_tree skips the context check", "tree.py",
            "tree = SpecTree(validate_context(draft.vocab, ctx))", "tree = SpecTree(ctx)",
            ("tests/test_contexts.py",)),
