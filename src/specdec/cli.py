@@ -12,9 +12,16 @@ from pathlib import Path
 
 from .decode import speculative_decode
 from .errors import InputError, LosslessnessError
-from .harness import ExperimentConfig, build_models, emit_report, load_records, run_matrix
+from .harness import (
+    ExperimentConfig,
+    build_models,
+    cell_policies,
+    emit_report,
+    in_domain_probes,
+    load_records,
+    run_matrix,
+)
 from .models import distill_interpolate, save_model
-from .tree import BranchPolicy
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,15 +99,13 @@ def _cmd_decode(args) -> int:
     if not 0.0 <= args.lam <= 1.0:
         raise InputError("--lambda must lie in [0, 1]")
     config = _load_config(args)
-    vocab, target, draft_base, _ = build_models(config)
+    vocab, target, draft_base, held = build_models(config)
     draft = distill_interpolate(target, draft_base, args.lam)
     prompt = (vocab.bos_id,) + vocab.encode(args.prompt)
-    policy = BranchPolicy(
-        entropy_threshold=config.tau_grid[0],
-        max_branch=config.branch_grid[0],
-        max_depth=config.depth_grid[0],
-        node_budget=config.budget_grid[0],
-    )
+    # The bench cell of the first value of each grid, for this lambda's draft.
+    cell = (config.tau_grid[0], config.branch_grid[0], config.depth_grid[0],
+            config.budget_grid[0])
+    policy = cell_policies(config, draft, target, in_domain_probes(config, vocab, held))[cell]
     tokens, stats = speculative_decode(draft, target, prompt, config.max_tokens, policy)
     print(f"tokens: {list(tokens)}")
     print(f"text: {vocab.decode(tokens)!r}")

@@ -81,6 +81,7 @@ def verify_tree(target: LanguageModel, tree: SpecTree) -> VerificationResult:
     """
     eos = target.vocab.eos_id
     ctx = validate_context(target.vocab, tree.context)
+    nodes, children = tree.nodes, tree.children
     node_id = ROOT_ID
     accepted: tuple[int, ...] = ()
     scored = 0
@@ -89,8 +90,8 @@ def verify_tree(target: LanguageModel, tree: SpecTree) -> VerificationResult:
         scored += 1
         want = greedy_token(dist)
         match = None
-        for child_id in tree.children[node_id]:
-            if tree.nodes[child_id].token == want:
+        for child_id in children[node_id]:
+            if nodes[child_id].token == want:
                 match = child_id
                 break
         if match is None:
@@ -133,26 +134,32 @@ def speculative_decode(
     # verify_tree take it unwalked.
     ctx = validate_context(target.vocab, prompt).extended((), window)
     out: list[int] = []
-    stats = DecodeStats()
+    budget = policy.node_budget
+    draft_calls = scored = tree_nodes = 0
+    per_cycle: list[int] = []
 
     while len(out) < max_tokens:
         tree = expand_tree(draft, ctx, policy)
-        stats.draft_calls += tree.draft_queries
-        tree = prune_tree(tree, policy.node_budget)
-        result = verify_tree(target, tree)
+        draft_calls += tree.draft_queries
+        tree = prune_tree(tree, budget)
+        accepted, bonus, nodes_scored = verify_tree(target, tree)
 
-        emitted = result.accepted_tokens
-        if result.bonus_token is not None:
-            emitted += (result.bonus_token,)
+        emitted = accepted if bonus is None else accepted + (bonus,)
         emitted = emitted[: max_tokens - len(out)]
         out.extend(emitted)
 
-        stats.cycles += 1
-        stats.emitted_tokens += len(emitted)
-        stats.target_contexts_scored += result.nodes_scored
-        stats.tree_nodes += tree.non_root_count
-        stats.per_cycle_acceptance.append(len(emitted))
+        scored += nodes_scored
+        tree_nodes += tree.non_root_count
+        per_cycle.append(len(emitted))
         if eos in emitted:
             break
         ctx = ctx.extended(emitted, window)
+    stats = DecodeStats(
+        cycles=len(per_cycle),
+        emitted_tokens=len(out),
+        target_contexts_scored=scored,
+        draft_calls=draft_calls,
+        tree_nodes=tree_nodes,
+        per_cycle_acceptance=per_cycle,
+    )
     return out, stats

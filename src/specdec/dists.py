@@ -13,7 +13,7 @@ row from a built-in model's finite table is made once, on first use; a
 plug-in model's row is made on every call. :func:`greedy_token`,
 :func:`entropy` and :func:`kl_divergence` are plain math on rows that were
 already checked; they do not check again, and :func:`greedy_token` reads
-the token a :class:`Row` keeps.
+the token :func:`check_row` filed in a :class:`Row`.
 """
 
 from __future__ import annotations
@@ -49,22 +49,21 @@ class Row(np.ndarray):
     """A checked, read-only distribution that carries its facts.
 
     It is the float64 vector itself, so anything that reads rows as arrays
-    keeps working. Only :func:`check_row` makes one. Each fact is worked
-    out on first read and then kept with the row, so a row kept in a model's
-    table yields it once, and a row nobody ranks is never sorted. Models
-    keep their rows for their lifetime, so a row is one object with slots.
+    keeps working. Only :func:`check_row` makes one, and files its greedy
+    token then, with one argmax: verification reads it for every row it
+    meets. The entropy and the fan are worked out on first read and then
+    kept with the row, so a row kept in a model's table yields them once,
+    and a row nobody ranks is never sorted. Models keep their rows for
+    their lifetime, so a row is one object with slots.
     """
 
     __slots__ = ("_greedy_token", "_entropy", "_fan_width", "_fan")
 
     @property
     def greedy_token(self) -> int:
-        """:func:`greedy_token` of the row: the argmax, ties to the lower id."""
-        try:
-            return self._greedy_token
-        except AttributeError:
-            self._greedy_token = greedy_token(self.view(np.ndarray))
-            return self._greedy_token
+        """:func:`greedy_token` of the row: the argmax, ties to the lower id,
+        filed by :func:`check_row`."""
+        return self._greedy_token
 
     @property
     def entropy(self) -> float:
@@ -122,6 +121,8 @@ def check_row(values, size: int) -> Row:
     row = Row(probs.shape)
     row[...] = probs
     row.setflags(write=False)
+    # argmax returns the first maximal index, i.e. the lowest id.
+    row._greedy_token = int(probs.argmax())
     return row
 
 
@@ -129,12 +130,11 @@ def greedy_token(probs: np.ndarray) -> int:
     """Argmax token id of a checked row; ties break to the LOWEST id.
 
     The fixed tie-break keeps greedy decoding draft-independent, which the
-    losslessness guarantee relies on. A :class:`Row` works it out once and
-    keeps it.
+    losslessness guarantee relies on. A :class:`Row` carries the token
+    :func:`check_row` filed, and this reads it.
     """
     if isinstance(probs, Row):
-        return probs.greedy_token
-    # argmax returns the first maximal index, i.e. the lowest id.
+        return probs._greedy_token
     return int(probs.argmax())
 
 

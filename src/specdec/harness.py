@@ -281,17 +281,24 @@ def _sample_spans(zone: tuple[int, ...], length: int, count: int, rng, what: str
     return [tuple(zone[s:s + length]) for s in starts]
 
 
+def _probes(
+    sequence: tuple[int, ...], vocab: Vocabulary, config: ExperimentConfig, rng
+) -> list[tuple[int, ...]]:
+    """Bos-anchored probe contexts from the first half of a zone."""
+    return [
+        (vocab.bos_id,) + span
+        for span in _sample_spans(sequence[:len(sequence) // 2], config.probe_length,
+                                  config.probe_count, rng, "probes")
+    ]
+
+
 def _domain_samples(
     sequence: tuple[int, ...], vocab: Vocabulary, config: ExperimentConfig, rng
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Probe contexts from the first half of a zone, prompts from the second,
     so the two sets never share positions. Contexts are bos-anchored."""
     half = len(sequence) // 2
-    probes = [
-        (vocab.bos_id,) + span
-        for span in _sample_spans(sequence[:half], config.probe_length,
-                                  config.probe_count, rng, "probes")
-    ]
+    probes = _probes(sequence, vocab, config, rng)
     prompts = [
         (vocab.bos_id,) + span
         for span in _sample_spans(sequence[half:], config.prompt_length,
@@ -312,16 +319,40 @@ def build_models(config: ExperimentConfig):
     return vocab, target, draft_base, held
 
 
+def in_domain_probes(config: ExperimentConfig, vocab: Vocabulary, held) -> list[tuple[int, ...]]:
+    """The in-domain probe contexts that :func:`run_matrix` samples from
+    the held-out tokens ``held``: the first draw of ``config.seed``'s
+    generator, since the in-domain samples are drawn first."""
+    return _probes(held, vocab, config, np.random.default_rng(config.seed))
+
+
+def cell_policies(config: ExperimentConfig, draft, target, probes) -> dict[tuple, BranchPolicy]:
+    """The policy of each (tau, branch, depth, budget) cell of the config's
+    grid for ``draft``, in cell order.
+
+    Each carries the acceptance vector that :func:`estimate_acceptance`
+    measures for ``draft`` against ``target`` on ``probes`` (the in-domain
+    probes) over the widest fan of ``branch_grid``, and the config's cost
+    model, so trees rank nodes by expected acceptance and draft only what
+    pays. The vector is measured once per call.
+    """
+    acceptance = estimate_acceptance(draft, target, probes, max(config.branch_grid))
+    cost = config.cost_model
+    cells = sorted(
+        set(product(config.tau_grid, config.branch_grid, config.depth_grid, config.budget_grid))
+    )
+    return {cell: BranchPolicy(*cell, acceptance, cost) for cell in cells}
+
+
 def run_matrix(config: ExperimentConfig) -> list[RunRecord]:
     """Execute every (domain, lambda, policy) cell of the experiment grid.
 
     Each cell decodes the identical prompt set speculatively and via the
     greedy baseline; any divergence raises :class:`LosslessnessError`
-    (never skipped). Every cell's policy, chains included, carries the
-    lambda's acceptance vector, measured once on the in-domain probes with
-    :func:`estimate_acceptance` over the widest fan of ``branch_grid``, and
-    the config's cost model, so trees rank nodes by expected acceptance and
-    draft only what pays. Records come back sorted by cell key.
+    (never skipped). Every cell's policy, chains included, comes from
+    :func:`cell_policies`, with the lambda's acceptance vector measured once
+    on the in-domain probes; the out-of-domain cells reuse it. Records come
+    back sorted by cell key.
     """
     vocab, target, draft_base, held = build_models(config)
     rng = np.random.default_rng(config.seed)
@@ -342,18 +373,14 @@ def run_matrix(config: ExperimentConfig) -> list[RunRecord]:
     }
 
     lambdas = sorted(set(config.lambda_grid))
-    policies = sorted(
-        set(product(config.tau_grid, config.branch_grid, config.depth_grid, config.budget_grid))
-    )
     cost = config.cost_model
 
     # One draft per lambda serves every domain, so its row table fills once.
     drafts = {lam: distill_interpolate(target, draft_base, lam) for lam in lambdas}
     # One acceptance vector per lambda, from the in-domain probes; the OOD
     # cells reuse it, so every domain runs the same policies.
-    width = max(config.branch_grid)
-    acceptance = {
-        lam: estimate_acceptance(drafts[lam], target, samples["in"][0], width) for lam in lambdas
+    policies = {
+        lam: cell_policies(config, drafts[lam], target, samples["in"][0]) for lam in lambdas
     }
     records: list[RunRecord] = []
     for domain in sorted(samples):
@@ -361,8 +388,7 @@ def run_matrix(config: ExperimentConfig) -> list[RunRecord]:
         for lam in lambdas:
             draft = drafts[lam]
             kl = estimate_kl(draft, target, probes, config.kl_direction)
-            for tau, branch, depth, budget in policies:
-                policy = BranchPolicy(tau, branch, depth, budget, acceptance[lam], cost)
+            for (tau, branch, depth, budget), policy in policies[lam].items():
                 started = time.perf_counter()
                 per_prompt = []
                 for prompt in prompts:

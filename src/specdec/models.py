@@ -161,8 +161,8 @@ class LanguageModel(ABC):
 
     Implementations must be pure: identical contexts yield bit-identical
     distributions, and instances are immutable after construction (safe to
-    query from multiple threads), apart from the row table ``_table`` and
-    the tail index ``_tails`` that :func:`next_distribution` fills.
+    query from multiple threads), apart from the row table ``_table`` that
+    :func:`next_distribution` fills.
 
     ``context_window`` is the number of trailing context tokens the rows
     depend on: two contexts that end in the same ``context_window`` tokens
@@ -170,16 +170,20 @@ class LanguageModel(ABC):
     the whole context. A plug-in declares a window by setting the attribute
     on its class or instance; it must not change after construction.
 
-    ``_tails`` is None, or a dict that :func:`next_distribution` fills with
-    the table's rows keyed by each context's last ``context_window`` tokens
-    (all of a shorter context). Only a model that keeps a table and a
-    window may have one; :class:`InterpolatedModel` opts in where its own
-    keys cost more than the tail.
+    ``_table`` is None, the default, for a model that keeps no row table.
+    A model with finitely many rows keeps one dict instead, which
+    :func:`next_distribution` fills: each row is filed under its row key
+    (:meth:`_row_key`) and under the *tail* of each context it was served
+    for, the context's last ``context_window`` tokens (all of a shorter
+    context); a model without a window files its keys alone. A key must
+    therefore never equal a tail unless both name the same row: an
+    n-gram's key is its tail or ``()``, and a blend's key is a pair of
+    keys.
     """
 
     vocab: Vocabulary
     context_window: int | None = None
-    _tails: dict[Context, Row] | None = None
+    _table: dict[Hashable, Row] | None = None
 
     @abstractmethod
     def distribution(self, ctx: Context) -> np.ndarray:
@@ -193,7 +197,7 @@ class LanguageModel(ABC):
 
     def _row_key(self, ctx: Context) -> Hashable | None:
         """Key of the row after ``ctx`` in the model's row table ``_table``,
-        or None if the model keeps no table.
+        or None if the row is not to be filed.
 
         A model with finitely many rows keeps ``_table = {}`` and returns
         finitely many keys, which two contexts share only if their rows are
@@ -218,34 +222,40 @@ def next_distribution(model: LanguageModel, ctx: Context) -> Row:
     The row comes back as a :class:`~specdec.dists.Row` from
     :func:`~specdec.dists.check_row`: converted to float64, checked (one
     entry per token id, none negative, mass 1, also under ``python -O``),
-    and carrying its greedy token, entropy and proposal fan. A built-in
-    model keeps one table entry per distinct row, filled on first use, so
-    each of its rows is checked once in the model's lifetime, and ranked
-    at its first fan read and again only for a wider fan. A plug-in model's
-    row, fan included, is made on every call. The check here is the only
-    one, so the :mod:`specdec.dists` math that follows trusts the row.
+    and carrying its greedy token, entropy and proposal fan. A plug-in
+    model's row, fan included, is made on every call. The check here is
+    the only one, so the :mod:`specdec.dists` math that follows trusts the
+    row.
 
-    A model with a tail index (``_tails``) is probed there first, with one
-    slice and one dict lookup; on a miss the table path runs and the row is
-    filed under the tail as well, so the index only ever holds table rows.
+    A model with a row table and a window serves a row with one slice and
+    one dict probe: its table is probed by the context's tail first. Only
+    on a miss does the row key run; the row found or made under the key is
+    then filed under the tail as well. So each distinct row is checked once in
+    the model's lifetime, and ranked at its first fan read and again only
+    for a wider fan. A row whose key is None (a blend with a plug-in side)
+    is made on every call and filed nowhere.
     """
     if ctx[-1] == model.vocab.eos_id:
         raise InputError("context already ends in eos; nothing to predict")
-    tails = model._tails
-    if tails is not None:
-        window = model.context_window
-        tail = ctx[len(ctx) - window:] if len(ctx) > window else ctx
-        row = tails.get(tail)
-        if row is not None:
-            return row
+    table = model._table
+    if table is None:
+        return check_row(model.distribution(ctx), model.vocab.size)
+    window = model.context_window
+    if window:
+        tail = ctx[-window:]
+    else:  # one row for a window of 0; None, never filed, without a window
+        tail = () if window == 0 else None
+    row = table.get(tail)
+    if row is not None:
+        return row
     key = model._row_key(ctx)
     if key is None:
         return check_row(model.distribution(ctx), model.vocab.size)
-    row = model._table.get(key)
+    row = table.get(key)
     if row is None:
-        row = model._table[key] = check_row(model.distribution(ctx), model.vocab.size)
-    if tails is not None:
-        tails[tail] = row
+        row = table[key] = check_row(model.distribution(ctx), model.vocab.size)
+    if tail is not None:
+        table[tail] = row
     return row
 
 
@@ -370,17 +380,13 @@ class InterpolatedModel(LanguageModel):
     monotonically towards zero. Stands in for distillation strength.
 
     At lam=0 or 1 the rows are one model's rows, so the blend shares that
-    model's keys and row table. In between, when both models keep row
-    tables, :func:`next_distribution` keeps the checked blends in a table
-    with one entry per (target row, base row) pair, filled on first use. A
-    plug-in on either side has no row keys, so the blend is made and
-    checked on every call and the table stays empty.
-
-    Such a table's key is a pair of both sides' keys, which costs two key
-    lookups and a tuple per call. So a blend with 0 < lam < 1 over two
-    tabled models also keeps a tail index (see :class:`LanguageModel`): a
-    row is found by the context's last ``context_window`` tokens alone. At
-    lam=0 or 1 the blend shares its source's index, None for an n-gram.
+    model's keys, window and row table (None for a plug-in). In between,
+    :func:`next_distribution` keeps the checked blends in the blend's own
+    table, filed under a pair of both sides' keys and under each context's
+    tail (see :class:`LanguageModel`), so a served row costs one slice and
+    one probe, not two key lookups and a tuple. A plug-in on either side
+    has no row keys, so the blend is made and checked on every call and
+    its table stays empty.
 
     The blend's ``context_window`` is its source's at lam=0 or 1; in between
     it is the larger of its sides' windows, or None if either side reads
@@ -398,14 +404,13 @@ class InterpolatedModel(LanguageModel):
         self.lam = float(lam)
         #: The model whose rows an endpoint copies bit for bit, else None.
         self._source = {0.0: draft_base, 1.0: target}.get(self.lam)
-        self._table: dict[Hashable, Row] = getattr(self._source, "_table", {})
         if self._source is not None:
+            self._table = self._source._table
             self.context_window = self._source.context_window
-            self._tails = self._source._tails
-        elif None not in (target.context_window, draft_base.context_window):
-            self.context_window = max(target.context_window, draft_base.context_window)
-            if _keyed(target) and _keyed(draft_base):
-                self._tails = {}
+        else:
+            self._table = {}
+            if None not in (target.context_window, draft_base.context_window):
+                self.context_window = max(target.context_window, draft_base.context_window)
 
     def distribution(self, ctx: Context) -> np.ndarray:
         if self._source is not None:
@@ -421,16 +426,6 @@ class InterpolatedModel(LanguageModel):
         target = self.target._row_key(ctx)
         base = self.draft_base._row_key(ctx)
         return None if target is None or base is None else (target, base)
-
-
-def _keyed(model: LanguageModel) -> bool:
-    """Whether ``model`` keeps a row table and every one of its rows has a
-    key in it: true for n-grams and constants, and for a blend whose
-    sources are all keyed; false for a plug-in."""
-    if isinstance(model, InterpolatedModel):
-        sources = [model._source] if model._source is not None else [model.target, model.draft_base]
-        return all(map(_keyed, sources))
-    return isinstance(model, (NGramModel, ConstantModel))
 
 
 def distill_interpolate(

@@ -56,7 +56,8 @@ class BranchPolicy:
 
     entropy_threshold: nats; below it a node extends top-1, at or above it
         the top ``max_branch`` tokens are expanded. ``math.inf`` (or
-        ``max_branch=1``) degenerates to classic chain speculation.
+        ``max_branch=1``, or a ``fan_width`` of at most 1) degenerates to
+        classic chain speculation.
     node_budget: global cap on non-root nodes in a tree.
     acceptance: optional per-rank acceptance vector, as
         :func:`~specdec.metrics.estimate_acceptance` measures it: entry r is
@@ -81,6 +82,11 @@ class BranchPolicy:
     log_rates, log_floor: ``math.log`` of the rates and of the floor, which
         expansion compares with sums of log rates; None and ``-inf``
         without a vector.
+    fan_width: the widest fan expansion reads: the number of leading ranks,
+        at most ``max_branch``, whose log rate reaches ``log_floor``, the
+        comparison expansion makes. A node's score never exceeds its rate's
+        log, so a later rank could never attach. ``max_branch`` without a
+        vector. At most 1, the policy drafts a chain.
     """
 
     entropy_threshold: float
@@ -92,6 +98,7 @@ class BranchPolicy:
     floor: float = field(init=False, repr=False, compare=False)
     log_rates: tuple[float, ...] | None = field(init=False, repr=False, compare=False)
     log_floor: float = field(init=False, repr=False, compare=False)
+    fan_width: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.entropy_threshold >= 0:  # NaN fails this test too
@@ -106,7 +113,9 @@ class BranchPolicy:
             raise InputError(
                 f"max_branch={self.max_branch} exceeds node_budget={self.node_budget}"
             )
-        derived = {"floor": 0.0, "log_rates": None, "log_floor": -math.inf}
+        derived = {
+            "floor": 0.0, "log_rates": None, "log_floor": -math.inf, "fan_width": self.max_branch,
+        }
         if (self.acceptance is None) != (self.cost is None):
             raise InputError("an acceptance vector and a cost model come together")
         if self.acceptance is not None:
@@ -120,11 +129,17 @@ class BranchPolicy:
             if any(a < b for a, b in zip(rates, rates[1:])):
                 raise InputError(f"acceptance rates must be non-increasing, got {rates}")
             floor = self.cost.draft_cost * _best_chain_speedup(rates[0], self.cost, self.max_depth)
+            log_rates = tuple(map(math.log, rates))
+            log_floor = math.log(floor) if floor > 0 else -math.inf
+            fan_width = 0
+            while fan_width < self.max_branch and log_rates[fan_width] >= log_floor:
+                fan_width += 1
             derived = {
                 "acceptance": rates,
                 "floor": floor,
-                "log_rates": tuple(map(math.log, rates)),
-                "log_floor": math.log(floor) if floor > 0 else -math.inf,
+                "log_rates": log_rates,
+                "log_floor": log_floor,
+                "fan_width": fan_width,
             }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -269,40 +284,45 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     attached node; branch width follows the draft's entropy there, and the
     proposals are the row's kept fan for that width (:meth:`Row.fan
     <specdec.dists.Row.fan>`): the ranked ids and their log-probabilities,
-    read once per row, not once per proposal. A chain policy
-    (``max_branch=1`` or an infinite threshold) has width 1 whatever the
-    entropy, so it never reads it. Proposals wait on a heap, best score
-    first with :func:`_rank_key`'s tiebreaks, and the best one is attached
-    next; only an attached node reads its draft probability. EOS nodes and
-    nodes at ``policy.max_depth`` are kept but never queried, so a verified
-    EOS can end decoding. At most ``node_budget`` draft queries are made. A
-    node's own context is built only when the node is queried.
+    read once per row, not once per proposal. A fan is never wider than
+    ``policy.fan_width``, the ranks that can clear the floor. A chain
+    policy (``fan_width <= 1`` or an infinite threshold) has width 1
+    whatever the entropy, so it never reads it. Proposals wait on a heap,
+    best score first with :func:`_rank_key`'s tiebreaks, and the best one
+    is attached next; only an attached node reads its draft probability.
+    EOS nodes and nodes at ``policy.max_depth`` are kept but never queried,
+    so a verified EOS can end decoding. At most ``node_budget`` draft
+    queries are made. A node's own context is built only when the node is
+    queried.
 
     A node's *score* is what it ranks by: its cumulative draft log-prob
     without a vector, or with ``policy.acceptance`` the sum of
     ``policy.log_rates`` over the fan ranks on its root path, the log of
     its expected acceptance. Its ``cum_logprob`` is the draft log-prob
-    either way; with a vector the loop files scores and a last pass swaps
-    in the log-probs. With a vector two rules make the tree draft only what
-    pays: a node attaches only if its score is at least
-    ``policy.log_floor``, and a node, the root included, is queried only if
-    its best child, rank 0, would reach the floor, which the rate of rank 0
-    tells before the draft call. So rank 0 of a query always clears the
-    floor, and a later rank is pushed only if it does; the ranks after one
-    that fails never can, and are never pushed. Without a vector the floor
-    is ``-inf`` and neither rule costs a comparison per node.
+    either way, filed when the node attaches: the score without a vector,
+    its parent's ``cum_logprob`` plus the log of its draft probability with
+    one. With a vector two rules make the tree draft only what pays: a node
+    attaches only if its score is at least ``policy.log_floor``, and a
+    node, the root included, is queried only if its best child, rank 0,
+    would reach the floor, which the rate of rank 0 tells before the draft
+    call. So rank 0 of a query always clears the floor, and a later rank is
+    pushed only if it does; the ranks after one that fails never can, and
+    are never pushed. Without a vector the floor is ``-inf`` and neither
+    rule costs a comparison per node.
 
     It is one loop, and the heap holds a node's next proposal, not its whole
-    fan. A query makes one *cursor* for the queried node: its fan ids and
-    their number, the scores of the fan's ranks, the node's score, id, row
-    and context, the base of its children's path codes and its next
-    unpushed rank. It hands rank 0 to ``heapq.heappushpop``, which returns
-    it without touching the heap when it is the best proposal left, as it
-    always is in a chain. Attaching a node pushes the next rank of its
-    parent's cursor, since a sibling's key is never below the key of the
-    one ranked above it: fan log-probs and rates are both non-increasing.
-    Nodes are filed into the tree directly, with ids 1, 2, ... in attach
-    order.
+    fan. A query whose fan is one token wide and whose proposal sorts
+    before the heap's best (or meets an empty heap) attaches that token at
+    once, with no heap entry; in a chain every query does. Any other query
+    makes one *cursor* for the queried node: its fan ids and their number,
+    the scores of the fan's ranks, the node's score, id, row and context,
+    the base of its children's path codes and its next unpushed rank. It
+    hands rank 0 to ``heapq.heappushpop``, which returns it without
+    touching the heap when it is the best proposal left. Attaching a node
+    pushes the next rank of its parent's cursor, since a sibling's key is
+    never below the key of the one ranked above it: fan log-probs and rates
+    are both non-increasing. Nodes are filed into the tree directly, with
+    ids 1, 2, ... in attach order.
 
     Siblings may attach out of rank order only inside a *tie run*: ranks
     whose keys ``-(score + rank score)`` are exactly equal, where the lower
@@ -325,52 +345,58 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     tree = SpecTree(validate_context(draft.vocab, ctx))
     nodes, children = tree.nodes, tree.children
     eos = draft.vocab.eos_id
-    threshold, max_branch = policy.entropy_threshold, policy.max_branch
+    threshold, max_branch, fan_width = policy.entropy_threshold, policy.max_branch, policy.fan_width
     budget, max_depth = policy.node_budget, policy.max_depth
-    chain = max_branch == 1 or threshold == math.inf
+    chain = fan_width <= 1 or threshold == math.inf
     # With a vector, a node is queried only if its rank 0 would reach the
     # floor, and a later rank is pushed only if it does.
     rates, neg_floor = policy.log_rates, -policy.log_floor
     heap: list = []
-    push, pushpop, pop = heapq.heappush, heapq.heappushpop, heapq.heappop
+    push, pushpop, pop, log = heapq.heappush, heapq.heappushpop, heapq.heappop, math.log
     tied: list[int] = []  # parents whose children may attach out of rank order
-    # The node to query: its id, depth, score, context and path code; starts
-    # at the root.
-    query, node_id, depth, score, node_ctx, code = True, ROOT_ID, 0, 0.0, tree.context, 0
+    # The node to query, the parent of its proposals: its id, depth, score,
+    # context and path code; starts at the root.
+    query, parent, depth, score, node_ctx, code = True, ROOT_ID, 0, 0.0, tree.context, 0
     queries = count = 0
     while True:
         if query and (not rates or -(score + rates[0]) <= neg_floor):
             row = next_distribution(draft, node_ctx)
             queries += 1
             # top_tokens(row, branch_width(row, policy)) with their log-probs.
-            ids, keys = row.fan(1 if chain or row.entropy < threshold else max_branch)
+            ids, keys = row.fan(1 if chain or row.entropy < threshold else fan_width)
             if rates:
                 keys = rates
             width = len(ids)
             depth += 1
             code *= max_branch
-            # The cursor: fan ids, width and rank scores, the node's score,
-            # id, row and context, its children's code base and the next
-            # unpushed rank.
-            cursor = [ids, width, keys, score, node_id, row, node_ctx, code, 1]
-            neg_key = -(score + keys[0])
-            if width > 1 and -(score + keys[1]) == neg_key:
-                _push_ties(heap, cursor, depth, neg_key)
-                tied.append(node_id)
-            entry = pushpop(heap, (neg_key, depth, ids[0], code, cursor))
+            neg_key, token = -(score + keys[0]), ids[0]
+            if width == 1 and (not heap or (neg_key, depth, token, code) < heap[0]):
+                rank = 1  # the queried node's only child; no sibling to push
+            else:
+                # The cursor: fan ids, width and rank scores, the node's
+                # score, id, row and context, its children's code base and
+                # the next unpushed rank.
+                cursor = [ids, width, keys, score, parent, row, node_ctx, code, 1]
+                if width > 1 and -(score + keys[1]) == neg_key:
+                    _push_ties(heap, cursor, depth, neg_key)
+                    tied.append(parent)
+                neg_key, depth, token, code, cursor = pushpop(
+                    heap, (neg_key, depth, token, code, cursor))
+                ids, width, keys, score, parent, row, node_ctx, base, rank = cursor
         elif heap:
-            entry = pop(heap)
+            neg_key, depth, token, code, cursor = pop(heap)
+            ids, width, keys, score, parent, row, node_ctx, base, rank = cursor
         else:
             break
-        neg_key, depth, token, code, cursor = entry
-        ids, width, keys, score, parent, row, node_ctx, base, rank = cursor
         # Fan ids of a checked row are distinct and in range, and the key
         # holds the child's score, which is its cumulative log-prob when
         # there is no vector: no add_child checks.
         count += 1
-        nodes[count] = _new_node(
-            SpecNode, (count, token, parent, depth, row.item(token), -neg_key)
-        )
+        prob = row.item(token)
+        nodes[count] = _new_node(SpecNode, (
+            count, token, parent, depth, prob,
+            nodes[parent][5] + log(prob) if rates else -neg_key,
+        ))
         children[count] = []
         children[parent].append(count)
         if count == budget:
@@ -385,17 +411,9 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
                     tied.append(parent)
         query = token != eos and depth < max_depth
         if query:
-            node_id, score, node_ctx = count, -neg_key, node_ctx + (token,)
+            parent, score, node_ctx = count, -neg_key, node_ctx + (token,)
     tree._next_id = count + 1
     tree.draft_queries = queries
-    if rates:
-        # The loop filed each node's score; keep its draft log-prob instead.
-        # Parents attach before their children, so theirs is already set.
-        for i in range(1, count + 1):
-            _, token, parent, depth, prob, _ = nodes[i]
-            nodes[i] = _new_node(
-                SpecNode, (i, token, parent, depth, prob, nodes[parent][5] + math.log(prob))
-            )
     for parent in tied:
         children[parent].sort(key=lambda c: (-nodes[c].draft_prob, nodes[c].token))
     return tree

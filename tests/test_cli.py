@@ -93,6 +93,45 @@ def test_decode_prints_tokens_and_stats(capsys, config_file):
     assert "draft_calls=" in out
 
 
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demo" / "bench.cfg"
+
+
+@pytest.fixture(scope="module")
+def demo_cells():
+    """The demo matrix's (draft, target, policy) by (lambda, tau, branch,
+    depth, budget), as run_matrix hands them to speculative_decode."""
+    original, cells = harness.speculative_decode, {}
+
+    def record(draft, target, prompt, max_tokens, policy):
+        cell = (draft.lam, policy.entropy_threshold, policy.max_branch, policy.max_depth,
+                policy.node_budget)
+        cells[cell] = draft, target, policy
+        return original(draft, target, prompt, max_tokens, policy)
+
+    harness.speculative_decode = record
+    try:
+        harness.run_matrix(ExperimentConfig.from_file(DEMO_CONFIG))
+    finally:
+        harness.speculative_decode = original
+    return cells
+
+
+@pytest.mark.parametrize("lam", ["0", "0.5", "1"])
+def test_decode_drafts_as_the_matching_bench_cell_does(capsys, demo_cells, lam):
+    """decode runs the bench cell of each grid's first value: for a lambda
+    of the grid it reports the draft calls that speculative_decode reports
+    for its prompt under that cell's policy."""
+    config = ExperimentConfig.from_file(DEMO_CONFIG)
+    draft, target, policy = demo_cells[float(lam), 0.35, 1, 4, 8]
+    assert policy.acceptance is not None
+    prompt = (target.vocab.bos_id,) + target.vocab.encode("the cat")
+    _, stats = harness.speculative_decode(draft, target, prompt, config.max_tokens, policy)
+    assert main(["decode", "--config", str(DEMO_CONFIG), "--lambda", lam, "the cat"]) == 0
+    out = capsys.readouterr().out
+    assert f" draft_calls={stats.draft_calls} " in out
+    assert f"cycles={stats.cycles} " in out
+
+
 def test_decode_rejects_bad_lambda_and_unknown_chars(config_file):
     assert main(["decode", "--config", str(config_file), "--lambda", "1.5", "the"]) == 1
     assert main(["decode", "--config", str(config_file), "--lambda", "0.5", "zzzz#"]) == 1

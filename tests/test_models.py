@@ -343,6 +343,18 @@ def _demo_models():
     return vocab, corpus, draft, target
 
 
+def _distinct_rows(model) -> int:
+    """How many distinct row objects ``model``'s table holds, after checking
+    that each row filed under a context tail (a tuple of token ids) is the
+    object filed under that tail's row key: one table entry per row key and
+    per tail, one row object per key."""
+    table = model._table
+    for entry, row in table.items():
+        if all(type(t) is int for t in entry):  # a blend's keys hold keys, not ids
+            assert row is table[model._row_key(entry)]
+    return len({id(row) for row in table.values()})
+
+
 def test_each_model_row_is_checked_exactly_once(monkeypatch):
     """Each distinct table row is checked once per model lifetime, on first
     use; a plug-in model's row is checked on every call."""
@@ -359,7 +371,7 @@ def test_each_model_row_is_checked_exactly_once(monkeypatch):
 
     tokens, stats = speculative_decode(draft, target, prompt, 24, BranchPolicy(0.5, 3, 4, 8))
     assert stats.draft_calls > 0 and stats.target_contexts_scored > 0
-    assert len(checks) == len(draft._table) + len(target._table)
+    assert len(checks) == _distinct_rows(draft) + _distinct_rows(target)
     assert len(checks) < stats.draft_calls + stats.target_contexts_scored
 
     checks.clear()
@@ -368,7 +380,7 @@ def test_each_model_row_is_checked_exactly_once(monkeypatch):
 
     vocab, corpus, draft, target = _demo_models()
     assert greedy_decode(target, prompt, 24) == tokens
-    assert len(checks) == len(target._table) <= len(tokens)
+    assert len(checks) == _distinct_rows(target) <= len(tokens)
     checks.clear()
     assert greedy_decode(target, prompt, 24) == tokens
     assert checks == []
@@ -376,7 +388,7 @@ def test_each_model_row_is_checked_exactly_once(monkeypatch):
     vocab, corpus, draft, target = _demo_models()
     probes = [(vocab.bos_id,) + corpus[i:i + 4] for i in range(0, 40, 8)]
     estimate_kl(draft, target, probes)
-    assert len(checks) == len(draft._table) + len(target._table) <= 2 * len(probes)
+    assert len(checks) == _distinct_rows(draft) + _distinct_rows(target) <= 2 * len(probes)
     checks.clear()
     estimate_kl(draft, target, probes)
     assert checks == []
@@ -402,7 +414,7 @@ def test_a_constant_model_checks_its_one_row_once(monkeypatch):
     assert tokens == greedy_decode(target, prompt, 24)
     assert stats.draft_calls > 1
     assert list(draft._table) == [()]
-    assert len(checks) == 1 + len(target._table)
+    assert len(checks) == 1 + _distinct_rows(target)
 
 
 _OPTIMIZED_SCRIPT = """
@@ -588,7 +600,7 @@ def test_a_plug_in_base_does_not_grow_the_blend_table():
     assert len(draft._table) == 0
     for i in range(10_000):
         next_distribution(target, contexts[i % len(contexts)])
-    assert 0 < len(target._table) <= len(target._context_counts) + 1  # one per distinct row
+    assert 0 < _distinct_rows(target) <= len(target._context_counts) + 1  # one per distinct row
 
     # An endpoint blend serves the rows of the model it copies, from that
     # model's table: a unigram base has one row.
@@ -699,14 +711,15 @@ _BLEND_SIDES = {
 )
 def test_a_blend_tail_index_serves_the_row_its_table_holds(target_order, base_order, lam,
                                                            contexts):
-    """A blend's tail index files each row under the context's last
-    ``context_window`` tokens (all of a shorter context) and serves the
-    table's own row object, so each distinct row is still checked once."""
+    """A blend's table files each row under its key and under the context's
+    last ``context_window`` tokens (all of a shorter context), and serves
+    that one row object by either, so each distinct row is still checked
+    once."""
     target, base = _BLEND_SIDES[target_order], _BLEND_SIDES[base_order]
     blend = distill_interpolate(target, base, lam)
     window = blend.context_window
     assert window == max(target_order, base_order) - 1
-    assert blend._tails == {}
+    assert blend._table == {}
     tails, keys = set(), set()
     for tokens in contexts:
         full = (_WINDOWED_VOCAB.bos_id, *tokens)
@@ -716,39 +729,86 @@ def test_a_blend_tail_index_serves_the_row_its_table_holds(target_order, base_or
         # Either the whole context or the shortest one a decode passes, twice.
         for ctx in (full, _last(full, max(window, 1))) * 2:
             row = next_distribution(blend, ctx)
-            assert row is blend._tails[tail] is blend._table[key]
+            assert row is blend._table[tail] is blend._table[key]
             fresh = distill_interpolate(target, base, lam)
             assert next_distribution(fresh, ctx).tobytes() == row.tobytes()
         assert blend.distribution(full).tobytes() == row.tobytes()
-    assert set(blend._tails) == tails
-    assert set(blend._table) == keys
+    assert set(blend._table) == tails | keys
 
 
-def test_only_a_blend_of_two_tabled_models_keeps_a_tail_index():
+#: Tabled models as specs a fresh model is built from: an n-gram of order
+#: 1 to 5, a constant row, or a blend of two specs, endpoints included.
+_TABLED_SPECS = st.recursive(
+    st.one_of(st.integers(1, 5).map(lambda order: ("ngram", order)), st.just(("constant",))),
+    lambda inner: st.tuples(
+        st.just("blend"), inner, inner, st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+    max_leaves=4,
+)
+
+
+def _build_tabled(spec) -> LanguageModel:
+    """A fresh model, tables empty, from a :data:`_TABLED_SPECS` spec."""
+    vocab = _WINDOWED_VOCAB
+    if spec[0] == "ngram":
+        side = _BLEND_SIDES[spec[1]]
+        return NGramModel(vocab, side.order, side.alpha, side._context_counts,
+                          side._unigram_counts)
+    if spec[0] == "constant":
+        return ConstantModel(vocab, np.arange(1.0, vocab.size + 1) / sum(range(vocab.size + 1)))
+    return distill_interpolate(_build_tabled(spec[1]), _build_tabled(spec[2]), spec[3])
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_TABLED_SPECS, contexts=st.lists(_CONTEXT_TOKENS, min_size=1, max_size=6))
+def test_a_tabled_model_serves_its_key_row_by_tail(spec, contexts):
+    """N-grams, constants and blends of blends serve a context's row by its
+    tail: the object filed under the context's row key, bit-identical to a
+    fresh model's row, for contexts shorter than the window and unseen
+    suffixes too. The table holds only keys and tails."""
+    model = _build_tabled(spec)
+    window = model.context_window
+    entries = set()
+    for tokens in contexts:
+        full = (_WINDOWED_VOCAB.bos_id, *tokens)
+        tail, key = _last(full, window), model._row_key(full)
+        entries |= {tail, key}
+        for ctx in (_last(full, max(window, 1)), full) * 2:
+            row = next_distribution(model, ctx)
+            assert row is model._table[tail] is model._table[key]
+            assert row.tobytes() == next_distribution(_build_tabled(spec), ctx).tobytes()
+    assert set(model._table) == entries
+
+
+def test_only_rows_with_a_key_are_filed_under_their_tail():
     ngram, other = _BLEND_SIDES[3], _BLEND_SIDES[2]
     constant = _WINDOWED["constant"]
     # A plug-in that declares a window: a blend with it has one too.
     plug_in = PermutedModel(ngram)
     plug_in.context_window = ngram.context_window
-    assert ngram._tails is None and constant._tails is None and plug_in._tails is None
-    for lam in (0.0, 1.0):
-        assert distill_interpolate(ngram, other, lam)._tails is None
-        assert distill_interpolate(ngram, constant, lam)._tails is None
+    assert plug_in._table is None
+    for lam, source in ((0.0, other), (1.0, ngram)):
+        assert distill_interpolate(ngram, other, lam)._table is source._table
+    assert distill_interpolate(ngram, plug_in, 1.0)._table is ngram._table
+    assert distill_interpolate(ngram, plug_in, 0.0)._table is None
     for target, base in ((ngram, plug_in), (plug_in, ngram)):
-        for lam in (0.0, 0.5, 1.0):
-            blend = distill_interpolate(target, base, lam)
-            assert blend.context_window == ngram.context_window
-            assert blend._tails is None
-    blend = distill_interpolate(ngram, plug_in, 0.5)
-    for i in range(20):
-        ctx = (_WINDOWED_VOCAB.bos_id,) + _WINDOWED_CORPUS[i:i + 3]
-        assert next_distribution(blend, ctx) is not next_distribution(blend, ctx)
-    assert blend._table == {}
+        blend = distill_interpolate(target, base, 0.5)
+        assert blend.context_window == ngram.context_window
+        for i in range(20):
+            ctx = (_WINDOWED_VOCAB.bos_id,) + _WINDOWED_CORPUS[i:i + 3]
+            assert next_distribution(blend, ctx) is not next_distribution(blend, ctx)
+        assert blend._table == {}
 
+    # A blend of tabled models files rows, at any depth; an endpoint of a
+    # blend files into that blend's table; a blend with a plug-in anywhere
+    # under it files nothing.
     middle = distill_interpolate(ngram, constant, 0.5)
-    assert middle._tails == {}
-    # An endpoint of a blend serves that blend's rows from its index; a
-    # blend of a blend indexes only if every model under it is tabled.
-    assert distill_interpolate(middle, other, 1.0)._tails is middle._tails
-    assert distill_interpolate(middle, other, 0.5)._tails == {}
-    assert distill_interpolate(distill_interpolate(ngram, plug_in, 0.5), other, 0.5)._tails is None
+    assert distill_interpolate(middle, other, 1.0)._table is middle._table
+    outer = distill_interpolate(middle, other, 0.5)
+    untabled = distill_interpolate(distill_interpolate(ngram, plug_in, 0.5), other, 0.5)
+    ctx = (_WINDOWED_VOCAB.bos_id,) + _WINDOWED_CORPUS[:5]
+    for model in (middle, outer, untabled):
+        assert model._table == {}
+        next_distribution(model, ctx)
+    assert set(middle._table) == {ctx[-2:], middle._row_key(ctx)}
+    assert set(outer._table) == {ctx[-2:], outer._row_key(ctx)}
+    assert untabled._table == {}

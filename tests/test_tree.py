@@ -30,6 +30,7 @@ from specdec.tree import (
 from conftest import (
     TRAIN_TEXT,
     RandomTableModel,
+    TableModel,
     best_nodes,
     full_expand,
     make_vocab,
@@ -359,9 +360,8 @@ def test_a_tie_behind_an_attached_sibling_attaches_as_the_pruned_tree_does(budge
     assert render_tree(tree, draft.vocab) == render_tree(reference, draft.vocab)
 
 
-def test_expansion_pushes_one_proposal_per_query_and_attach(monkeypatch):
-    # Each query offers its rank 0 and each attach pushes one sibling, so a
-    # tie-free draft costs the heap no more than that, however wide its fans.
+def count_heap_calls(monkeypatch) -> dict[str, int]:
+    """Count heapq.heappush and heapq.heappushpop calls from here on."""
     calls = {"push": 0, "pushpop": 0}
 
     def counted(name, real):
@@ -372,12 +372,79 @@ def test_expansion_pushes_one_proposal_per_query_and_attach(monkeypatch):
 
     monkeypatch.setattr(heapq, "heappush", counted("push", heapq.heappush))
     monkeypatch.setattr(heapq, "heappushpop", counted("pushpop", heapq.heappushpop))
+    return calls
+
+
+def test_expansion_pushes_one_proposal_per_query_and_attach(monkeypatch):
+    # Each query offers its rank 0 and each attach pushes one sibling, so a
+    # tie-free draft costs the heap no more than that, however wide its fans.
+    calls = count_heap_calls(monkeypatch)
     vocab = make_vocab(6)
     tree = expand_tree(RandomTableModel(vocab, seed=3), (vocab.bos_id, 0, 1),
                        BranchPolicy(0.0, 4, 4, 8))
     assert tree.non_root_count == 8 and tree.draft_queries > 1
     assert calls["pushpop"] == tree.draft_queries
     assert calls["push"] + calls["pushpop"] <= tree.draft_queries + tree.non_root_count
+
+
+def test_one_wide_policies_never_touch_the_heap(monkeypatch):
+    # A chain, and a vector policy whose rank 1 can never clear the floor,
+    # attach each query's one proposal directly: the heap stays empty.
+    calls = count_heap_calls(monkeypatch)
+    vocab = make_vocab(6)
+    draft, ctx = RandomTableModel(vocab, seed=4), (vocab.bos_id, 0, 1)  # argmax never EOS
+    vector = BranchPolicy(0.0, 4, 4, 8, (0.9, 0.01, 0.01, 0.01), CostModel(0.05, 1.0))
+    assert vector.fan_width == 1
+    for policy in (BranchPolicy.chain(4), vector):
+        tree = expand_tree(draft, ctx, policy)
+        assert tree.draft_queries == tree.non_root_count == 4
+        reference = best_nodes(full_expand(draft, ctx, policy), policy)
+        assert render_tree(tree, vocab) == render_tree(reference, vocab)
+        assert tree.draft_queries == reference.draft_queries
+    assert calls == {"push": 0, "pushpop": 0}
+
+
+def test_a_one_wide_query_waits_behind_a_better_queued_proposal():
+    # The root fans out to 'a' (0.5) and 'b' (0.45); below 'a' the draft is
+    # peaked enough for one-wide fans, but 'aa' scores 0.5 * 0.85 < 0.45,
+    # so 'b' attaches second, and 'aa' only with a third node.
+    vocab = make_vocab(3)
+    bos = vocab.bos_id
+    draft = TableModel(vocab, {
+        (bos,): [0.5, 0.45, 0.05, 0.0, 0.0],
+        (bos, 0): [0.85, 0.15, 0.0, 0.0, 0.0],
+    }, fallback=[0.85, 0.15, 0.0, 0.0, 0.0])
+    for budget, paths in ((2, ["a", "b"]), (3, ["a", "aa", "b"])):
+        policy = BranchPolicy(0.5, 2, 2, budget)
+        tree = expand_tree(draft, (bos,), policy)
+        assert sorted(vocab.decode(tree.path_tokens(n)) for n in tree.nodes if n) == paths
+        reference = prune_tree(full_expand(draft, (bos,), policy), budget)
+        assert render_tree(tree, vocab) == render_tree(reference, vocab)
+
+
+def test_a_policy_derives_its_fan_width_from_the_floor():
+    cost = CostModel(0.05, 1.0)
+    assert BranchPolicy(0.35, 4, 3, 8).fan_width == 4
+    assert BranchPolicy.chain(3).fan_width == 1
+    # The floor is about 0.1495 (see the floor test above): ranks 0 and 1
+    # clear it, ranks 2 and 3 do not; the count stops at max_branch.
+    policy = BranchPolicy(0.35, 4, 3, 8, (0.9, 0.5, 0.1, 0.1), cost)
+    assert policy.fan_width == 2
+    assert BranchPolicy(0.35, 2, 3, 8, (0.9,) * 5, cost).fan_width == 2
+    assert BranchPolicy(0.35, 4, 3, 8, (0.01,) * 4, cost).fan_width == 0
+    assert BranchPolicy(0.35, 4, 3, 8, (0.9, 0.01, 0.01, 0.01), CostModel(0.0, 1.0)).fan_width == 4
+    # Counted in the log space expansion compares in, one ulp either side of
+    # the floor included.
+    floor = policy.floor
+    for rate in (float(np.nextafter(floor, 0.0)), floor, float(np.nextafter(floor, 1.0))):
+        near = BranchPolicy(0.35, 4, 3, 8, (0.9, rate, rate, 0.01), cost)
+        assert near.floor == floor
+        assert near.fan_width == (3 if math.log(rate) >= near.log_floor else 1)
+    # Derived, so it enters neither equality, hashing nor the repr.
+    assert "fan_width" not in repr(policy)
+    assert policy == BranchPolicy(0.35, 4, 3, 8, (0.9, 0.5, 0.1, 0.1), cost)
+    assert hash(policy) == hash((0.35, 4, 3, 8, (0.9, 0.5, 0.1, 0.1), cost))
+    assert hash(BranchPolicy.chain(3)) == hash((math.inf, 1, 3, 3, None, None))
 
 
 def test_spec_node_is_an_immutable_named_tuple():
@@ -422,13 +489,25 @@ def draft_and_context(kind: str, seed: int, n_chars: int, lam: float, prompt_len
 
 #: Acceptance vectors for the property test: none, or four non-increasing
 #: rates from a few values, so equal rates (tie runs) are common. Four 0.01
-#: rates put rank 0 below every positive floor, so the tree is empty.
+#: rates put rank 0 below every positive floor, so the tree is empty. A
+#: ("floor", rate, step) entry stands for (rate, r, r, r / 2) with r one ulp
+#: below (step -1), at (0) or above (1) the floor, so rank 1 sits just
+#: where the fan width is cut.
 ACCEPTANCE = st.one_of(
     st.none(),
     st.lists(st.sampled_from([1.0, 0.9, 0.5, 0.3, 0.3, 0.1, 0.01]), min_size=4, max_size=4)
     .map(lambda rates: tuple(sorted(rates, reverse=True))),
     st.just((0.01,) * 4),
+    st.tuples(st.just("floor"), st.sampled_from([1.0, 0.9, 0.5]), st.sampled_from([-1, 0, 1])),
 )
+
+
+def near_floor(rate: float, step: int, policy: BranchPolicy) -> tuple[float, ...]:
+    """(rate, r, r, r / 2) with r one ulp below, at or above the floor of
+    ``policy``, a policy whose rank 0 rate is ``rate``; (rate,) * 4 when no
+    such r lies in (0, rate]."""
+    r = policy.floor if step == 0 else float(np.nextafter(policy.floor, step))
+    return (rate, r, r, r / 2) if 0.0 < r / 2 and r <= rate else (rate,) * 4
 
 
 @settings(max_examples=300, deadline=None)
@@ -451,9 +530,11 @@ def test_best_first_expansion_equals_pruned_full_expansion(
 ):
     draft, ctx = draft_and_context(kind, seed, n_chars, lam, prompt_len)
     cost = None if acceptance is None else CostModel(draft_cost, 1.0)
-    policy = BranchPolicy(
-        threshold, max_branch, max_depth, max_branch + extra_budget, acceptance, cost
-    )
+    shape = (threshold, max_branch, max_depth, max_branch + extra_budget)
+    if acceptance is not None and acceptance[0] == "floor":
+        _, rate, step = acceptance
+        acceptance = near_floor(rate, step, BranchPolicy(*shape, (rate,) * 4, cost))
+    policy = BranchPolicy(*shape, acceptance, cost)
     tree = expand_tree(draft, ctx, policy)
     full = full_expand(draft, ctx, policy)
     reference = best_nodes(full, policy)

@@ -64,12 +64,18 @@ MUTANTS = (
            "return (target, base)",
            ("tests/test_models.py::test_a_plug_in_base_does_not_grow_the_blend_table",)),
     Mutant("unclamped tail slice", "models.py",
-           "tail = ctx[len(ctx) - window:] if len(ctx) > window else ctx",
-           "tail = ctx[len(ctx) - window:]",
-           ("tests/test_models.py::test_a_blend_tail_index_serves_the_row_its_table_holds",)),
+           "tail = ctx[-window:]", "tail = ctx[len(ctx) - window:]",
+           ("tests/test_models.py::test_a_blend_tail_index_serves_the_row_its_table_holds",
+            "tests/test_models.py::test_a_tabled_model_serves_its_key_row_by_tail")),
     Mutant("tail index on a blend with a plug-in side", "models.py",
-           "if _keyed(target) and _keyed(draft_base):", "if True:",
-           ("tests/test_models.py::test_only_a_blend_of_two_tabled_models_keeps_a_tail_index",)),
+           "if key is None:", "if False:",
+           ("tests/test_models.py::test_only_rows_with_a_key_are_filed_under_their_tail",)),
+    Mutant("a tail is filed without the key path", "models.py",
+           "row = table.get(key)", "row = None",
+           ("tests/test_models.py::test_each_model_row_is_checked_exactly_once",)),
+    Mutant("the greedy token is not filed", "dists.py",
+           "row._greedy_token = int(probs.argmax())", "pass",
+           ("tests/test_models.py::test_served_rows_carry_their_facts",)),
     Mutant("constant model keeps no table", "models.py",
            "def _row_key(self, ctx: Context) -> tuple[()]:",
            "def _unused(self, ctx: Context) -> tuple[()]:",
@@ -93,7 +99,16 @@ MUTANTS = (
            "context if isinstance(context, tuple) else tuple(context)", "tuple(context)",
            ("tests/test_contexts.py",)),
     Mutant("rank 0 taken without heappushpop", "tree.py",
-           "entry = pushpop(heap, (", "entry = ((",
+           "neg_key, depth, token, code, cursor = pushpop(\n                    heap, (",
+           "neg_key, depth, token, code, cursor = (\n                    (",
+           ("tests/test_tree.py",)),
+    Mutant("the one-wide shortcut ignores heap[0]", "tree.py",
+           "if width == 1 and (not heap or (neg_key, depth, token, code) < heap[0]):",
+           "if width == 1:",
+           ("tests/test_tree.py",)),
+    Mutant("fan_width counts a rank below the floor", "tree.py",
+           "while fan_width < self.max_branch and log_rates[fan_width] >= log_floor:",
+           "while fan_width < self.max_branch:",
            ("tests/test_tree.py",)),
     Mutant("expansion leaves the next free id unset", "tree.py",
            "tree._next_id = count + 1", "pass",
@@ -108,11 +123,12 @@ MUTANTS = (
            "if rank < width and -(score + keys[rank]) == neg_next:", "if False:",
            ("tests/test_tree.py",)),
     Mutant("tie-parent sort skipped", "tree.py",
-           "tied.append(parent)", "pass",
+           "_push_ties(heap, cursor, depth, neg_next)\n                    tied.append(parent)",
+           "_push_ties(heap, cursor, depth, neg_next)",
            ("tests/test_tree.py",)),
     Mutant("chain shortcut for a finite threshold", "tree.py",
-           "chain = max_branch == 1 or threshold == math.inf",
-           "chain = max_branch == 1 or threshold > 0",
+           "chain = fan_width <= 1 or threshold == math.inf",
+           "chain = fan_width <= 1 or threshold > 0",
            ("tests/test_tree.py",)),
     Mutant("acceptance vector ignored in the key", "tree.py",
            "keys = rates", "keys = keys",
@@ -128,9 +144,8 @@ MUTANTS = (
            "return tuple((h + 0.5) / (len(probes) + 1) for h in hits)",
            ("tests/test_metrics.py",)),
     Mutant("acceptance vector estimated per (domain, lambda)", "harness.py",
-           "BranchPolicy(tau, branch, depth, budget, acceptance[lam], cost)",
-           "BranchPolicy(tau, branch, depth, budget,"
-           " estimate_acceptance(draft, target, probes, width), cost)",
+           "policy in policies[lam].items():",
+           "policy in cell_policies(config, draft, target, probes).items():",
            ("tests/test_harness.py::"
             "test_demo_domains_of_one_lambda_decode_under_equal_hashable_policies",)),
     Mutant("expand_tree skips the context check", "tree.py",
