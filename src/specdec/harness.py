@@ -140,6 +140,10 @@ class ExperimentConfig:
                      "probe_count", "probe_length", "max_tokens"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be >= 1")
+        # Spans are drawn as one int64 array, which numpy caps at 2**63 - 1 bytes.
+        for name in ("prompt_count", "probe_count"):
+            if getattr(self, name) >= 2**60:
+                raise InputError(f"{name} must be below 2**60")
         if self.target_alpha < 0 or self.draft_alpha < 0:
             raise InputError("smoothing alphas must be >= 0")
         if not 0 <= self.seed < 2**64:

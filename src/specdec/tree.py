@@ -167,9 +167,8 @@ class SpecTree:
 
     Nodes keep their creation ids across pruning. Children lists keep
     creation order. In a tree :func:`expand_tree` builds, that is the
-    draft's rank order (most probable first, ties to the lower token id):
-    siblings attach in rank order except inside a tie run, and expansion
-    sorts the lists of the parents that had one.
+    draft's rank order (most probable first, ties to the lower token id),
+    since siblings attach in rank order.
     ``draft_queries`` records how many draft distribution calls expansion
     consumed, for cost accounting.
 
@@ -288,12 +287,11 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     ``policy.fan_width``, the ranks that can clear the floor. A chain
     policy (``fan_width <= 1`` or an infinite threshold) has width 1
     whatever the entropy, so it never reads it. Proposals wait on a heap,
-    best score first with :func:`_rank_key`'s tiebreaks, and the best one
-    is attached next; only an attached node reads its draft probability.
-    EOS nodes and nodes at ``policy.max_depth`` are kept but never queried,
-    so a verified EOS can end decoding. At most ``node_budget`` draft
-    queries are made. A node's own context is built only when the node is
-    queried.
+    best score first, and the best one is attached next; only an attached
+    node reads its draft probability. EOS nodes and nodes at
+    ``policy.max_depth`` are kept but never queried, so a verified EOS can
+    end decoding. At most ``node_budget`` draft queries are made. A node's
+    own context is built only when the node is queried.
 
     A node's *score* is what it ranks by: its cumulative draft log-prob
     without a vector, or with ``policy.acceptance`` the sum of
@@ -319,28 +317,25 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     the base of its children's path codes and its next unpushed rank. It
     hands rank 0 to ``heapq.heappushpop``, which returns it without
     touching the heap when it is the best proposal left. Attaching a node
-    pushes the next rank of its parent's cursor, since a sibling's key is
-    never below the key of the one ranked above it: fan log-probs and rates
-    are both non-increasing. Nodes are filed into the tree directly, with
-    ids 1, 2, ... in attach order.
+    pushes the next rank of its parent's cursor, so each cursor has at most
+    one entry on the heap. Nodes are filed into the tree directly, with ids
+    1, 2, ... in attach order.
 
-    Siblings may attach out of rank order only inside a *tie run*: ranks
-    whose keys ``-(score + rank score)`` are exactly equal, where the lower
-    token id attaches first even if its probability is lower: two log-probs
-    that only rounded equal, or two equal rates. So pushing a rank also
-    pushes every following rank with exactly its key, at a query as at a
-    successor, and only the children of a parent with a tie run are sorted
-    back into rank order.
+    Heap entries sort by ``(-score, depth, code)``, where a node's path
+    code is ``parent_code * max_branch + rank``: fans are at most
+    ``max_branch`` wide, so at one depth codes order like the draft's rank
+    paths, and like the creation ids of the full breadth-first expansion.
+    Codes are unique per depth, so the token and the cursor never take part
+    in a comparison. A sibling's key is never below the key of the one
+    ranked above it, since fan log-probs and rates are both non-increasing,
+    and its code is higher; so siblings attach in rank order, and equal
+    scores follow the draft's own ranking, never the token id.
 
     The result equals pruning the full breadth-first expansion to the
-    budget, by score and, with a vector, to the floor: a child never
-    outranks its parent, so the ``n`` best nodes always include their
-    ancestors and pop off the heap in rank order. The last tiebreak in
-    :func:`_rank_key` is the breadth-first creation id; a node's path code,
-    ``parent_code * max_branch + rank``, stands in for it, since fans are
-    at most ``max_branch`` wide, so at equal depth the codes order like the
-    sibling-rank paths and like creation ids. Codes are unique per depth,
-    so the heap never compares cursors.
+    budget, by score and, with a vector, to the floor, with
+    :func:`_rank_key`'s tiebreaks: a child never outranks its parent, so
+    the ``n`` best nodes always include their ancestors and pop off the
+    heap in that order.
     """
     tree = SpecTree(validate_context(draft.vocab, ctx))
     nodes, children = tree.nodes, tree.children
@@ -353,7 +348,6 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     rates, neg_floor = policy.log_rates, -policy.log_floor
     heap: list = []
     push, pushpop, pop, log = heapq.heappush, heapq.heappushpop, heapq.heappop, math.log
-    tied: list[int] = []  # parents whose children may attach out of rank order
     # The node to query, the parent of its proposals: its id, depth, score,
     # context and path code; starts at the root.
     query, parent, depth, score, node_ctx, code = True, ROOT_ID, 0, 0.0, tree.context, 0
@@ -370,21 +364,18 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
             depth += 1
             code *= max_branch
             neg_key, token = -(score + keys[0]), ids[0]
-            if width == 1 and (not heap or (neg_key, depth, token, code) < heap[0]):
+            if width == 1 and (not heap or (neg_key, depth, code) < heap[0]):
                 rank = 1  # the queried node's only child; no sibling to push
             else:
                 # The cursor: fan ids, width and rank scores, the node's
                 # score, id, row and context, its children's code base and
                 # the next unpushed rank.
                 cursor = [ids, width, keys, score, parent, row, node_ctx, code, 1]
-                if width > 1 and -(score + keys[1]) == neg_key:
-                    _push_ties(heap, cursor, depth, neg_key)
-                    tied.append(parent)
-                neg_key, depth, token, code, cursor = pushpop(
-                    heap, (neg_key, depth, token, code, cursor))
+                neg_key, depth, code, token, cursor = pushpop(
+                    heap, (neg_key, depth, code, token, cursor))
                 ids, width, keys, score, parent, row, node_ctx, base, rank = cursor
         elif heap:
-            neg_key, depth, token, code, cursor = pop(heap)
+            neg_key, depth, code, token, cursor = pop(heap)
             ids, width, keys, score, parent, row, node_ctx, base, rank = cursor
         else:
             break
@@ -404,45 +395,33 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
         if rank < width:
             neg_next = -(score + keys[rank])
             if neg_next <= neg_floor:
-                push(heap, (neg_next, depth, ids[rank], base + rank, cursor))
-                cursor[8] = rank = rank + 1
-                if rank < width and -(score + keys[rank]) == neg_next:
-                    _push_ties(heap, cursor, depth, neg_next)
-                    tied.append(parent)
+                push(heap, (neg_next, depth, base + rank, ids[rank], cursor))
+                cursor[8] = rank + 1
         query = token != eos and depth < max_depth
         if query:
             parent, score, node_ctx = count, -neg_key, node_ctx + (token,)
     tree._next_id = count + 1
     tree.draft_queries = queries
-    for parent in tied:
-        children[parent].sort(key=lambda c: (-nodes[c].draft_prob, nodes[c].token))
     return tree
 
 
-def _push_ties(heap: list, cursor: list, depth: int, neg_key: float) -> None:
-    """Push the cursor's ranks from its next unpushed one on while their key
-    is exactly ``neg_key``, and move its next unpushed rank past them."""
-    ids, width, keys, score, _, _, _, base, rank = cursor
-    while rank < width and -(score + keys[rank]) == neg_key:
-        heapq.heappush(heap, (neg_key, depth, ids[rank], base + rank, cursor))
-        rank += 1
-    cursor[8] = rank
-
-
-def _rank_key(node: SpecNode) -> tuple[float, int, int, int]:
-    # Highest cumulative log-prob first; ties: smaller depth, lower token id,
-    # then creation id for full determinism.
-    return (-node.cum_logprob, node.depth, node.token or 0, node.id)
+def _rank_key(node: SpecNode) -> tuple[float, int, int]:
+    # Highest cumulative log-prob first; ties: smaller depth, then creation
+    # id, which in a breadth-first tree is the draft's rank order.
+    return (-node.cum_logprob, node.depth, node.id)
 
 
 def prune_tree(tree: SpecTree, n: int) -> SpecTree:
     """Keep the n best non-root nodes by cumulative draft log-probability.
 
-    A tree that already fits is returned as it is. Every tree built with
-    :meth:`SpecTree.add_child` keeps its ancestors when cut this way: a
-    child's log-probability never exceeds its parent's, and equal scores
-    rank the shallower node first. The result is a connected subtree that
-    contains the top-ranked node; the operation is idempotent.
+    A tree that already fits is returned as it is. Equal scores rank the
+    shallower node first, then the lower id: in a tree built breadth-first
+    with :meth:`SpecTree.add_child` in each parent's rank order, ids at one
+    depth follow the draft's rank paths, the order :func:`expand_tree`
+    attaches in. Every tree built with ``add_child`` keeps its ancestors
+    when cut this way, since a child's log-probability never exceeds its
+    parent's. The result is a connected subtree that contains the
+    top-ranked node; the operation is idempotent.
     """
     if n < 1:
         raise InputError(f"prune budget must be >= 1, got {n}")

@@ -161,8 +161,9 @@ def full_expand(draft: LanguageModel, ctx, policy) -> SpecTree:
 def best_nodes(full: SpecTree, policy) -> SpecTree:
     """The tree best-first expansion must build, cut from ``full =
     full_expand(...)``: the nodes whose score reaches the floor, then the
-    ``policy.node_budget`` best of them by (-score, depth, token, creation
-    id), as :func:`prune_tree` ranks by cumulative log-probability.
+    ``policy.node_budget`` best of them by (-score, depth, creation id), as
+    :func:`prune_tree` ranks by cumulative log-probability. At one depth
+    the breadth-first creation ids follow the draft's rank paths.
 
     Its ``draft_queries`` is what that expansion spends: one query for each
     of the root and the kept nodes that ``full`` queried, except a last
@@ -172,7 +173,7 @@ def best_nodes(full: SpecTree, policy) -> SpecTree:
     ranked = sorted(
         (node for nid, node in full.nodes.items()
          if nid != ROOT_ID and scores[nid] >= full.log_floor),
-        key=lambda node: (-scores[node.id], node.depth, node.token, node.id),
+        key=lambda node: (-scores[node.id], node.depth, node.id),
     )[:policy.node_budget]
     kept = full._replace_nodes({node.id for node in ranked})
     queried = [nid for nid in (ROOT_ID, *(node.id for node in ranked)) if nid in full.queried]

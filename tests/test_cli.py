@@ -420,6 +420,19 @@ def test_bench_nan_config_value_exits_one_naming_the_key(tmp_path, corpus_file, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["prompt_count", "probe_count"])
+def test_bench_huge_sample_count_exits_one_naming_the_key(tmp_path, corpus_file, capsys, key):
+    # numpy refuses 10**20 samples before it allocates anything, so this
+    # costs nothing even if the config check is missing.
+    config = tmp_path / "huge.cfg"
+    config.write_text(f"corpus = {corpus_file}\n{key} = {10**20}\n", encoding="utf-8")
+    code = main(["bench", "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and f"{key} must be below 2**60" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_infinite_draft_cost_exits_one_without_a_report(tmp_path, corpus_file, capsys):
     config = tmp_path / "inf.cfg"
     config.write_text(f"corpus = {corpus_file}\ndraft_cost = inf\n", encoding="utf-8")

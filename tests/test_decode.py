@@ -6,12 +6,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specdec.decode import VerificationResult, greedy_decode, speculative_decode, verify_tree
 from specdec.dists import Row
 from specdec.errors import InputError
-from specdec.models import ConstantModel, distill_interpolate, train_ngram
-from specdec.tree import ROOT_ID, BranchPolicy, SpecTree, expand_tree, prune_tree
+from specdec.metrics import CostModel
+from specdec.models import ConstantModel, LanguageModel, distill_interpolate, train_ngram
+from specdec.tree import (
+    ROOT_ID,
+    BranchPolicy,
+    SpecTree,
+    expand_tree,
+    prune_tree,
+    render_tree,
+)
 
 from conftest import (
     PermutedModel,
@@ -320,3 +330,73 @@ def test_a_chain_decode_never_reads_the_draft_entropy(monkeypatch):
         assert speculative_decode(draft, target, prompt, 24, policy)[0] == want
     with pytest.raises(AssertionError, match="Row.entropy"):
         speculative_decode(draft, target, prompt, 24, BranchPolicy(0.35, 4, 4, 8))
+
+
+class _PlugIn(LanguageModel):
+    """Serves another model's rows with no row table, declaring its window
+    only if asked to."""
+
+    def __init__(self, model: LanguageModel, windowed: bool) -> None:
+        self.vocab = model.vocab
+        self.model = model
+        self.context_window = model.context_window if windowed else None
+
+    def distribution(self, ctx):
+        return self.model.distribution(ctx)
+
+
+#: A chain, a wide tree, and vector policies whose fan width runs from 1
+#: (only rank 0 clears the floor) to max_branch.
+_POLICIES = st.one_of(
+    st.integers(1, 4).map(BranchPolicy.chain),
+    st.builds(BranchPolicy, st.sampled_from([0.0, 0.35]), st.integers(2, 4),
+              st.integers(1, 4), st.integers(4, 12)),
+    st.builds(
+        lambda tau, depth, rates, draft_cost: BranchPolicy(
+            tau, 3, depth, 8, rates, CostModel(draft_cost, 1.0)),
+        st.sampled_from([0.0, 0.35]),
+        st.integers(1, 4),
+        st.lists(st.sampled_from([1.0, 0.9, 0.5, 0.3, 0.1, 0.01]), min_size=3, max_size=3)
+        .map(lambda rates: tuple(sorted(rates, reverse=True))),
+        st.sampled_from([0.0, 0.05, 0.3]),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=st.text("abcde .", min_size=4, max_size=60),
+    orders=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    alphas=st.tuples(st.sampled_from([0.0, 0.1]), st.sampled_from([0.0, 0.5])),
+    lam=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    policy=_POLICIES,
+    start=st.integers(0, 60),
+    prompt_len=st.integers(0, 6),
+    max_tokens=st.integers(1, 16),
+)
+def test_tabled_and_plug_in_models_decode_alike(
+    text, orders, alphas, lam, policy, start, prompt_len, max_tokens,
+):
+    # The tabled pair (tail hits, key hits, a cold then a warm table) and
+    # the same rows served by plug-ins with no table, with and without a
+    # declared window, whole or as the sides of a blend (keys of None):
+    # every path must emit the same tokens, count the same stats and build
+    # the same first tree.
+    vocab, corpus = text_vocab(text)  # at least 4 tokens, enough for order 4
+    target = train_ngram(corpus, orders[0], alphas[0], vocab)
+    base = train_ngram(corpus, orders[1], alphas[1], vocab)
+    start %= len(corpus)
+    prompt = (vocab.bos_id,) + corpus[start:start + prompt_len]
+    pairs = [(distill_interpolate(target, base, lam), target)] * 2
+    for windowed in (False, True):
+        plug_target = _PlugIn(target, windowed)
+        pairs.append((_PlugIn(pairs[0][0], windowed), plug_target))
+        pairs.append((distill_interpolate(plug_target, _PlugIn(base, windowed), lam), plug_target))
+    runs = [
+        (*speculative_decode(draft, tgt, prompt, max_tokens, policy),
+         render_tree(expand_tree(draft, prompt, policy), vocab))
+        for draft, tgt in pairs
+    ]
+    assert runs[0][0] == greedy_decode(target, prompt, max_tokens)
+    for run in runs[1:]:
+        assert run == runs[0]

@@ -481,6 +481,7 @@ _BY_TYPE = {
 }
 _CONFIGS = st.fixed_dictionaries({
     name: (st.sampled_from(["target-draft", "draft-target"]) if name == "kl_direction"
+           else st.integers(1, 2**60 - 1) if name in ("prompt_count", "probe_count")
            else _BY_TYPE[kind])
     for name, kind in get_type_hints(ExperimentConfig).items()
 }).map(lambda values: ExperimentConfig(**values))

@@ -41,7 +41,7 @@ from conftest import (
 
 def rank_key(node):
     """Pruning order re-derived independently of the implementation."""
-    return (-node.cum_logprob, node.depth, node.token, node.id)
+    return (-node.cum_logprob, node.depth, node.id)
 
 
 def build_random_tree(rng, vocab_size: int = 8, max_nodes: int = 30) -> SpecTree:
@@ -329,7 +329,7 @@ def test_expansion_keeps_rank_order_when_scores_round_equal():
 @pytest.mark.parametrize("budget", range(2, 7))
 def test_a_budget_cut_between_equal_scores_keeps_the_pruned_nodes(budget):
     # Depth-2 nodes tie on score, so a cut below 6 nodes keeps the ones
-    # that depth, token and creation order rank first.
+    # that depth and then the draft's rank path order first.
     draft = one_ulp_draft()
     ctx = (draft.vocab.bos_id,)
     policy = BranchPolicy(0.0, 2, 2, budget)
@@ -341,9 +341,9 @@ def test_a_budget_cut_between_equal_scores_keeps_the_pruned_nodes(budget):
 
 def successor_tie_draft() -> ConstantModel:
     """Ranks 1 and 2 ('c', then 'b') are one ulp apart, and the lower-ranked
-    'b' has the lower id. Where their cumulative scores round equal, 'b'
-    attaches first; both wait behind rank 0 ('d'), so the tie is met when
-    a sibling is pushed after an attach, not at a query."""
+    'b' has the lower id. Where their cumulative scores round equal, 'c'
+    still attaches first, by rank; both wait behind rank 0 ('d'), so the
+    tie is met when a sibling is pushed after an attach, not at a query."""
     vocab = make_vocab(4)
     big, high = 0.4, 0.25
     low = float(np.nextafter(high, 0.0))
@@ -375,16 +375,37 @@ def count_heap_calls(monkeypatch) -> dict[str, int]:
     return calls
 
 
-def test_expansion_pushes_one_proposal_per_query_and_attach(monkeypatch):
+@pytest.mark.parametrize("kind", ["random", "uniform"])
+def test_expansion_pushes_one_proposal_per_query_and_attach(monkeypatch, kind):
     # Each query offers its rank 0 and each attach pushes one sibling, so a
-    # tie-free draft costs the heap no more than that, however wide its fans.
+    # draft costs the heap no more than that, however wide its fans; a
+    # uniform row, whose every fan rank ties, included.
     calls = count_heap_calls(monkeypatch)
     vocab = make_vocab(6)
-    tree = expand_tree(RandomTableModel(vocab, seed=3), (vocab.bos_id, 0, 1),
-                       BranchPolicy(0.0, 4, 4, 8))
+    draft = (RandomTableModel(vocab, seed=3) if kind == "random"
+             else ConstantModel(vocab, np.full(vocab.size, 1.0 / vocab.size)))
+    ctx, policy = (vocab.bos_id, 0, 1), BranchPolicy(0.0, 4, 4, 8)
+    tree = expand_tree(draft, ctx, policy)
     assert tree.non_root_count == 8 and tree.draft_queries > 1
     assert calls["pushpop"] == tree.draft_queries
     assert calls["push"] + calls["pushpop"] <= tree.draft_queries + tree.non_root_count
+    reference = best_nodes(full_expand(draft, ctx, policy), policy)
+    assert render_tree(tree, vocab) == render_tree(reference, vocab)
+
+
+def test_equal_rates_keep_the_grandchild_the_draft_ranks_first():
+    # Rates of 0.5 tie 'd' (0.4) with 'c' (0.3), and 'dd' with 'dc' and
+    # 'cd'. The third node goes to 'dd', the draft's own first choice on
+    # the first-ranked path, not to 'dc' for its lower token id.
+    vocab = make_vocab(4)
+    draft = ConstantModel(vocab, np.array([0.1, 0.2, 0.3, 0.4, 0.0, 0.0]))
+    policy = BranchPolicy(0.0, 2, 2, 3, (0.5, 0.5), CostModel(0.05, 1.0))
+    ctx = (vocab.bos_id,)
+    tree = expand_tree(draft, ctx, policy)
+    assert sorted(vocab.decode(tree.path_tokens(n)) for n in tree.nodes if n) == ["c", "d", "dd"]
+    assert [tree.nodes[c].token for c in tree.children[ROOT_ID]] == [3, 2]
+    reference = best_nodes(full_expand(draft, ctx, policy), policy)
+    assert render_tree(tree, vocab) == render_tree(reference, vocab)
 
 
 def test_one_wide_policies_never_touch_the_heap(monkeypatch):

@@ -1,11 +1,12 @@
 """Mutation runner: does each named fault in ``src/specdec`` fail a test?
 
-Each mutant replaces one exact text in one source file and names the tests
-expected to catch it. The runner copies the repository into a temporary
-directory once, applies each mutant there in turn (restoring the file
-after), runs its tests with pytest and prints caught/total. A mutant is
-caught when pytest reports failing tests (exit code 1). The working tree is
-never modified. Standard library only.
+Each mutant replaces one exact text in one source file, or several for a
+fault that spans several places, and names the tests expected to catch it.
+The runner copies the repository into a temporary directory once, applies
+each mutant there in turn (restoring the file after), runs its tests with
+pytest and prints caught/total. A mutant is caught when pytest reports
+failing tests (exit code 1). The working tree is never modified. Standard
+library only.
 
     python tools/mutants.py            # every mutant
     python tools/mutants.py NAME ...   # the named ones
@@ -34,6 +35,11 @@ class Mutant(NamedTuple):
     old: str
     new: str
     tests: tuple[str, ...]  # pytest arguments, relative to the repository root
+    more: tuple[tuple[str, str], ...] = ()  # further (old, new) edits of the same fault
+
+    @property
+    def edits(self) -> tuple[tuple[str, str], ...]:
+        return ((self.old, self.new), *self.more)
 
 
 MUTANTS = (
@@ -99,13 +105,24 @@ MUTANTS = (
            "context if isinstance(context, tuple) else tuple(context)", "tuple(context)",
            ("tests/test_contexts.py",)),
     Mutant("rank 0 taken without heappushpop", "tree.py",
-           "neg_key, depth, token, code, cursor = pushpop(\n                    heap, (",
-           "neg_key, depth, token, code, cursor = (\n                    (",
+           "neg_key, depth, code, token, cursor = pushpop(\n                    heap, (",
+           "neg_key, depth, code, token, cursor = (\n                    (",
            ("tests/test_tree.py",)),
     Mutant("the one-wide shortcut ignores heap[0]", "tree.py",
-           "if width == 1 and (not heap or (neg_key, depth, token, code) < heap[0]):",
+           "if width == 1 and (not heap or (neg_key, depth, code) < heap[0]):",
            "if width == 1:",
            ("tests/test_tree.py",)),
+    Mutant("heap orders equal keys by token before path code", "tree.py",
+           "(neg_key, depth, code) < heap[0]", "(neg_key, depth, token, code) < heap[0]",
+           ("tests/test_tree.py",),
+           more=(("depth, code, token, cursor = pushpop(\n"
+                  "                    heap, (neg_key, depth, code, token, cursor))",
+                  "depth, token, code, cursor = pushpop(\n"
+                  "                    heap, (neg_key, depth, token, code, cursor))"),
+                 ("neg_key, depth, code, token, cursor = pop(heap)",
+                  "neg_key, depth, token, code, cursor = pop(heap)"),
+                 ("(neg_next, depth, base + rank, ids[rank], cursor)",
+                  "(neg_next, depth, ids[rank], base + rank, cursor)"))),
     Mutant("fan_width counts a rank below the floor", "tree.py",
            "while fan_width < self.max_branch and log_rates[fan_width] >= log_floor:",
            "while fan_width < self.max_branch:",
@@ -113,19 +130,6 @@ MUTANTS = (
     Mutant("expansion leaves the next free id unset", "tree.py",
            "tree._next_id = count + 1", "pass",
            ("tests/test_tree.py::test_add_child_on_an_expanded_tree_takes_the_next_free_id",)),
-    Mutant("drop the child sort", "tree.py",
-           "children[parent].sort(key=lambda c: (-nodes[c].draft_prob, nodes[c].token))", "pass",
-           ("tests/test_tree.py",)),
-    Mutant("no tie run at the query", "tree.py",
-           "if width > 1 and -(score + keys[1]) == neg_key:", "if False:",
-           ("tests/test_tree.py",)),
-    Mutant("no tie run at a successor push", "tree.py",
-           "if rank < width and -(score + keys[rank]) == neg_next:", "if False:",
-           ("tests/test_tree.py",)),
-    Mutant("tie-parent sort skipped", "tree.py",
-           "_push_ties(heap, cursor, depth, neg_next)\n                    tied.append(parent)",
-           "_push_ties(heap, cursor, depth, neg_next)",
-           ("tests/test_tree.py",)),
     Mutant("chain shortcut for a finite threshold", "tree.py",
            "chain = fan_width <= 1 or threshold == math.inf",
            "chain = fan_width <= 1 or threshold > 0",
@@ -171,11 +175,14 @@ def run(mutants, copy: Path) -> int:
     caught = 0
     for m in mutants:
         path = copy / "src" / "specdec" / m.file
-        text = path.read_text(encoding="utf-8")
-        if text.count(m.old) != 1:
-            print(f"STALE     {m.name}: old text occurs {text.count(m.old)} times in {m.file}")
+        text = mutated = path.read_text(encoding="utf-8")
+        stale = [old for old, _ in m.edits if text.count(old) != 1]
+        if stale:
+            print(f"STALE     {m.name}: {stale[0]!r} does not occur exactly once in {m.file}")
             continue
-        path.write_text(text.replace(m.old, m.new), encoding="utf-8")
+        for old, new in m.edits:
+            mutated = mutated.replace(old, new)
+        path.write_text(mutated, encoding="utf-8")
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *m.tests],
