@@ -375,15 +375,9 @@ def count_heap_calls(monkeypatch) -> dict[str, int]:
     return calls
 
 
-@pytest.mark.parametrize("kind", ["random", "uniform"])
-def test_expansion_pushes_one_proposal_per_query_and_attach(monkeypatch, kind):
-    # Each query offers its rank 0 and each attach pushes one sibling, so a
-    # draft costs the heap no more than that, however wide its fans; a
-    # uniform row, whose every fan rank ties, included.
+def assert_one_push_per_query_and_attach(monkeypatch, draft):
     calls = count_heap_calls(monkeypatch)
-    vocab = make_vocab(6)
-    draft = (RandomTableModel(vocab, seed=3) if kind == "random"
-             else ConstantModel(vocab, np.full(vocab.size, 1.0 / vocab.size)))
+    vocab = draft.vocab
     ctx, policy = (vocab.bos_id, 0, 1), BranchPolicy(0.0, 4, 4, 8)
     tree = expand_tree(draft, ctx, policy)
     assert tree.non_root_count == 8 and tree.draft_queries > 1
@@ -391,6 +385,19 @@ def test_expansion_pushes_one_proposal_per_query_and_attach(monkeypatch, kind):
     assert calls["push"] + calls["pushpop"] <= tree.draft_queries + tree.non_root_count
     reference = best_nodes(full_expand(draft, ctx, policy), policy)
     assert render_tree(tree, vocab) == render_tree(reference, vocab)
+
+
+def test_expansion_pushes_one_proposal_per_query_and_attach(monkeypatch):
+    # Each query offers its rank 0 and each attach pushes one sibling, so a
+    # draft costs the heap no more than that, however wide its fans.
+    assert_one_push_per_query_and_attach(monkeypatch, RandomTableModel(make_vocab(6), seed=3))
+
+
+def test_a_uniform_draft_pushes_one_proposal_per_query_and_attach(monkeypatch):
+    # The same bound holds when every fan rank ties in a uniform row.
+    vocab = make_vocab(6)
+    draft = ConstantModel(vocab, np.full(vocab.size, 1.0 / vocab.size))
+    assert_one_push_per_query_and_attach(monkeypatch, draft)
 
 
 def test_equal_rates_keep_the_grandchild_the_draft_ranks_first():
