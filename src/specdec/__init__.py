@@ -48,11 +48,9 @@ from .tree import (
     BranchPolicy,
     SpecNode,
     SpecTree,
-    branch_width,
     expand_tree,
     prune_tree,
     render_tree,
-    top_tokens,
 )
 
 __version__ = "0.1.0"
@@ -75,7 +73,6 @@ __all__ = [
     "SpecTree",
     "VerificationResult",
     "Vocabulary",
-    "branch_width",
     "combine_stats",
     "distill_interpolate",
     "emit_report",
@@ -97,7 +94,6 @@ __all__ = [
     "save_model",
     "speculative_decode",
     "split_corpus",
-    "top_tokens",
     "train_ngram",
     "validate_context",
     "validate_distribution",

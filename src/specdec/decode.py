@@ -33,11 +33,6 @@ class VerificationResult(NamedTuple):
     bonus_token: int | None
     nodes_scored: int
 
-    @property
-    def cycle_acceptance(self) -> int:
-        """Tokens this cycle contributes: accepted plus the bonus if any."""
-        return len(self.accepted_tokens) + (1 if self.bonus_token is not None else 0)
-
 
 def _window(*models: LanguageModel) -> int | None:
     """The trailing context tokens a decode must keep for ``models``: the

@@ -77,7 +77,7 @@ class Row(np.ndarray):
     def fan(self, width: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
         """The ids and ``math.log`` probabilities of the first ``width``
         tokens with nonzero probability, by descending probability with ties
-        to the lower id, as :func:`specdec.tree.top_tokens` ranks them.
+        to the lower id.
 
         The row keeps one fan: the first read for a width makes it, a
         narrower read takes a prefix of it and a wider one replaces it.

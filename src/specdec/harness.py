@@ -81,10 +81,14 @@ def _read_corpus(path) -> str:
     return text
 
 
-def split_corpus(sequence, train_fraction: float = 0.85) -> tuple[tuple[int, ...], tuple[int, ...]]:
+#: The share of a corpus, from its start, that :func:`split_corpus` trains on.
+TRAIN_FRACTION = 0.85
+
+
+def split_corpus(sequence) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Deterministic prefix/suffix split into (training, held-out) tokens."""
     seq = tuple(sequence)
-    cut = int(len(seq) * train_fraction)
+    cut = int(len(seq) * TRAIN_FRACTION)
     return seq[:cut], seq[cut:]
 
 
@@ -276,13 +280,19 @@ def _cell_label(domain, lam, tau, branch, depth, budget) -> str:
 
 
 def _sample_spans(zone: tuple[int, ...], length: int, count: int, rng, what: str):
+    """``count`` spans of ``length`` tokens from ``zone``; ``what`` is
+    "prompt" or "probe", and ``{what}_count`` the config key ``count`` came
+    from."""
     if len(zone) < length:
         raise InputError(
-            f"corpus too small: need spans of {length} tokens for {what}, "
+            f"corpus too small: need spans of {length} tokens for {what}s, "
             f"zone has {len(zone)}"
         )
-    starts = rng.integers(0, len(zone) - length + 1, size=count)
-    return [tuple(zone[s:s + length]) for s in starts]
+    try:
+        starts = rng.integers(0, len(zone) - length + 1, size=count)
+        return [tuple(zone[s:s + length]) for s in starts]
+    except MemoryError:
+        raise InputError(f"{what}_count = {count} does not fit in memory") from None
 
 
 def _probes(
@@ -292,7 +302,7 @@ def _probes(
     return [
         (vocab.bos_id,) + span
         for span in _sample_spans(sequence[:len(sequence) // 2], config.probe_length,
-                                  config.probe_count, rng, "probes")
+                                  config.probe_count, rng, "probe")
     ]
 
 
@@ -306,7 +316,7 @@ def _domain_samples(
     prompts = [
         (vocab.bos_id,) + span
         for span in _sample_spans(sequence[half:], config.prompt_length,
-                                  config.prompt_count, rng, "prompts")
+                                  config.prompt_count, rng, "prompt")
     ]
     return probes, prompts
 

@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
+# Unused here; kept because perfbench traces entropy under this module's name.
 from .dists import entropy
 from .errors import InputError
 from .metrics import CostModel, predicted_speedup
@@ -165,10 +164,10 @@ def _best_chain_speedup(rate: float, cost: CostModel, max_depth: int) -> float:
 class SpecTree:
     """Rooted tree of speculative tokens with cumulative draft log-probs.
 
-    Nodes keep their creation ids across pruning. Children lists keep
-    creation order. In a tree :func:`expand_tree` builds, that is the
-    draft's rank order (most probable first, ties to the lower token id),
-    since siblings attach in rank order.
+    Node ids are unique within one tree: :func:`expand_tree` files them
+    1, 2, ... in attach order, and pruning keeps them. Children lists keep
+    attach order, which in a tree :func:`expand_tree` builds is the draft's
+    rank order (most probable first, ties to the lower token id).
     ``draft_queries`` records how many draft distribution calls expansion
     consumed, for cost accounting.
 
@@ -186,51 +185,16 @@ class SpecTree:
         self.nodes: dict[int, SpecNode] = {ROOT_ID: _ROOT}
         self.children: dict[int, list[int]] = {ROOT_ID: []}
         self.draft_queries = 0
-        self._next_id = 1
-
-    @property
-    def root(self) -> SpecNode:
-        return self.nodes[ROOT_ID]
 
     @property
     def non_root_count(self) -> int:
         return len(self.nodes) - 1
 
-    def add_child(self, parent_id: int, token: int, draft_prob: float) -> int:
-        """Attach a new node; returns its id."""
-        parent = self.nodes.get(parent_id)
-        if parent is None:
-            raise InputError(f"parent id {parent_id} not in tree")
-        if not 0.0 < draft_prob <= 1.0:
-            raise InputError(f"draft_prob must be in (0, 1], got {draft_prob}")
-        for sib in self.children[parent_id]:
-            if self.nodes[sib].token == token:
-                raise InputError(f"parent {parent_id} already has a child with token {token}")
-        node_id = self._next_id
-        self.nodes[node_id] = _new_node(SpecNode, (
-            node_id, int(token), parent_id, parent.depth + 1, float(draft_prob),
-            parent.cum_logprob + math.log(draft_prob),
-        ))
-        self.children[node_id] = []
-        self.children[parent_id].append(node_id)
-        self._next_id = node_id + 1
-        return node_id
-
-    def path_tokens(self, node_id: int) -> tuple[int, ...]:
-        """Tokens along the root path down to ``node_id`` (root excluded)."""
-        rev: list[int] = []
-        node = self.nodes[node_id]
-        while node.parent != -1:
-            rev.append(node.token)  # type: ignore[arg-type]
-            node = self.nodes[node.parent]
-        return tuple(reversed(rev))
-
     def _replace_nodes(self, keep: set[int]) -> "SpecTree":
         """New tree containing the root plus ``keep``, ids/order preserved."""
         out = SpecTree(self.context)
         out.draft_queries = self.draft_queries
-        out._next_id = self._next_id
-        out.nodes = {ROOT_ID: self.root}
+        out.nodes = {ROOT_ID: self.nodes[ROOT_ID]}
         out.children = {ROOT_ID: []}
         for nid in sorted(keep):
             out.nodes[nid] = self.nodes[nid]
@@ -238,40 +202,6 @@ class SpecTree:
         for nid in sorted(keep):
             out.children[self.nodes[nid].parent].append(nid)
         return out
-
-    def validate(self) -> None:
-        """Check structural invariants; raises InputError on violation."""
-        if self.root.parent != -1 or self.root.depth != 0 or self.root.cum_logprob != 0.0:
-            raise InputError("malformed root")
-        for nid, node in self.nodes.items():
-            if nid == ROOT_ID:
-                continue
-            parent = self.nodes.get(node.parent)
-            if parent is None:
-                raise InputError(f"node {nid} has missing parent {node.parent}")
-            if node.depth != parent.depth + 1:
-                raise InputError(f"node {nid} depth {node.depth} != parent depth + 1")
-            expected = parent.cum_logprob + math.log(node.draft_prob)
-            if abs(node.cum_logprob - expected) > 1e-12:
-                raise InputError(f"node {nid} cum_logprob incoherent")
-        for pid, kids in self.children.items():
-            tokens = [self.nodes[k].token for k in kids]
-            if len(set(tokens)) != len(tokens):
-                raise InputError(f"node {pid} has duplicate child tokens")
-
-
-def branch_width(dist: np.ndarray, policy: BranchPolicy) -> int:
-    """1 below the entropy threshold, else ``max_branch``; never more than
-    the number of nonzero-probability tokens."""
-    width = 1 if entropy(dist) < policy.entropy_threshold else policy.max_branch
-    return min(width, int(np.count_nonzero(dist)))
-
-
-def top_tokens(dist: np.ndarray, k: int) -> list[int]:
-    """The k highest-probability token ids; ties break to the lowest id."""
-    # Stable sort of -p keeps equal probabilities in ascending-id order.
-    order = np.argsort(-dist, kind="stable")
-    return [int(t) for t in order[:k]]
 
 
 def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
@@ -356,7 +286,8 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
         if query and (not rates or -(score + rates[0]) <= neg_floor):
             row = next_distribution(draft, node_ctx)
             queries += 1
-            # top_tokens(row, branch_width(row, policy)) with their log-probs.
+            # One token below the entropy threshold, else the policy's
+            # widest fan; the row's ranked ids with their log-probs.
             ids, keys = row.fan(1 if chain or row.entropy < threshold else fan_width)
             if rates:
                 keys = rates
@@ -381,7 +312,7 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
             break
         # Fan ids of a checked row are distinct and in range, and the key
         # holds the child's score, which is its cumulative log-prob when
-        # there is no vector: no add_child checks.
+        # there is no vector: the node needs no checks.
         count += 1
         prob = row.item(token)
         nodes[count] = _new_node(SpecNode, (
@@ -400,7 +331,6 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
         query = token != eos and depth < max_depth
         if query:
             parent, score, node_ctx = count, -neg_key, node_ctx + (token,)
-    tree._next_id = count + 1
     tree.draft_queries = queries
     return tree
 
@@ -416,9 +346,9 @@ def prune_tree(tree: SpecTree, n: int) -> SpecTree:
 
     A tree that already fits is returned as it is. Equal scores rank the
     shallower node first, then the lower id: in a tree built breadth-first
-    with :meth:`SpecTree.add_child` in each parent's rank order, ids at one
-    depth follow the draft's rank paths, the order :func:`expand_tree`
-    attaches in. Every tree built with ``add_child`` keeps its ancestors
+    in each parent's rank order, ids at one depth follow the draft's rank
+    paths, the order :func:`expand_tree` attaches in. Every tree whose
+    nodes carry coherent cumulative log-probabilities keeps its ancestors
     when cut this way, since a child's log-probability never exceeds its
     parent's. The result is a connected subtree that contains the
     top-ranked node; the operation is idempotent.

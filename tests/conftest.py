@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from specdec.dists import entropy
+from specdec.errors import InputError
 from specdec.models import (
     BOS_STRING,
     EOS_STRING,
@@ -17,7 +19,7 @@ from specdec.models import (
     Vocabulary,
     next_distribution,
 )
-from specdec.tree import ROOT_ID, SpecTree, branch_width, top_tokens
+from specdec.tree import ROOT_ID, SpecNode, SpecTree
 
 _CRITERION_RESULTS: dict[str, bool] = {}
 
@@ -119,6 +121,73 @@ class TableModel(LanguageModel):
         return self.rows.get(tuple(ctx), self.fallback)
 
 
+def add_child(tree: SpecTree, parent_id: int, token: int, draft_prob: float) -> int:
+    """Attach a checked node to ``tree`` and return its id, one above the
+    highest id in the tree."""
+    parent = tree.nodes.get(parent_id)
+    if parent is None:
+        raise InputError(f"parent id {parent_id} not in tree")
+    if not 0.0 < draft_prob <= 1.0:
+        raise InputError(f"draft_prob must be in (0, 1], got {draft_prob}")
+    for sib in tree.children[parent_id]:
+        if tree.nodes[sib].token == token:
+            raise InputError(f"parent {parent_id} already has a child with token {token}")
+    node_id = max(tree.nodes) + 1
+    tree.nodes[node_id] = SpecNode(
+        node_id, int(token), parent_id, parent.depth + 1, float(draft_prob),
+        parent.cum_logprob + math.log(draft_prob),
+    )
+    tree.children[node_id] = []
+    tree.children[parent_id].append(node_id)
+    return node_id
+
+
+def path_tokens(tree: SpecTree, node_id: int) -> tuple[int, ...]:
+    """Tokens along the root path down to ``node_id`` (root excluded)."""
+    rev: list[int] = []
+    node = tree.nodes[node_id]
+    while node.parent != -1:
+        rev.append(node.token)
+        node = tree.nodes[node.parent]
+    return tuple(reversed(rev))
+
+
+def check_tree(tree: SpecTree) -> None:
+    """Check a tree's structural invariants; raises InputError on violation."""
+    root = tree.nodes[ROOT_ID]
+    if root.parent != -1 or root.depth != 0 or root.cum_logprob != 0.0:
+        raise InputError("malformed root")
+    for nid, node in tree.nodes.items():
+        if nid == ROOT_ID:
+            continue
+        parent = tree.nodes.get(node.parent)
+        if parent is None:
+            raise InputError(f"node {nid} has missing parent {node.parent}")
+        if node.depth != parent.depth + 1:
+            raise InputError(f"node {nid} depth {node.depth} != parent depth + 1")
+        expected = parent.cum_logprob + math.log(node.draft_prob)
+        if abs(node.cum_logprob - expected) > 1e-12:
+            raise InputError(f"node {nid} cum_logprob incoherent")
+    for pid, kids in tree.children.items():
+        tokens = [tree.nodes[k].token for k in kids]
+        if len(set(tokens)) != len(tokens):
+            raise InputError(f"node {pid} has duplicate child tokens")
+
+
+def branch_width(dist: np.ndarray, policy) -> int:
+    """1 below the entropy threshold, else ``max_branch``; never more than
+    the number of nonzero-probability tokens."""
+    width = 1 if entropy(dist) < policy.entropy_threshold else policy.max_branch
+    return min(width, int(np.count_nonzero(dist)))
+
+
+def top_tokens(dist: np.ndarray, k: int) -> list[int]:
+    """The k highest-probability token ids; ties break to the lowest id."""
+    # Stable sort of -p keeps equal probabilities in ascending-id order.
+    order = np.argsort(-dist, kind="stable")
+    return [int(t) for t in order[:k]]
+
+
 def full_expand(draft: LanguageModel, ctx, policy) -> SpecTree:
     """Reference expansion: query the draft at every frontier node,
     breadth-first, up to ``policy.max_depth``, ignoring the node budget.
@@ -150,7 +219,7 @@ def full_expand(draft: LanguageModel, ctx, policy) -> SpecTree:
         tree.draft_queries += 1
         tree.queried.add(node_id)
         for rank, token in enumerate(top_tokens(dist, branch_width(dist, policy))):
-            child = tree.add_child(node_id, token, float(dist[token]))
+            child = add_child(tree, node_id, token, float(dist[token]))
             tree.scores[child] = (
                 tree.nodes[child].cum_logprob if log_rates is None else score + log_rates[rank]
             )

@@ -22,7 +22,7 @@ from specdec.metrics import estimate_kl
 from specdec.models import train_ngram, distill_interpolate
 from specdec.tree import ROOT_ID, BranchPolicy, SpecTree, expand_tree, prune_tree
 
-from conftest import RandomTableModel, TRAIN_TEXT, make_vocab, text_vocab
+from conftest import RandomTableModel, TRAIN_TEXT, check_tree, make_vocab, text_vocab
 from test_decode import walk_oracle
 from test_tree import build_random_tree, rank_key
 
@@ -149,7 +149,7 @@ def test_tree_invariant_suite():
         tree = build_random_tree(rng, vocab_size=8, max_nodes=24)
         n = int(rng.integers(1, 11))
         pruned = prune_tree(tree, n)
-        pruned.validate()  # connectivity, depth, score coherence <= 1e-12
+        check_tree(pruned)  # connectivity, depth, score coherence <= 1e-12
         assert pruned.non_root_count <= min(n, tree.non_root_count)
         best = min(
             (node for nid, node in tree.nodes.items() if nid != ROOT_ID), key=rank_key
@@ -170,9 +170,9 @@ def test_tree_invariant_suite():
         else:
             policy = BranchPolicy.chain(int(rng.integers(1, 7)))
         tree = expand_tree(draft, (vocab.bos_id,), policy)
-        tree.validate()
+        check_tree(tree)
         pruned = prune_tree(tree, policy.node_budget)
-        pruned.validate()
+        check_tree(pruned)
         assert pruned.non_root_count <= policy.node_budget
         if policy.max_branch == 1:
             for nid in tree.nodes:

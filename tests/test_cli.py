@@ -5,7 +5,11 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import resource
 import shutil
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import get_type_hints
@@ -430,6 +434,41 @@ def test_bench_huge_sample_count_exits_one_naming_the_key(tmp_path, corpus_file,
     err = capsys.readouterr().err
     assert code == 1
     assert err.count("\n") == 1 and f"{key} must be below 2**60" in err
+    assert not (tmp_path / "out").exists()
+
+
+_RUN_CLI = """
+import sys
+from specdec.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _limit_address_space():
+    # About 1.5 GB: room for the interpreter and numpy, not for 2**40 samples.
+    resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))
+
+
+@pytest.mark.parametrize("key", ["prompt_count", "probe_count"])
+def test_bench_sample_count_too_large_for_memory_exits_one_naming_the_key(
+        tmp_path, corpus_file, key):
+    # Below the 2**60 bound, so the config accepts it and the sampling
+    # allocation fails. Run only under the address-space limit.
+    config = tmp_path / "huge.cfg"
+    config.write_text(f"corpus = {corpus_file}\n{key} = {2**40}\n", encoding="utf-8")
+    src = str(Path(harness.__file__).resolve().parent.parent)
+    # One BLAS thread: per-thread buffers on a many-core host could take
+    # the address space the limit leaves.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_CLI,
+         "bench", "--config", str(config), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.count("\n") == 1 and key in proc.stderr, proc.stderr
     assert not (tmp_path / "out").exists()
 
 

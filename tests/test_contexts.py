@@ -27,7 +27,7 @@ from specdec.metrics import estimate_kl
 from specdec.models import ConstantModel, distill_interpolate, next_distribution, train_ngram
 from specdec.tree import ROOT_ID, BranchPolicy, SpecTree, expand_tree
 
-from conftest import TRAIN_TEXT, make_vocab, text_vocab
+from conftest import TRAIN_TEXT, add_child, make_vocab, text_vocab
 
 VOCAB = make_vocab(2)  # a=0, b=1, bos=2, eos=3
 BOS, EOS = VOCAB.bos_id, VOCAB.eos_id
@@ -36,7 +36,7 @@ MODEL = ConstantModel(VOCAB, [0.5, 0.3, 0.0, 0.2])
 
 def _hand_built_tree(ctx):
     spec = SpecTree(ctx)
-    spec.add_child(ROOT_ID, 0, 0.5)
+    add_child(spec, ROOT_ID, 0, 0.5)
     return spec
 
 

@@ -26,6 +26,7 @@ from specdec.tree import (
 from conftest import (
     PermutedModel,
     RandomTableModel,
+    add_child,
     full_expand,
     make_vocab,
     one_hot,
@@ -102,7 +103,7 @@ def test_verify_perfect_chain_accepts_everything():
         result = verify_tree(model, tree)
         assert list(result.accepted_tokens) == [1] * depth
         assert result.bonus_token == 1
-        assert result.cycle_acceptance == depth + 1
+        assert len(result.accepted_tokens) + (result.bonus_token is not None) == depth + 1
         assert result.nodes_scored == depth + 1
 
 
@@ -110,12 +111,12 @@ def test_verify_immediate_mismatch_bonus_only():
     vocab = make_vocab(3)
     target = ConstantModel(vocab, one_hot(vocab.size, 0))
     tree = SpecTree(context=(vocab.bos_id,))
-    tree.add_child(ROOT_ID, 1, 0.6)
-    tree.add_child(ROOT_ID, 2, 0.4)
+    add_child(tree, ROOT_ID, 1, 0.6)
+    add_child(tree, ROOT_ID, 2, 0.4)
     result = verify_tree(target, tree)
     assert result.accepted_tokens == ()
     assert result.bonus_token == 0
-    assert result.cycle_acceptance == 1
+    assert len(result.accepted_tokens) + (result.bonus_token is not None) == 1
     assert result.nodes_scored == 1
 
 
@@ -124,7 +125,8 @@ def test_verification_result_is_an_immutable_named_tuple():
     model = ConstantModel(vocab, one_hot(vocab.size, 1))
     result = verify_tree(model, expand_tree(model, (vocab.bos_id,), BranchPolicy.chain(2)))
     assert VerificationResult._fields == ("accepted_tokens", "bonus_token", "nodes_scored")
-    assert result == ((1, 1), 1, 3) and result.cycle_acceptance == 3
+    assert result == ((1, 1), 1, 3)
+    assert len(result.accepted_tokens) + (result.bonus_token is not None) == 3
     for field in VerificationResult._fields:
         with pytest.raises(AttributeError):
             setattr(result, field, 0)
@@ -134,11 +136,11 @@ def test_verify_accepted_eos_suppresses_bonus():
     vocab = make_vocab(2)
     target = ConstantModel(vocab, one_hot(vocab.size, vocab.eos_id))
     tree = SpecTree(context=(vocab.bos_id,))
-    tree.add_child(ROOT_ID, vocab.eos_id, 0.9)
+    add_child(tree, ROOT_ID, vocab.eos_id, 0.9)
     result = verify_tree(target, tree)
     assert list(result.accepted_tokens) == [vocab.eos_id]
     assert result.bonus_token is None
-    assert result.cycle_acceptance == 1
+    assert len(result.accepted_tokens) + (result.bonus_token is not None) == 1
     assert result.nodes_scored == 1
 
 

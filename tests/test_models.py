@@ -35,9 +35,9 @@ from specdec.models import (
     train_ngram,
     validate_context,
 )
-from specdec.tree import BranchPolicy, top_tokens
+from specdec.tree import BranchPolicy
 
-from conftest import TRAIN_TEXT, PermutedModel, make_vocab, mutate_json, text_vocab
+from conftest import TRAIN_TEXT, PermutedModel, make_vocab, mutate_json, text_vocab, top_tokens
 
 
 def test_vocabulary_basics():

@@ -20,22 +20,25 @@ from specdec.tree import (
     BranchPolicy,
     SpecNode,
     SpecTree,
-    branch_width,
     expand_tree,
     prune_tree,
     render_tree,
-    top_tokens,
 )
 
 from conftest import (
     TRAIN_TEXT,
     RandomTableModel,
     TableModel,
+    add_child,
     best_nodes,
+    branch_width,
+    check_tree,
     full_expand,
     make_vocab,
     one_hot,
+    path_tokens,
     text_vocab,
+    top_tokens,
 )
 
 
@@ -54,7 +57,7 @@ def build_random_tree(rng, vocab_size: int = 8, max_nodes: int = 30) -> SpecTree
             continue
         token = int(rng.choice(available))
         prob = float(rng.uniform(0.05, 1.0))
-        tree.add_child(parent, token, prob)
+        add_child(tree, parent, token, prob)
     return tree
 
 
@@ -92,15 +95,15 @@ def test_top_tokens_stable_ties():
 
 def test_add_child_validation():
     tree = SpecTree(context=(6,))
-    child = tree.add_child(ROOT_ID, 3, 0.5)
+    child = add_child(tree, ROOT_ID, 3, 0.5)
     with pytest.raises(InputError):
-        tree.add_child(99, 0, 0.5)
+        add_child(tree, 99, 0, 0.5)
     with pytest.raises(InputError):
-        tree.add_child(ROOT_ID, 3, 0.5)  # duplicate sibling token
+        add_child(tree, ROOT_ID, 3, 0.5)  # duplicate sibling token
     with pytest.raises(InputError):
-        tree.add_child(child, 0, 0.0)
+        add_child(tree, child, 0, 0.0)
     with pytest.raises(InputError):
-        tree.add_child(child, 0, 1.5)
+        add_child(tree, child, 0, 1.5)
     assert tree.nodes[child].cum_logprob == pytest.approx(math.log(0.5), abs=1e-15)
 
 
@@ -114,8 +117,8 @@ def test_add_child_on_an_expanded_tree_takes_the_next_free_id():
         taken = {tree.nodes[c].token for c in tree.children[ROOT_ID]}
         token = min(set(range(vocab.size)) - taken)
         count = tree.non_root_count
-        assert tree.add_child(ROOT_ID, token, 0.5) == count + 1
-        tree.validate()
+        assert add_child(tree, ROOT_ID, token, 0.5) == count + 1
+        check_tree(tree)
 
 
 def test_expand_one_hot_draft_yields_chain():
@@ -240,10 +243,10 @@ def test_random_trees_validate_and_prune_cleanly():
     rng = np.random.default_rng(42)
     for _ in range(300):
         tree = build_random_tree(rng)
-        tree.validate()
+        check_tree(tree)
         n = int(rng.integers(1, 12))
         pruned = prune_tree(tree, n)
-        pruned.validate()
+        check_tree(pruned)
         assert pruned.non_root_count <= min(n, tree.non_root_count)
         for nid, node in pruned.nodes.items():
             assert tree.nodes[nid] == node
@@ -257,15 +260,15 @@ def test_path_tokens_and_context_preserved_by_prune():
     pruned = prune_tree(tree, 5)
     assert pruned.context == tree.context
     for nid in pruned.nodes:
-        assert pruned.path_tokens(nid) == tree.path_tokens(nid)
+        assert path_tokens(pruned, nid) == path_tokens(tree, nid)
 
 
 def test_render_tree_golden():
     vocab = make_vocab(3)
     tree = SpecTree(context=(vocab.bos_id,))
-    a = tree.add_child(ROOT_ID, 0, 0.5)
-    tree.add_child(a, 1, 0.25)
-    tree.add_child(ROOT_ID, 2, 0.5)
+    a = add_child(tree, ROOT_ID, 0, 0.5)
+    add_child(tree, a, 1, 0.25)
+    add_child(tree, ROOT_ID, 2, 0.5)
     expected = (
         "<root>\n"
         "  'a' p=0.500000 lp=-0.693147\n"
@@ -409,7 +412,7 @@ def test_equal_rates_keep_the_grandchild_the_draft_ranks_first():
     policy = BranchPolicy(0.0, 2, 2, 3, (0.5, 0.5), CostModel(0.05, 1.0))
     ctx = (vocab.bos_id,)
     tree = expand_tree(draft, ctx, policy)
-    assert sorted(vocab.decode(tree.path_tokens(n)) for n in tree.nodes if n) == ["c", "d", "dd"]
+    assert sorted(vocab.decode(path_tokens(tree, n)) for n in tree.nodes if n) == ["c", "d", "dd"]
     assert [tree.nodes[c].token for c in tree.children[ROOT_ID]] == [3, 2]
     reference = best_nodes(full_expand(draft, ctx, policy), policy)
     assert render_tree(tree, vocab) == render_tree(reference, vocab)
@@ -445,7 +448,7 @@ def test_a_one_wide_query_waits_behind_a_better_queued_proposal():
     for budget, paths in ((2, ["a", "b"]), (3, ["a", "aa", "b"])):
         policy = BranchPolicy(0.5, 2, 2, budget)
         tree = expand_tree(draft, (bos,), policy)
-        assert sorted(vocab.decode(tree.path_tokens(n)) for n in tree.nodes if n) == paths
+        assert sorted(vocab.decode(path_tokens(tree, n)) for n in tree.nodes if n) == paths
         reference = prune_tree(full_expand(draft, (bos,), policy), budget)
         assert render_tree(tree, vocab) == render_tree(reference, vocab)
 
@@ -477,10 +480,10 @@ def test_a_policy_derives_its_fan_width_from_the_floor():
 
 def test_spec_node_is_an_immutable_named_tuple():
     tree = SpecTree(context=(3,))
-    node = tree.nodes[tree.add_child(ROOT_ID, 1, 0.5)]
+    node = tree.nodes[add_child(tree, ROOT_ID, 1, 0.5)]
     assert SpecNode._fields == ("id", "token", "parent", "depth", "draft_prob", "cum_logprob")
     assert node == (1, 1, ROOT_ID, 1, 0.5, math.log(0.5))
-    assert tree.root == (ROOT_ID, None, -1, 0, 1.0, 0.0)
+    assert tree.nodes[ROOT_ID] == (ROOT_ID, None, -1, 0, 1.0, 0.0)
     for field in SpecNode._fields:
         with pytest.raises(AttributeError):
             setattr(node, field, 0)
@@ -570,7 +573,7 @@ def test_best_first_expansion_equals_pruned_full_expansion(
         assert render_tree(reference, draft.vocab) == render_tree(
             prune_tree(full, policy.node_budget), draft.vocab
         )
-    tree.validate()
+    check_tree(tree)
     assert render_tree(tree, draft.vocab) == render_tree(reference, draft.vocab)
     assert tree.non_root_count == reference.non_root_count
     assert tree.draft_queries == reference.draft_queries
@@ -620,6 +623,25 @@ def test_a_node_whose_best_child_misses_the_floor_is_not_queried():
     assert max(node.depth for node in tree.nodes.values()) == 2
     # Equal rates tie every sibling: children keep the draft's rank order.
     assert [tree.nodes[c].token for c in tree.children[ROOT_ID]] == [0, 1, 2, 3]
+
+
+def test_a_later_rank_below_the_floor_is_never_attached():
+    # Rates (0.9, 0.5) at draft_cost 0.05 and depth 4 put the floor at about
+    # 0.171, so both ranks are in the fan. 'bb', rank 1 twice (0.25), is
+    # queried, since its rank 0 child 'bba' reaches 0.225, but its rank 1
+    # child 'bbb' (0.125) misses the floor, though the budget has room.
+    vocab = make_vocab(4)
+    draft = ConstantModel(vocab, np.array([0.4, 0.3, 0.2, 0.1, 0.0, 0.0]))
+    policy = BranchPolicy(0.0, 2, 4, 40, (0.9, 0.5), CostModel(0.05, 1.0))
+    assert policy.floor == pytest.approx(0.05 * 4.0951 / 1.2, rel=1e-12)
+    assert policy.fan_width == 2
+    ctx = (vocab.bos_id,)
+    tree = expand_tree(draft, ctx, policy)
+    paths = {vocab.decode(path_tokens(tree, n)) for n in tree.nodes if n}
+    assert {"bb", "bba"} <= paths and "bbb" not in paths
+    assert tree.non_root_count < policy.node_budget
+    reference = best_nodes(full_expand(draft, ctx, policy), policy)
+    assert render_tree(tree, vocab) == render_tree(reference, vocab)
 
 
 def test_a_rank_0_rate_below_the_floor_drafts_nothing_and_decodes_losslessly():

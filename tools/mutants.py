@@ -73,6 +73,13 @@ MUTANTS = (
            "tail = ctx[-window:]", "tail = ctx[len(ctx) - window:]",
            ("tests/test_models.py::test_a_blend_tail_index_serves_the_row_its_table_holds",
             "tests/test_models.py::test_a_tabled_model_serves_its_key_row_by_tail")),
+    Mutant("a window-0 model is filed under no tail", "models.py",
+           "tail = () if window == 0 else None", "tail = None",
+           ("tests/test_models.py::test_a_blend_tail_index_serves_the_row_its_table_holds",)),
+    Mutant("a tail probe skipped on short contexts", "models.py",
+           "if window:\n        tail = ctx[-window:]",
+           "if window and len(ctx) >= window:\n        tail = ctx[-window:]",
+           ("tests/test_models.py::test_a_blend_tail_index_serves_the_row_its_table_holds",)),
     Mutant("tail index on a blend with a plug-in side", "models.py",
            "if key is None:", "if False:",
            ("tests/test_models.py::test_only_rows_with_a_key_are_filed_under_their_tail",)),
@@ -127,9 +134,6 @@ MUTANTS = (
            "while fan_width < self.max_branch and log_rates[fan_width] >= log_floor:",
            "while fan_width < self.max_branch:",
            ("tests/test_tree.py",)),
-    Mutant("expansion leaves the next free id unset", "tree.py",
-           "tree._next_id = count + 1", "pass",
-           ("tests/test_tree.py::test_add_child_on_an_expanded_tree_takes_the_next_free_id",)),
     Mutant("chain shortcut for a finite threshold", "tree.py",
            "chain = fan_width <= 1 or threshold == math.inf",
            "chain = fan_width <= 1 or threshold > 0",
