@@ -9,8 +9,8 @@ to 1 within ``SUM_TOLERANCE``. Entropy and KL are reported in nats.
 facts the engine reads from every row: its greedy token, its entropy and
 its proposal fan, the ids and log-probabilities of its best tokens.
 :func:`specdec.models.next_distribution` hands out only rows made here. A
-row from a built-in model's finite table is made once, on first use; a
-plug-in model's row is made on every call. :func:`greedy_token`,
+row from a built-in model's finite table is made once (a constant's when
+it is built); a plug-in model's row is made on every call. :func:`greedy_token`,
 :func:`entropy` and :func:`kl_divergence` are plain math on rows that were
 already checked; they do not check again, and :func:`greedy_token` reads
 the token :func:`check_row` filed in a :class:`Row`.

@@ -140,6 +140,10 @@ class ExperimentConfig:
                 raise InputError(f"{name} must be non-empty")
         if any(not 0.0 <= lam <= 1.0 for lam in self.lambda_grid):
             raise InputError("lambda_grid values must lie in [0, 1]")
+        for name in ("tau_grid", "branch_grid", "depth_grid", "budget_grid"):
+            low = 0 if name == "tau_grid" else 1
+            if min(getattr(self, name)) < low:
+                raise InputError(f"{name} values must be >= {low}")
         for name in ("target_order", "draft_order", "prompt_count", "prompt_length",
                      "probe_count", "probe_length", "max_tokens"):
             if getattr(self, name) < 1:

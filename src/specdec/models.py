@@ -43,6 +43,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+# validate_distribution is unused here; kept because perfbench traces it by this name.
 from .dists import Row, check_row, validate_distribution
 from .errors import InputError
 
@@ -170,12 +171,14 @@ class LanguageModel(ABC):
     the whole context. A plug-in declares a window by setting the attribute
     on its class or instance; it must not change after construction.
 
-    ``_table`` is None, the default, for a model that keeps no row table.
-    A model with finitely many rows keeps one dict instead, which
-    :func:`next_distribution` fills: each row is filed under its row key
-    (:meth:`_row_key`) and under the *tail* of each context it was served
-    for, the context's last ``context_window`` tokens (all of a shorter
-    context); a model without a window files its keys alone. A key must
+    ``_table`` is None, the default, for a model that keeps no row table,
+    such as a plug-in, whose rows are checked on every call. A model with
+    finitely many rows sets ``_table`` to a dict at construction, declares
+    a ``context_window`` and defines ``_row_key(ctx)``, the hashable key of
+    the row after ``ctx``, which two contexts share only if their rows are
+    bit-identical. :func:`next_distribution` files each row under its key
+    and under the *tail* of each context it was served for, the context's
+    last ``context_window`` tokens (all of a shorter context). A key must
     therefore never equal a tail unless both name the same row: an
     n-gram's key is its tail or ``()``, and a blend's key is a pair of
     keys.
@@ -194,17 +197,6 @@ class LanguageModel(ABC):
         ``context_window``; then it may be only the context's last
         ``context_window`` tokens or more.
         """
-
-    def _row_key(self, ctx: Context) -> Hashable | None:
-        """Key of the row after ``ctx`` in the model's row table ``_table``,
-        or None if the row is not to be filed.
-
-        A model with finitely many rows keeps ``_table = {}`` and returns
-        finitely many keys, which two contexts share only if their rows are
-        bit-identical. The default keeps no table, so a plug-in model's rows
-        are checked on every call, whatever they hold.
-        """
-        return None
 
 
 def next_distribution(model: LanguageModel, ctx: Context) -> Row:
@@ -227,13 +219,12 @@ def next_distribution(model: LanguageModel, ctx: Context) -> Row:
     the only one, so the :mod:`specdec.dists` math that follows trusts the
     row.
 
-    A model with a row table and a window serves a row with one slice and
-    one dict probe: its table is probed by the context's tail first. Only
-    on a miss does the row key run; the row found or made under the key is
-    then filed under the tail as well. So each distinct row is checked once in
-    the model's lifetime, and ranked at its first fan read and again only
-    for a wider fan. A row whose key is None (a blend with a plug-in side)
-    is made on every call and filed nowhere.
+    A model with a row table serves a row with one slice and one dict
+    probe: its table is probed by the context's tail first. Only on a miss
+    does the row key run; the row found or made under the key is then filed
+    under the tail as well. So each distinct row is checked once in the
+    model's lifetime, and ranked at its first fan read and again only for a
+    wider fan. A model with a table but no window raises ``TypeError``.
     """
     if ctx[-1] == model.vocab.eos_id:
         raise InputError("context already ends in eos; nothing to predict")
@@ -241,42 +232,33 @@ def next_distribution(model: LanguageModel, ctx: Context) -> Row:
     if table is None:
         return check_row(model.distribution(ctx), model.vocab.size)
     window = model.context_window
-    if window:
-        tail = ctx[-window:]
-    else:  # one row for a window of 0; None, never filed, without a window
-        tail = () if window == 0 else None
+    tail = () if window == 0 else ctx[-window:]  # ctx[-0:] is all of ctx
     row = table.get(tail)
     if row is not None:
         return row
     key = model._row_key(ctx)
-    if key is None:
-        return check_row(model.distribution(ctx), model.vocab.size)
     row = table.get(key)
     if row is None:
         row = table[key] = check_row(model.distribution(ctx), model.vocab.size)
-    if tail is not None:
-        table[tail] = row
+    table[tail] = row
     return row
 
 
 class ConstantModel(LanguageModel):
     """Emits one fixed distribution for every context. Degenerate but handy:
-    a one-hot row gives a fully deterministic chain model. Its row table
-    holds that one row under the key ``()``, so it is checked once."""
+    a one-hot row gives a fully deterministic chain model. The row is
+    checked once, by :func:`~specdec.dists.check_row` at construction, and
+    its row table holds it under the key ``()``."""
 
     context_window = 0
 
     def __init__(self, vocab: Vocabulary, probs) -> None:
         self.vocab = vocab
-        arr = np.asarray(probs, dtype=np.float64)
-        validate_distribution(arr, vocab.size)
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self._probs = arr
-        self._table: dict[Hashable, Row] = {}
+        self._row = check_row(probs, vocab.size)
+        self._table: dict[Hashable, Row] = {(): self._row}
 
     def distribution(self, ctx: Context) -> np.ndarray:
-        return self._probs
+        return self._row.view(np.ndarray)
 
     def _row_key(self, ctx: Context) -> tuple[()]:
         return ()
@@ -326,8 +308,11 @@ class NGramModel(LanguageModel):
             raise InputError("unigram counts must have one entry per token id")
         self._backoff_counts = {t: int(c) for t, c in enumerate(self._unigram_counts) if c}
         for counts in (self._backoff_counts, *self._context_counts.values()):
-            if self.alpha * vocab.size + sum(counts.values()) <= 0:
+            mass = self.alpha * vocab.size + sum(counts.values())
+            if mass <= 0:
                 raise InputError("cannot smooth an empty count row with alpha=0")
+            if mass == math.inf:
+                raise InputError(f"smoothing_alpha={alpha} overflows a row's mass")
         self._table: dict[Hashable, Row] = {}
 
     def distribution(self, ctx: Context) -> np.ndarray:
@@ -381,12 +366,11 @@ class InterpolatedModel(LanguageModel):
 
     At lam=0 or 1 the rows are one model's rows, so the blend shares that
     model's keys, window and row table (None for a plug-in). In between,
-    :func:`next_distribution` keeps the checked blends in the blend's own
-    table, filed under a pair of both sides' keys and under each context's
-    tail (see :class:`LanguageModel`), so a served row costs one slice and
-    one probe, not two key lookups and a tuple. A plug-in on either side
-    has no row keys, so the blend is made and checked on every call and
-    its table stays empty.
+    a blend keeps a table only if both sides do: :func:`next_distribution`
+    keeps the checked blends there, filed under a pair of both sides' keys
+    and under each context's tail (see :class:`LanguageModel`), so a served
+    row costs one slice and one probe, not two key lookups and a tuple. A
+    blend with a plug-in on either side keeps none, like a plug-in.
 
     The blend's ``context_window`` is its source's at lam=0 or 1; in between
     it is the larger of its sides' windows, or None if either side reads
@@ -408,7 +392,8 @@ class InterpolatedModel(LanguageModel):
             self._table = self._source._table
             self.context_window = self._source.context_window
         else:
-            self._table = {}
+            if target._table is not None and draft_base._table is not None:
+                self._table = {}
             if None not in (target.context_window, draft_base.context_window):
                 self.context_window = max(target.context_window, draft_base.context_window)
 
@@ -420,12 +405,10 @@ class InterpolatedModel(LanguageModel):
             + (1.0 - self.lam) * self.draft_base.distribution(ctx)
         )
 
-    def _row_key(self, ctx: Context) -> Hashable | None:
+    def _row_key(self, ctx: Context) -> Hashable:
         if self._source is not None:
             return self._source._row_key(ctx)
-        target = self.target._row_key(ctx)
-        base = self.draft_base._row_key(ctx)
-        return None if target is None or base is None else (target, base)
+        return self.target._row_key(ctx), self.draft_base._row_key(ctx)
 
 
 def distill_interpolate(

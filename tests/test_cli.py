@@ -82,6 +82,17 @@ def test_train_writes_loadable_models(tmp_path, corpus_file):
     assert abs(float(np.sum(row)) - 1.0) <= 1e-9
 
 
+def test_train_alpha_whose_row_mass_overflows_exits_one(tmp_path, corpus_file, capsys):
+    config = tmp_path / "huge.cfg"
+    config.write_text(f"corpus = {corpus_file}\ntarget_alpha = 1e308\n", encoding="utf-8")
+    code = main(["train", "--corpus", str(corpus_file), "--config", str(config),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and "smoothing_alpha" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_missing_corpus_exits_two(tmp_path):
     code = main(["train", "--corpus", str(tmp_path / "nope.txt"), "--out", str(tmp_path)])
     assert code == 2

@@ -169,6 +169,10 @@ def test_config_validation(corpus_file):
         small_config(corpus_file, seed=2**64)
     with pytest.raises(InputError):
         small_config(corpus_file, prompt_count=0)
+    for key, grid in (("tau_grid", (1.0, -1.0)), ("branch_grid", (0,)), ("depth_grid", (0,)),
+                      ("budget_grid", (4, 0))):
+        with pytest.raises(InputError, match=f"{key} values must be >= "):
+            small_config(corpus_file, **{key: grid})
 
 
 def test_run_matrix_perfect_draft_chain_cell(corpus_file):

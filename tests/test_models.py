@@ -290,13 +290,13 @@ def _corrupt(doc, fault):
     elif fault == "count -1":
         row[0][1] = -1
     else:
-        doc["alpha"] = math.nan if fault == "alpha nan" else math.inf
+        doc["alpha"] = {"alpha nan": math.nan, "alpha inf": math.inf}.get(fault, 1e308)
 
 
 @pytest.mark.parametrize(
     "fault",
     ["context id >= size", "entry id >= size", "entry id -1", "count -1", "alpha nan",
-     "alpha inf"],
+     "alpha inf", "alpha 1e308"],
 )
 def test_load_rejects_corrupt_count_tables_naming_the_file(tmp_path, fault):
     vocab, corpus = text_vocab(TRAIN_TEXT[:200])
@@ -406,15 +406,33 @@ def test_a_constant_model_checks_its_one_row_once(monkeypatch):
         validate_distribution(probs, size)
 
     vocab, corpus, _, target = _demo_models()
-    draft = ConstantModel(vocab, np.full(vocab.size, 1.0 / vocab.size))
     monkeypatch.setattr(models, "validate_distribution", counting)
     monkeypatch.setattr(dists, "validate_distribution", counting)
+    draft = ConstantModel(vocab, np.full(vocab.size, 1.0 / vocab.size))
+    assert len(checks) == 1  # at construction
     prompt = (vocab.bos_id,) + corpus[:6]
     tokens, stats = speculative_decode(draft, target, prompt, 24, BranchPolicy.chain(4))
     assert tokens == greedy_decode(target, prompt, 24)
     assert stats.draft_calls > 1
     assert list(draft._table) == [()]
-    assert len(checks) == 1 + _distinct_rows(target)
+    assert len(checks) == 1 + _distinct_rows(target)  # none of them the draft's
+
+
+def test_a_tabled_model_without_a_window_raises():
+    """A table probed by tail needs a window: without one, every context
+    would share the tail ``()`` and be served one row."""
+
+    class Windowless(_CountsModel):
+        _table = {}
+
+        def _row_key(self, ctx):
+            return ctx
+
+    vocab = make_vocab(2)
+    model = Windowless(vocab)
+    for ctx in ((vocab.bos_id,), (vocab.bos_id, 0, 1)):
+        with pytest.raises(TypeError):
+            next_distribution(model, ctx)
 
 
 _OPTIMIZED_SCRIPT = """
@@ -597,7 +615,7 @@ def test_a_plug_in_base_does_not_grow_the_blend_table():
     contexts = [(vocab.bos_id,) + corpus[i:i + 3] for i in range(100)]
     for i in range(10_000):
         next_distribution(draft, contexts[i % len(contexts)])
-    assert len(draft._table) == 0
+    assert draft._table is None
     for i in range(10_000):
         next_distribution(target, contexts[i % len(contexts)])
     assert 0 < _distinct_rows(target) <= len(target._context_counts) + 1  # one per distinct row
@@ -793,22 +811,22 @@ def test_only_rows_with_a_key_are_filed_under_their_tail():
     for target, base in ((ngram, plug_in), (plug_in, ngram)):
         blend = distill_interpolate(target, base, 0.5)
         assert blend.context_window == ngram.context_window
+        assert blend._table is None
         for i in range(20):
             ctx = (_WINDOWED_VOCAB.bos_id,) + _WINDOWED_CORPUS[i:i + 3]
             assert next_distribution(blend, ctx) is not next_distribution(blend, ctx)
-        assert blend._table == {}
 
     # A blend of tabled models files rows, at any depth; an endpoint of a
     # blend files into that blend's table; a blend with a plug-in anywhere
-    # under it files nothing.
+    # under it keeps no table.
     middle = distill_interpolate(ngram, constant, 0.5)
     assert distill_interpolate(middle, other, 1.0)._table is middle._table
     outer = distill_interpolate(middle, other, 0.5)
     untabled = distill_interpolate(distill_interpolate(ngram, plug_in, 0.5), other, 0.5)
+    assert untabled._table is None
     ctx = (_WINDOWED_VOCAB.bos_id,) + _WINDOWED_CORPUS[:5]
     for model in (middle, outer, untabled):
-        assert model._table == {}
         next_distribution(model, ctx)
     assert set(middle._table) == {ctx[-2:], middle._row_key(ctx)}
     assert set(outer._table) == {ctx[-2:], outer._row_key(ctx)}
-    assert untabled._table == {}
+    assert untabled._table is None

@@ -65,23 +65,16 @@ MUTANTS = (
     Mutant("drop __getnewargs__", "models.py",
            "    def __getnewargs__(self):", "    def _unused(self):",
            ("tests/test_contexts.py",)),
-    Mutant("blend keys keep plug-in rows", "models.py",
-           "return None if target is None or base is None else (target, base)",
-           "return (target, base)",
-           ("tests/test_models.py::test_a_plug_in_base_does_not_grow_the_blend_table",)),
     Mutant("unclamped tail slice", "models.py",
-           "tail = ctx[-window:]", "tail = ctx[len(ctx) - window:]",
+           "else ctx[-window:]", "else ctx[len(ctx) - window:]",
            ("tests/test_models.py::test_a_blend_tail_index_serves_the_row_its_table_holds",
             "tests/test_models.py::test_a_tabled_model_serves_its_key_row_by_tail")),
-    Mutant("a window-0 model is filed under no tail", "models.py",
-           "tail = () if window == 0 else None", "tail = None",
-           ("tests/test_models.py::test_a_blend_tail_index_serves_the_row_its_table_holds",)),
     Mutant("a tail probe skipped on short contexts", "models.py",
-           "if window:\n        tail = ctx[-window:]",
-           "if window and len(ctx) >= window:\n        tail = ctx[-window:]",
+           "tail = () if window == 0 else ctx[-window:]",
+           "tail = () if window == 0 else ctx[-window:] if len(ctx) >= window else None",
            ("tests/test_models.py::test_a_blend_tail_index_serves_the_row_its_table_holds",)),
-    Mutant("tail index on a blend with a plug-in side", "models.py",
-           "if key is None:", "if False:",
+    Mutant("a blend with an untabled side keeps a table", "models.py",
+           "if target._table is not None and draft_base._table is not None:", "if True:",
            ("tests/test_models.py::test_only_rows_with_a_key_are_filed_under_their_tail",)),
     Mutant("a tail is filed without the key path", "models.py",
            "row = table.get(key)", "row = None",
@@ -90,8 +83,8 @@ MUTANTS = (
            "row._greedy_token = int(probs.argmax())", "pass",
            ("tests/test_models.py::test_served_rows_carry_their_facts",)),
     Mutant("constant model keeps no table", "models.py",
-           "def _row_key(self, ctx: Context) -> tuple[()]:",
-           "def _unused(self, ctx: Context) -> tuple[()]:",
+           "self._table: dict[Hashable, Row] = {(): self._row}",
+           "self._table: dict[Hashable, Row] = {}",
            ("tests/test_models.py::test_a_constant_model_checks_its_one_row_once",)),
     Mutant("load_model lets OverflowError escape", "models.py",
            "except (KeyError, TypeError, ValueError, OverflowError) as exc:",
