@@ -47,6 +47,7 @@ from .models import (
 from .tree import (
     BranchPolicy,
     SpecNode,
+    SpecPath,
     SpecTree,
     expand_tree,
     prune_tree,
@@ -70,6 +71,7 @@ __all__ = [
     "NGramModel",
     "RunRecord",
     "SpecNode",
+    "SpecPath",
     "SpecTree",
     "VerificationResult",
     "Vocabulary",

@@ -17,7 +17,7 @@ from .dists import greedy_token
 from .errors import InputError
 from .metrics import DecodeStats
 from .models import LanguageModel, next_distribution, validate_context
-from .tree import BranchPolicy, ROOT_ID, SpecTree, expand_tree, prune_tree
+from .tree import BranchPolicy, ROOT_ID, SpecPath, SpecTree, expand_tree, prune_tree
 
 
 class VerificationResult(NamedTuple):
@@ -32,6 +32,11 @@ class VerificationResult(NamedTuple):
     accepted_tokens: tuple[int, ...]
     bonus_token: int | None
     nodes_scored: int
+
+
+#: Makes a VerificationResult from a tuple of its fields without the Python
+#: frame of the named tuple's own constructor.
+_new_result = tuple.__new__
 
 
 def _window(*models: LanguageModel) -> int | None:
@@ -72,14 +77,28 @@ def verify_tree(target: LanguageModel, tree: SpecTree) -> VerificationResult:
 
     Equivalent to scoring the whole tree in one batched pass and then
     walking the matches; the sequential walk is the observable contract.
-    An accepted EOS terminates the walk without a bonus token.
+    An accepted EOS terminates the walk without a bonus token. A
+    :class:`~specdec.tree.SpecPath` is walked along its tokens, with no
+    nodes or child lists.
     """
     eos = target.vocab.eos_id
     ctx = validate_context(target.vocab, tree.context)
+    scored = 0
+    if type(tree) is SpecPath:
+        tokens = tree.tokens
+        for token in tokens:
+            want = greedy_token(next_distribution(target, ctx))
+            scored += 1
+            if want != token:
+                return _new_result(VerificationResult, (tokens[:scored - 1], want, scored))
+            if token == eos:  # only ever a path's last token
+                return _new_result(VerificationResult, (tokens, None, scored))
+            ctx += (want,)
+        want = greedy_token(next_distribution(target, ctx))
+        return _new_result(VerificationResult, (tokens, want, scored + 1))
     nodes, children = tree.nodes, tree.children
     node_id = ROOT_ID
     accepted: tuple[int, ...] = ()
-    scored = 0
     while True:
         dist = next_distribution(target, ctx)
         scored += 1
@@ -90,10 +109,10 @@ def verify_tree(target: LanguageModel, tree: SpecTree) -> VerificationResult:
                 match = child_id
                 break
         if match is None:
-            return VerificationResult(accepted, want, scored)
+            return _new_result(VerificationResult, (accepted, want, scored))
         accepted += (want,)
         if want == eos:
-            return VerificationResult(accepted, None, scored)
+            return _new_result(VerificationResult, (accepted, None, scored))
         node_id = match
         ctx += (want,)
 

@@ -10,7 +10,8 @@ cumulative draft log-probability, or, when the policy carries a per-rank
 acceptance vector, by expected acceptance, and then a node attaches only
 while it pays for its draft call. The result is the ``n`` best nodes of the
 full entropy-gated tree; since a child never outranks its parent, every
-kept node's root path is kept too, as verification needs.
+kept node's root path is kept too, as verification needs. A chain policy's
+tree is one path, drafted and kept as its tokens alone (:class:`SpecPath`).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .dists import Row
 # Unused here; kept because perfbench traces entropy under this module's name.
 from .dists import entropy
 from .errors import InputError
@@ -169,7 +171,9 @@ class SpecTree:
     attach order, which in a tree :func:`expand_tree` builds is the draft's
     rank order (most probable first, ties to the lower token id).
     ``draft_queries`` records how many draft distribution calls expansion
-    consumed, for cost accounting.
+    consumed, for cost accounting. A chain policy's tree is a
+    :class:`SpecPath`, which keeps only its tokens and builds these dicts
+    when they are read.
 
     ``context`` is the context the root stands for, and a node's context is
     it plus the node's root path. In a tree that ``speculative_decode``
@@ -204,6 +208,60 @@ class SpecTree:
         return out
 
 
+class SpecPath(SpecTree):
+    """The tree of a chain policy, kept as its path: only what verification
+    reads.
+
+    ``tokens`` holds the drafted tokens root-down, as a tuple; only the
+    last one may be EOS. ``rows`` holds the draft row each was drafted
+    from. Each token is rank 0 of one draft query, so ``draft_queries`` is
+    their number. The ``nodes`` and ``children`` of the equal
+    :class:`SpecTree`, with ids 1, 2, ... down the path, draft probabilities
+    read from the rows and cumulative log-probs summed root-down, are built
+    on first read (by :func:`render_tree`, by a :func:`prune_tree` that
+    cuts, or by a test) and then kept.
+    """
+
+    __slots__ = ("context", "tokens", "rows", "_nodes", "_children")
+
+    def __init__(self, context: Context, tokens: tuple[int, ...], rows: list[Row]) -> None:
+        self.context = context
+        self.tokens = tokens
+        self.rows = rows
+        self._nodes: dict[int, SpecNode] | None = None
+
+    @property
+    def draft_queries(self) -> int:
+        return len(self.tokens)
+
+    @property
+    def non_root_count(self) -> int:
+        return len(self.tokens)
+
+    @property
+    def nodes(self) -> dict[int, SpecNode]:
+        if self._nodes is None:
+            self._build()
+        return self._nodes
+
+    @property
+    def children(self) -> dict[int, list[int]]:
+        if self._nodes is None:
+            self._build()
+        return self._children
+
+    def _build(self) -> None:
+        nodes = {ROOT_ID: _ROOT}
+        cum = 0.0
+        for depth, (token, row) in enumerate(zip(self.tokens, self.rows), 1):
+            prob = row.item(token)
+            cum += math.log(prob)
+            nodes[depth] = SpecNode(depth, token, depth - 1, depth, prob, cum)
+        self._children = {nid: [nid + 1] for nid in range(len(self.tokens))}
+        self._children[len(self.tokens)] = []
+        self._nodes = nodes
+
+
 def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     """Grow a speculative tree best-first until it holds ``policy.node_budget``
     nodes or no proposal is left; with an acceptance vector, a proposal
@@ -216,7 +274,9 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     read once per row, not once per proposal. A fan is never wider than
     ``policy.fan_width``, the ranks that can clear the floor. A chain
     policy (``fan_width <= 1`` or an infinite threshold) has width 1
-    whatever the entropy, so it never reads it. Proposals wait on a heap,
+    whatever the entropy: its tree is drafted as a :class:`SpecPath` by a
+    short loop that reads neither the entropy nor a fan, only each row's
+    greedy token, and keeps every rule below. Proposals wait on a heap,
     best score first, and the best one is attached next; only an attached
     node reads its draft probability. EOS nodes and nodes at
     ``policy.max_depth`` are kept but never queried, so a verified EOS can
@@ -241,7 +301,7 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     It is one loop, and the heap holds a node's next proposal, not its whole
     fan. A query whose fan is one token wide and whose proposal sorts
     before the heap's best (or meets an empty heap) attaches that token at
-    once, with no heap entry; in a chain every query does. Any other query
+    once, with no heap entry. Any other query
     makes one *cursor* for the queried node: its fan ids and their number,
     the scores of the fan's ranks, the node's score, id, row and context,
     the base of its children's path codes and its next unpushed rank. It
@@ -267,12 +327,14 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     the ``n`` best nodes always include their ancestors and pop off the
     heap in that order.
     """
-    tree = SpecTree(validate_context(draft.vocab, ctx))
+    ctx = validate_context(draft.vocab, ctx)
+    threshold, fan_width = policy.entropy_threshold, policy.fan_width
+    if fan_width <= 1 or threshold == math.inf:
+        return _expand_path(draft, ctx, policy)
+    tree = SpecTree(ctx)
     nodes, children = tree.nodes, tree.children
     eos = draft.vocab.eos_id
-    threshold, max_branch, fan_width = policy.entropy_threshold, policy.max_branch, policy.fan_width
-    budget, max_depth = policy.node_budget, policy.max_depth
-    chain = fan_width <= 1 or threshold == math.inf
+    max_branch, budget, max_depth = policy.max_branch, policy.node_budget, policy.max_depth
     # With a vector, a node is queried only if its rank 0 would reach the
     # floor, and a later rank is pushed only if it does.
     rates, neg_floor = policy.log_rates, -policy.log_floor
@@ -288,7 +350,7 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
             queries += 1
             # One token below the entropy threshold, else the policy's
             # widest fan; the row's ranked ids with their log-probs.
-            ids, keys = row.fan(1 if chain or row.entropy < threshold else fan_width)
+            ids, keys = row.fan(1 if row.entropy < threshold else fan_width)
             if rates:
                 keys = rates
             width = len(ids)
@@ -335,6 +397,36 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     return tree
 
 
+def _expand_path(draft: LanguageModel, ctx: Context, policy: BranchPolicy) -> SpecPath:
+    """:func:`expand_tree` for a chain policy: each query's one proposal is
+    its row's greedy token, the fan of width 1, attached at once.
+
+    The heap loop's rules hold as they are: an EOS node and a node at
+    ``max_depth`` are not queried, nor is any node once the path holds
+    ``node_budget`` nodes. With an acceptance vector a node's score is
+    ``log_rates[0]`` added once per depth, as the heap loop sums it, and a
+    node is queried only if its child's score would reach ``log_floor``:
+    the query rule, which for rank 0 is the floor as well.
+    """
+    eos = draft.vocab.eos_id
+    rate, log_floor = policy.log_rates[0] if policy.log_rates else 0.0, policy.log_floor
+    tokens: tuple[int, ...] = ()
+    rows: list[Row] = []
+    node_ctx, score = ctx, 0.0
+    for _ in range(min(policy.node_budget, policy.max_depth)):
+        score += rate
+        if score < log_floor:
+            break
+        row = next_distribution(draft, node_ctx)
+        token = row.greedy_token
+        tokens += (token,)
+        rows.append(row)
+        if token == eos:
+            break
+        node_ctx += (token,)
+    return SpecPath(ctx, tokens, rows)
+
+
 def _rank_key(node: SpecNode) -> tuple[float, int, int]:
     # Highest cumulative log-prob first; ties: smaller depth, then creation
     # id, which in a breadth-first tree is the draft's rank order.
@@ -351,7 +443,8 @@ def prune_tree(tree: SpecTree, n: int) -> SpecTree:
     nodes carry coherent cumulative log-probabilities keeps its ancestors
     when cut this way, since a child's log-probability never exceeds its
     parent's. The result is a connected subtree that contains the
-    top-ranked node; the operation is idempotent.
+    top-ranked node; the operation is idempotent. A :class:`SpecPath` cut
+    this way keeps its first ``n`` nodes, as a :class:`SpecTree`.
     """
     if n < 1:
         raise InputError(f"prune budget must be >= 1, got {n}")

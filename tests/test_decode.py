@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specdec import decode
 from specdec.decode import VerificationResult, greedy_decode, speculative_decode, verify_tree
 from specdec.dists import Row
 from specdec.errors import InputError
@@ -17,6 +18,7 @@ from specdec.models import ConstantModel, LanguageModel, distill_interpolate, tr
 from specdec.tree import (
     ROOT_ID,
     BranchPolicy,
+    SpecPath,
     SpecTree,
     expand_tree,
     prune_tree,
@@ -26,6 +28,7 @@ from specdec.tree import (
 from conftest import (
     PermutedModel,
     RandomTableModel,
+    TableModel,
     add_child,
     full_expand,
     make_vocab,
@@ -163,6 +166,45 @@ def test_verify_matches_brute_force_oracle():
         assert list(result.accepted_tokens) == accepted
         assert result.bonus_token == bonus
         assert result.nodes_scored == scored
+
+
+def test_a_path_verifies_and_prunes_as_its_equal_tree():
+    # One-hot models make each case exact: `a` and `b` always predict 'a'
+    # and 'b', and `eos_second` predicts EOS after BOS 'a', else 'a'. Each
+    # case's path is checked against the equal SpecTree, built node by node.
+    vocab = make_vocab(3)
+    bos, eos, size = vocab.bos_id, vocab.eos_id, vocab.size
+    a, b = ConstantModel(vocab, one_hot(size, 0)), ConstantModel(vocab, one_hot(size, 1))
+    eos_second = TableModel(vocab, {(bos, 0): one_hot(size, eos)}, one_hot(size, 0))
+    cases = (
+        # an accepted EOS mid-path: no bonus, one context scored per token
+        (eos_second, eos_second, BranchPolicy.chain(4), ((0, eos), None, 2)),
+        # a full accept plus the bonus
+        (a, a, BranchPolicy.chain(3), ((0, 0, 0), 0, 4)),
+        # a miss at the first token
+        (a, b, BranchPolicy.chain(3), ((), 1, 1)),
+        # a budget smaller than the depth
+        (a, a, BranchPolicy(math.inf, 1, 4, 2), ((0, 0), 0, 3)),
+    )
+    for draft, target, policy, want in cases:
+        path = expand_tree(draft, (bos,), policy)
+        assert type(path) is SpecPath
+        assert path.draft_queries == path.non_root_count == len(path.tokens)
+        tree, parent = SpecTree(path.context), ROOT_ID
+        for token, row in zip(path.tokens, path.rows):
+            parent = add_child(tree, parent, token, row.item(token))
+        assert render_tree(path, vocab) == render_tree(tree, vocab)
+        assert verify_tree(target, path) == verify_tree(target, tree) == want
+        assert prune_tree(path, path.non_root_count) is path
+    # A prune that cuts keeps the path's first n nodes, as it does the tree's.
+    path = expand_tree(a, (bos,), BranchPolicy.chain(4))
+    for n in (1, 2, 3):
+        cut = prune_tree(path, n)
+        assert cut.non_root_count == n
+        assert [cut.nodes[nid] for nid in sorted(cut.nodes)] == [path.nodes[i] for i in range(n + 1)]
+        assert verify_tree(a, cut) == ((0,) * n, 0, n + 1)
+    with pytest.raises(InputError):
+        prune_tree(path, 0)
 
 
 def test_speculative_equals_greedy_seeded_sample():
@@ -383,7 +425,7 @@ def test_tabled_and_plug_in_models_decode_alike(
     # the same rows served by plug-ins with no table, with and without a
     # declared window, whole or as the sides of a blend (keys of None):
     # every path must emit the same tokens, count the same stats and build
-    # the same first tree.
+    # the same tree in every cycle.
     vocab, corpus = text_vocab(text)  # at least 4 tokens, enough for order 4
     target = train_ngram(corpus, orders[0], alphas[0], vocab)
     base = train_ngram(corpus, orders[1], alphas[1], vocab)
@@ -394,11 +436,19 @@ def test_tabled_and_plug_in_models_decode_alike(
         plug_target = _PlugIn(target, windowed)
         pairs.append((_PlugIn(pairs[0][0], windowed), plug_target))
         pairs.append((distill_interpolate(plug_target, _PlugIn(base, windowed), lam), plug_target))
-    runs = [
-        (*speculative_decode(draft, tgt, prompt, max_tokens, policy),
-         render_tree(expand_tree(draft, prompt, policy), vocab))
-        for draft, tgt in pairs
-    ]
+    runs = []
+    for draft, tgt in pairs:
+        trees = []
+
+        def recorded(*args):
+            trees.append(expand_tree(*args))
+            return trees[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decode, "expand_tree", recorded)
+            tokens, stats = speculative_decode(draft, tgt, prompt, max_tokens, policy)
+        assert len(trees) == stats.cycles
+        runs.append((tokens, stats, [render_tree(tree, vocab) for tree in trees]))
     assert runs[0][0] == greedy_decode(target, prompt, max_tokens)
     for run in runs[1:]:
         assert run == runs[0]

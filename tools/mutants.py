@@ -128,8 +128,8 @@ MUTANTS = (
            "while fan_width < self.max_branch:",
            ("tests/test_tree.py",)),
     Mutant("chain shortcut for a finite threshold", "tree.py",
-           "chain = fan_width <= 1 or threshold == math.inf",
-           "chain = fan_width <= 1 or threshold > 0",
+           "if fan_width <= 1 or threshold == math.inf:",
+           "if fan_width <= 1 or threshold > 0:",
            ("tests/test_tree.py",)),
     Mutant("acceptance vector ignored in the key", "tree.py",
            "keys = rates", "keys = keys",
@@ -139,7 +139,18 @@ MUTANTS = (
            ("tests/test_tree.py",)),
     Mutant("query rule dropped", "tree.py",
            "if query and (not rates or -(score + rates[0]) <= neg_floor):", "if query:",
+           ("tests/test_tree.py",),
+           more=(("if score < log_floor:", "if False:"),)),
+    Mutant("the path queries the node at max_depth", "tree.py",
+           "range(min(policy.node_budget, policy.max_depth))",
+           "range(min(policy.node_budget, policy.max_depth + 1))",
            ("tests/test_tree.py",)),
+    Mutant("the path ignores the budget", "tree.py",
+           "range(min(policy.node_budget, policy.max_depth))", "range(policy.max_depth)",
+           ("tests/test_decode.py::test_a_path_verifies_and_prunes_as_its_equal_tree",)),
+    Mutant("path verification keeps walking after an accepted EOS", "decode.py",
+           "if token == eos:  # only ever a path's last token", "if False:",
+           ("tests/test_decode.py::test_a_path_verifies_and_prunes_as_its_equal_tree",)),
     Mutant("acceptance rates left unsorted", "metrics.py",
            "return non_increasing([(h + 0.5) / (len(probes) + 1) for h in hits])",
            "return tuple((h + 0.5) / (len(probes) + 1) for h in hits)",
@@ -150,7 +161,7 @@ MUTANTS = (
            ("tests/test_harness.py::"
             "test_demo_domains_of_one_lambda_decode_under_equal_hashable_policies",)),
     Mutant("expand_tree skips the context check", "tree.py",
-           "tree = SpecTree(validate_context(draft.vocab, ctx))", "tree = SpecTree(ctx)",
+           "ctx = validate_context(draft.vocab, ctx)", "pass",
            ("tests/test_contexts.py",)),
     Mutant("estimate_kl skips the context check", "metrics.py",
            "probes = [validate_context(target.vocab, ctx) for ctx in probes]", "pass",
