@@ -47,7 +47,6 @@ from .models import (
 from .tree import (
     BranchPolicy,
     SpecNode,
-    SpecPath,
     SpecTree,
     expand_tree,
     prune_tree,
@@ -71,7 +70,6 @@ __all__ = [
     "NGramModel",
     "RunRecord",
     "SpecNode",
-    "SpecPath",
     "SpecTree",
     "VerificationResult",
     "Vocabulary",

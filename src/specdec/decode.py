@@ -17,7 +17,7 @@ from .dists import greedy_token
 from .errors import InputError
 from .metrics import DecodeStats
 from .models import LanguageModel, next_distribution, validate_context
-from .tree import BranchPolicy, ROOT_ID, SpecPath, SpecTree, expand_tree, prune_tree
+from .tree import BranchPolicy, ROOT_ID, SpecTree, expand_tree, prune_tree
 
 
 class VerificationResult(NamedTuple):
@@ -77,44 +77,30 @@ def verify_tree(target: LanguageModel, tree: SpecTree) -> VerificationResult:
 
     Equivalent to scoring the whole tree in one batched pass and then
     walking the matches; the sequential walk is the observable contract.
-    An accepted EOS terminates the walk without a bonus token. A
-    :class:`~specdec.tree.SpecPath` is walked along its tokens, with no
-    nodes or child lists.
+    An accepted EOS terminates the walk without a bonus token. The walk is
+    one forward scan of the tree's sequences for every shape: a node's
+    children come after it in attach order, so the child matching the
+    target's token is the next position holding that token under that
+    parent, and the accepted tokens are the tail of the walk's context.
     """
     eos = target.vocab.eos_id
     ctx = validate_context(target.vocab, tree.context)
-    scored = 0
-    if type(tree) is SpecPath:
-        tokens = tree.tokens
-        for token in tokens:
-            want = greedy_token(next_distribution(target, ctx))
-            scored += 1
-            if want != token:
-                return _new_result(VerificationResult, (tokens[:scored - 1], want, scored))
-            if token == eos:  # only ever a path's last token
-                return _new_result(VerificationResult, (tokens, None, scored))
-            ctx += (want,)
-        want = greedy_token(next_distribution(target, ctx))
-        return _new_result(VerificationResult, (tokens, want, scored + 1))
-    nodes, children = tree.nodes, tree.children
-    node_id = ROOT_ID
-    accepted: tuple[int, ...] = ()
+    start, tokens, parents = len(ctx), tree.tokens, tree.parents
+    end = len(tokens)
+    # The node the walk stands on, and the next position to scan.
+    node = i = ROOT_ID
     while True:
-        dist = next_distribution(target, ctx)
-        scored += 1
-        want = greedy_token(dist)
-        match = None
-        for child_id in children[node_id]:
-            if nodes[child_id].token == want:
-                match = child_id
+        want = greedy_token(next_distribution(target, ctx))
+        while i < end:
+            if tokens[i] == want and parents[i] == node:
                 break
-        if match is None:
-            return _new_result(VerificationResult, (accepted, want, scored))
-        accepted += (want,)
-        if want == eos:
-            return _new_result(VerificationResult, (accepted, None, scored))
-        node_id = match
+            i += 1
+        else:  # no child holds want: one context was scored per accepted token, plus this one
+            return _new_result(VerificationResult, (ctx[start:], want, len(ctx) - start + 1))
         ctx += (want,)
+        if want == eos:
+            return _new_result(VerificationResult, (ctx[start:], None, len(ctx) - start))
+        node = i = i + 1
 
 
 def speculative_decode(

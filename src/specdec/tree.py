@@ -10,18 +10,19 @@ cumulative draft log-probability, or, when the policy carries a per-rank
 acceptance vector, by expected acceptance, and then a node attaches only
 while it pays for its draft call. The result is the ``n`` best nodes of the
 full entropy-gated tree; since a child never outranks its parent, every
-kept node's root path is kept too, as verification needs. A chain policy's
-tree is one path, drafted and kept as its tokens alone (:class:`SpecPath`).
+kept node's root path is kept too, as verification needs. Every tree, a
+chain included, is kept flat: its tokens, their parents and the draft rows
+they came from, in attach order (:class:`SpecTree`).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .dists import Row
 # Unused here; kept because perfbench traces entropy under this module's name.
 from .dists import entropy
 from .errors import InputError
@@ -45,10 +46,6 @@ class SpecNode(NamedTuple):
 
 #: The root every tree starts from; nodes are immutable, so trees share it.
 _ROOT = SpecNode(ROOT_ID, None, -1, 0, 1.0, 0.0)
-
-#: Makes a SpecNode from a tuple of its fields without the Python frame of
-#: the named tuple's own constructor.
-_new_node = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -164,16 +161,23 @@ def _best_chain_speedup(rate: float, cost: CostModel, max_depth: int) -> float:
 
 
 class SpecTree:
-    """Rooted tree of speculative tokens with cumulative draft log-probs.
+    """Rooted tree of speculative tokens, kept flat in attach order.
 
-    Node ids are unique within one tree: :func:`expand_tree` files them
-    1, 2, ... in attach order, and pruning keeps them. Children lists keep
-    attach order, which in a tree :func:`expand_tree` builds is the draft's
-    rank order (most probable first, ties to the lower token id).
-    ``draft_queries`` records how many draft distribution calls expansion
-    consumed, for cost accounting. A chain policy's tree is a
-    :class:`SpecPath`, which keeps only its tokens and builds these dicts
-    when they are read.
+    Node ``i`` (1, 2, ...; the root is :data:`ROOT_ID`, 0) is position
+    ``i - 1`` of three parallel sequences: ``tokens``, ``parents`` (parent
+    ids) and ``rows`` (the draft row each token came from, read only as
+    ``row[token]``). A parent comes before its children, so a walk from the
+    root never looks back. :func:`expand_tree` attaches a parent's children
+    in the draft's rank order, equal scores following the rank path, never
+    the token id; a chain's ``parents`` is ``range(n)``. A cut
+    (:func:`prune_tree`) keeps every position and gives a dropped node the
+    parent ``-1``, which no walk reaches. ``non_root_count`` counts the kept
+    nodes, ``draft_queries`` the draft calls expansion consumed.
+
+    ``nodes`` maps each kept id, the root included, to its :class:`SpecNode`
+    (depth, draft probability and cumulative log-prob derived root-down),
+    and ``children`` to its child ids in attach order: live read-only views
+    for :func:`render_tree`, cuts and tests, which decoding never reads.
 
     ``context`` is the context the root stands for, and a node's context is
     it plus the node's root path. In a tree that ``speculative_decode``
@@ -182,84 +186,50 @@ class SpecTree:
     need not start at BOS.
     """
 
-    def __init__(self, context) -> None:
+    def __init__(self, context, tokens=(), parents=(), rows=(), draft_queries: int = 0) -> None:
         # A tuple is kept as given, so a context validate_context accepted
         # keeps its type and verify_tree need not walk it again.
         self.context: Context = context if isinstance(context, tuple) else tuple(context)
-        self.nodes: dict[int, SpecNode] = {ROOT_ID: _ROOT}
-        self.children: dict[int, list[int]] = {ROOT_ID: []}
-        self.draft_queries = 0
+        self.tokens: Sequence[int] = tokens
+        self.parents: Sequence[int] = parents
+        self.rows: Sequence = rows
+        self.draft_queries = draft_queries
+        self.non_root_count = len(tokens)
 
     @property
-    def non_root_count(self) -> int:
-        return len(self.nodes) - 1
-
-    def _replace_nodes(self, keep: set[int]) -> "SpecTree":
-        """New tree containing the root plus ``keep``, ids/order preserved."""
-        out = SpecTree(self.context)
-        out.draft_queries = self.draft_queries
-        out.nodes = {ROOT_ID: self.nodes[ROOT_ID]}
-        out.children = {ROOT_ID: []}
-        for nid in sorted(keep):
-            out.nodes[nid] = self.nodes[nid]
-            out.children[nid] = []
-        for nid in sorted(keep):
-            out.children[self.nodes[nid].parent].append(nid)
-        return out
-
-
-class SpecPath(SpecTree):
-    """The tree of a chain policy, kept as its path: only what verification
-    reads.
-
-    ``tokens`` holds the drafted tokens root-down, as a tuple; only the
-    last one may be EOS. ``rows`` holds the draft row each was drafted
-    from. Each token is rank 0 of one draft query, so ``draft_queries`` is
-    their number. The ``nodes`` and ``children`` of the equal
-    :class:`SpecTree`, with ids 1, 2, ... down the path, draft probabilities
-    read from the rows and cumulative log-probs summed root-down, are built
-    on first read (by :func:`render_tree`, by a :func:`prune_tree` that
-    cuts, or by a test) and then kept.
-    """
-
-    __slots__ = ("context", "tokens", "rows", "_nodes", "_children")
-
-    def __init__(self, context: Context, tokens: tuple[int, ...], rows: list[Row]) -> None:
-        self.context = context
-        self.tokens = tokens
-        self.rows = rows
-        self._nodes: dict[int, SpecNode] | None = None
+    def nodes(self) -> Mapping[int, SpecNode]:
+        return _View(self, self._node)
 
     @property
-    def draft_queries(self) -> int:
-        return len(self.tokens)
+    def children(self) -> Mapping[int, list[int]]:
+        return _View(self, lambda nid: [i for i, up in enumerate(self.parents, 1) if up == nid])
 
-    @property
-    def non_root_count(self) -> int:
-        return len(self.tokens)
+    def _node(self, nid: int) -> SpecNode:
+        if nid == ROOT_ID:
+            return _ROOT
+        parent, token = self.parents[nid - 1], self.tokens[nid - 1]
+        up, prob = self._node(parent), float(self.rows[nid - 1][token])
+        return SpecNode(nid, token, parent, up.depth + 1, prob, up.cum_logprob + math.log(prob))
 
-    @property
-    def nodes(self) -> dict[int, SpecNode]:
-        if self._nodes is None:
-            self._build()
-        return self._nodes
 
-    @property
-    def children(self) -> dict[int, list[int]]:
-        if self._nodes is None:
-            self._build()
-        return self._children
+class _View(Mapping):
+    """A live read-only view of a tree's root and kept nodes, by node id."""
 
-    def _build(self) -> None:
-        nodes = {ROOT_ID: _ROOT}
-        cum = 0.0
-        for depth, (token, row) in enumerate(zip(self.tokens, self.rows), 1):
-            prob = row.item(token)
-            cum += math.log(prob)
-            nodes[depth] = SpecNode(depth, token, depth - 1, depth, prob, cum)
-        self._children = {nid: [nid + 1] for nid in range(len(self.tokens))}
-        self._children[len(self.tokens)] = []
-        self._nodes = nodes
+    def __init__(self, tree: SpecTree, read) -> None:
+        self._tree, self._read = tree, read
+
+    def __getitem__(self, nid: int):
+        parents = self._tree.parents
+        if nid != ROOT_ID and not (0 < nid <= len(parents) and parents[nid - 1] != -1):
+            raise KeyError(nid)
+        return self._read(nid)
+
+    def __iter__(self):
+        yield ROOT_ID
+        yield from (nid for nid, parent in enumerate(self._tree.parents, 1) if parent != -1)
+
+    def __len__(self) -> int:
+        return self._tree.non_root_count + 1
 
 
 def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
@@ -270,79 +240,55 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     The draft is queried on (context + root path) at the root and at each
     attached node; branch width follows the draft's entropy there, and the
     proposals are the row's kept fan for that width (:meth:`Row.fan
-    <specdec.dists.Row.fan>`): the ranked ids and their log-probabilities,
-    read once per row, not once per proposal. A fan is never wider than
-    ``policy.fan_width``, the ranks that can clear the floor. A chain
-    policy (``fan_width <= 1`` or an infinite threshold) has width 1
-    whatever the entropy: its tree is drafted as a :class:`SpecPath` by a
-    short loop that reads neither the entropy nor a fan, only each row's
-    greedy token, and keeps every rule below. Proposals wait on a heap,
-    best score first, and the best one is attached next; only an attached
-    node reads its draft probability. EOS nodes and nodes at
-    ``policy.max_depth`` are kept but never queried, so a verified EOS can
-    end decoding. At most ``node_budget`` draft queries are made. A node's
-    own context is built only when the node is queried.
+    <specdec.dists.Row.fan>`), never wider than ``policy.fan_width``, the
+    ranks that can clear the floor. A chain policy (``fan_width <= 1`` or an
+    infinite threshold) is drafted by a short loop from each row's greedy
+    token, under every rule below. EOS nodes and nodes at ``max_depth`` are
+    kept but never queried, so a verified EOS can end decoding. At most
+    ``node_budget`` draft queries are made. Attaching a node appends its
+    token, parent id and row to the tree's sequences.
 
-    A node's *score* is what it ranks by: its cumulative draft log-prob
-    without a vector, or with ``policy.acceptance`` the sum of
-    ``policy.log_rates`` over the fan ranks on its root path, the log of
-    its expected acceptance. Its ``cum_logprob`` is the draft log-prob
-    either way, filed when the node attaches: the score without a vector,
-    its parent's ``cum_logprob`` plus the log of its draft probability with
-    one. With a vector two rules make the tree draft only what pays: a node
-    attaches only if its score is at least ``policy.log_floor``, and a
-    node, the root included, is queried only if its best child, rank 0,
-    would reach the floor, which the rate of rank 0 tells before the draft
-    call. So rank 0 of a query always clears the floor, and a later rank is
-    pushed only if it does; the ranks after one that fails never can, and
-    are never pushed. Without a vector the floor is ``-inf`` and neither
-    rule costs a comparison per node.
+    A node's *score* is what it ranks by: its cumulative draft log-prob, or
+    with ``policy.acceptance`` the sum of ``policy.log_rates`` over the fan
+    ranks on its root path, the log of its expected acceptance. With a
+    vector a node attaches only if its score is at least
+    ``policy.log_floor``, and a node, the root included, is queried only if
+    its rank 0 child would reach the floor; a later rank is pushed only if
+    it does. Without a vector the floor is ``-inf``.
 
-    It is one loop, and the heap holds a node's next proposal, not its whole
-    fan. A query whose fan is one token wide and whose proposal sorts
-    before the heap's best (or meets an empty heap) attaches that token at
-    once, with no heap entry. Any other query
-    makes one *cursor* for the queried node: its fan ids and their number,
-    the scores of the fan's ranks, the node's score, id, row and context,
-    the base of its children's path codes and its next unpushed rank. It
-    hands rank 0 to ``heapq.heappushpop``, which returns it without
-    touching the heap when it is the best proposal left. Attaching a node
-    pushes the next rank of its parent's cursor, so each cursor has at most
-    one entry on the heap. Nodes are filed into the tree directly, with ids
-    1, 2, ... in attach order.
-
-    Heap entries sort by ``(-score, depth, code)``, where a node's path
-    code is ``parent_code * max_branch + rank``: fans are at most
-    ``max_branch`` wide, so at one depth codes order like the draft's rank
-    paths, and like the creation ids of the full breadth-first expansion.
-    Codes are unique per depth, so the token and the cursor never take part
-    in a comparison. A sibling's key is never below the key of the one
-    ranked above it, since fan log-probs and rates are both non-increasing,
-    and its code is higher; so siblings attach in rank order, and equal
-    scores follow the draft's own ranking, never the token id.
-
-    The result equals pruning the full breadth-first expansion to the
-    budget, by score and, with a vector, to the floor, with
-    :func:`_rank_key`'s tiebreaks: a child never outranks its parent, so
-    the ``n`` best nodes always include their ancestors and pop off the
-    heap in that order.
+    Proposals wait on a heap, best score first; it holds a node's next
+    proposal, not its whole fan. A query whose fan is one token wide and
+    whose proposal sorts before the heap's best attaches that token at once.
+    Any other query makes one *cursor* for the queried node (its fan ids,
+    width and rank scores, its score, id, row and context, its children's
+    path-code base and next unpushed rank) and hands rank 0 to
+    ``heapq.heappushpop``, which returns it untouched when it is the best
+    proposal left. Attaching a node pushes the next rank of its parent's
+    cursor. Entries sort by ``(-score, depth, code)``, where a node's path
+    code is ``parent_code * max_branch + rank``: unique per depth and
+    ordered like the draft's rank paths, so siblings attach in rank order
+    and equal scores follow the draft's ranking, never the token id. The
+    result equals pruning the full breadth-first expansion to the budget,
+    and with a vector to the floor, by score with :func:`_rank_key`'s
+    tiebreaks: a child never outranks its parent, so the ``n`` best nodes
+    include their ancestors and pop off the heap in that order.
     """
     ctx = validate_context(draft.vocab, ctx)
     threshold, fan_width = policy.entropy_threshold, policy.fan_width
     if fan_width <= 1 or threshold == math.inf:
         return _expand_path(draft, ctx, policy)
-    tree = SpecTree(ctx)
-    nodes, children = tree.nodes, tree.children
+    tokens, parents, rows = [], [], []
+    add_token, add_parent, add_row = tokens.append, parents.append, rows.append
     eos = draft.vocab.eos_id
     max_branch, budget, max_depth = policy.max_branch, policy.node_budget, policy.max_depth
     # With a vector, a node is queried only if its rank 0 would reach the
     # floor, and a later rank is pushed only if it does.
     rates, neg_floor = policy.log_rates, -policy.log_floor
     heap: list = []
-    push, pushpop, pop, log = heapq.heappush, heapq.heappushpop, heapq.heappop, math.log
+    push, pushpop, pop = heapq.heappush, heapq.heappushpop, heapq.heappop
     # The node to query, the parent of its proposals: its id, depth, score,
     # context and path code; starts at the root.
-    query, parent, depth, score, node_ctx, code = True, ROOT_ID, 0, 0.0, tree.context, 0
+    query, parent, depth, score, node_ctx, code = True, ROOT_ID, 0, 0.0, ctx, 0
     queries = count = 0
     while True:
         if query and (not rates or -(score + rates[0]) <= neg_floor):
@@ -372,17 +318,12 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
             ids, width, keys, score, parent, row, node_ctx, base, rank = cursor
         else:
             break
-        # Fan ids of a checked row are distinct and in range, and the key
-        # holds the child's score, which is its cumulative log-prob when
-        # there is no vector: the node needs no checks.
+        # Fan ids of a checked row are distinct and in range: the node
+        # needs no checks.
         count += 1
-        prob = row.item(token)
-        nodes[count] = _new_node(SpecNode, (
-            count, token, parent, depth, prob,
-            nodes[parent][5] + log(prob) if rates else -neg_key,
-        ))
-        children[count] = []
-        children[parent].append(count)
+        add_token(token)
+        add_parent(parent)
+        add_row(row)
         if count == budget:
             break
         if rank < width:
@@ -393,38 +334,31 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
         query = token != eos and depth < max_depth
         if query:
             parent, score, node_ctx = count, -neg_key, node_ctx + (token,)
-    tree.draft_queries = queries
-    return tree
+    return SpecTree(ctx, tokens, parents, rows, queries)
 
 
-def _expand_path(draft: LanguageModel, ctx: Context, policy: BranchPolicy) -> SpecPath:
+def _expand_path(draft: LanguageModel, ctx: Context, policy: BranchPolicy) -> SpecTree:
     """:func:`expand_tree` for a chain policy: each query's one proposal is
-    its row's greedy token, the fan of width 1, attached at once.
-
-    The heap loop's rules hold as they are: an EOS node and a node at
-    ``max_depth`` are not queried, nor is any node once the path holds
-    ``node_budget`` nodes. With an acceptance vector a node's score is
-    ``log_rates[0]`` added once per depth, as the heap loop sums it, and a
-    node is queried only if its child's score would reach ``log_floor``:
-    the query rule, which for rank 0 is the floor as well.
+    its row's greedy token, attached at once, so ``parents`` is ``range(n)``.
+    The heap loop's rules hold: no query at EOS, at ``max_depth`` or once
+    the budget is full, and with a vector a node's score is ``log_rates[0]``
+    per depth and a node is queried only if its child would reach the floor.
     """
     eos = draft.vocab.eos_id
     rate, log_floor = policy.log_rates[0] if policy.log_rates else 0.0, policy.log_floor
-    tokens: tuple[int, ...] = ()
-    rows: list[Row] = []
-    node_ctx, score = ctx, 0.0
+    tokens, rows, node_ctx, score = [], [], ctx, 0.0
     for _ in range(min(policy.node_budget, policy.max_depth)):
         score += rate
         if score < log_floor:
             break
         row = next_distribution(draft, node_ctx)
         token = row.greedy_token
-        tokens += (token,)
+        tokens.append(token)
         rows.append(row)
         if token == eos:
             break
         node_ctx += (token,)
-    return SpecPath(ctx, tokens, rows)
+    return SpecTree(ctx, tokens, range(len(tokens)), rows, len(tokens))
 
 
 def _rank_key(node: SpecNode) -> tuple[float, int, int]:
@@ -439,12 +373,11 @@ def prune_tree(tree: SpecTree, n: int) -> SpecTree:
     A tree that already fits is returned as it is. Equal scores rank the
     shallower node first, then the lower id: in a tree built breadth-first
     in each parent's rank order, ids at one depth follow the draft's rank
-    paths, the order :func:`expand_tree` attaches in. Every tree whose
-    nodes carry coherent cumulative log-probabilities keeps its ancestors
-    when cut this way, since a child's log-probability never exceeds its
-    parent's. The result is a connected subtree that contains the
-    top-ranked node; the operation is idempotent. A :class:`SpecPath` cut
-    this way keeps its first ``n`` nodes, as a :class:`SpecTree`.
+    paths. (A tree expanded with an acceptance vector ranked its nodes by
+    expected acceptance, so a cut of it need not keep its first nodes.) A
+    child's log-probability never exceeds its parent's, so the result is a
+    connected subtree holding the top-ranked node. It keeps every position
+    and id, and each dropped node's parent becomes ``-1``. Idempotent.
     """
     if n < 1:
         raise InputError(f"prune budget must be >= 1, got {n}")
@@ -453,7 +386,11 @@ def prune_tree(tree: SpecTree, n: int) -> SpecTree:
     ranked = sorted(
         (node for nid, node in tree.nodes.items() if nid != ROOT_ID), key=_rank_key
     )
-    return tree._replace_nodes({node.id for node in ranked[:n]})
+    keep = {node.id for node in ranked[:n]}
+    parents = [parent if nid in keep else -1 for nid, parent in enumerate(tree.parents, 1)]
+    cut = SpecTree(tree.context, tree.tokens, parents, tree.rows, tree.draft_queries)
+    cut.non_root_count = n
+    return cut
 
 
 def render_tree(tree: SpecTree, vocab: Vocabulary) -> str:

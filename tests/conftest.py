@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import os
 import zlib
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from specdec.dists import entropy
@@ -19,9 +21,15 @@ from specdec.models import (
     Vocabulary,
     next_distribution,
 )
-from specdec.tree import ROOT_ID, SpecNode, SpecTree
+from specdec.tree import ROOT_ID, SpecTree
 
 _CRITERION_RESULTS: dict[str, bool] = {}
+
+# Property tests explore afresh on each run by default. The "derandomized"
+# profile draws the same examples every run and keeps no example database,
+# so a run's verdicts repeat: ``HYPOTHESIS_PROFILE=derandomized`` selects it.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def pytest_configure(config):
@@ -122,24 +130,19 @@ class TableModel(LanguageModel):
 
 
 def add_child(tree: SpecTree, parent_id: int, token: int, draft_prob: float) -> int:
-    """Attach a checked node to ``tree`` and return its id, one above the
-    highest id in the tree."""
-    parent = tree.nodes.get(parent_id)
-    if parent is None:
+    """Attach a checked node to ``tree`` and return its id, the next
+    position of its flat sequences. Its row is ``{token: draft_prob}``."""
+    if parent_id not in tree.nodes:
         raise InputError(f"parent id {parent_id} not in tree")
     if not 0.0 < draft_prob <= 1.0:
         raise InputError(f"draft_prob must be in (0, 1], got {draft_prob}")
-    for sib in tree.children[parent_id]:
-        if tree.nodes[sib].token == token:
-            raise InputError(f"parent {parent_id} already has a child with token {token}")
-    node_id = max(tree.nodes) + 1
-    tree.nodes[node_id] = SpecNode(
-        node_id, int(token), parent_id, parent.depth + 1, float(draft_prob),
-        parent.cum_logprob + math.log(draft_prob),
-    )
-    tree.children[node_id] = []
-    tree.children[parent_id].append(node_id)
-    return node_id
+    if (token, parent_id) in zip(tree.tokens, tree.parents):
+        raise InputError(f"parent {parent_id} already has a child with token {token}")
+    tree.tokens = [*tree.tokens, int(token)]
+    tree.parents = [*tree.parents, parent_id]
+    tree.rows = [*tree.rows, {int(token): float(draft_prob)}]
+    tree.non_root_count += 1
+    return len(tree.tokens)
 
 
 def path_tokens(tree: SpecTree, node_id: int) -> tuple[int, ...]:
@@ -244,7 +247,10 @@ def best_nodes(full: SpecTree, policy) -> SpecTree:
          if nid != ROOT_ID and scores[nid] >= full.log_floor),
         key=lambda node: (-scores[node.id], node.depth, node.id),
     )[:policy.node_budget]
-    kept = full._replace_nodes({node.id for node in ranked})
+    keep = {node.id for node in ranked}
+    kept = SpecTree(full.context, full.tokens,
+                    [p if nid in keep else -1 for nid, p in enumerate(full.parents, 1)], full.rows)
+    kept.non_root_count = len(keep)
     queried = [nid for nid in (ROOT_ID, *(node.id for node in ranked)) if nid in full.queried]
     filled = len(ranked) == policy.node_budget and ranked[-1].id in full.queried
     kept.draft_queries = len(queried) - filled

@@ -18,7 +18,6 @@ from specdec.models import ConstantModel, LanguageModel, distill_interpolate, tr
 from specdec.tree import (
     ROOT_ID,
     BranchPolicy,
-    SpecPath,
     SpecTree,
     expand_tree,
     prune_tree,
@@ -35,6 +34,7 @@ from conftest import (
     one_hot,
     text_vocab,
 )
+from test_tree import build_random_tree
 
 
 def walk_oracle(target, tree):
@@ -168,10 +168,29 @@ def test_verify_matches_brute_force_oracle():
         assert result.nodes_scored == scored
 
 
-def test_a_path_verifies_and_prunes_as_its_equal_tree():
+def test_verify_matches_brute_force_oracle_on_interleaved_trees_and_their_cuts():
+    # Random hand-built trees attach nodes under random parents, so a node's
+    # children interleave with its cousins', often with equal tokens; their
+    # cuts leave holes in the ids. Four tokens keep fans narrow and walks deep.
+    vocab = make_vocab(2)
+    rng = np.random.default_rng(2107)
+    deepest = 0
+    for seed in range(300):
+        tree = build_random_tree(rng, vocab_size=vocab.size)
+        target = RandomTableModel(vocab, seed=seed, concentration=0.3)
+        for cut in (tree, prune_tree(tree, int(rng.integers(1, 12)))):
+            result = verify_tree(target, cut)
+            accepted, bonus, scored = walk_oracle(target, cut)
+            assert (list(result.accepted_tokens), result.bonus_token, result.nodes_scored) == (
+                accepted, bonus, scored)
+            deepest = max(deepest, len(accepted))
+    assert deepest >= 3
+
+
+def test_a_chain_policy_tree_verifies_and_prunes_as_its_equal_hand_built_tree():
     # One-hot models make each case exact: `a` and `b` always predict 'a'
     # and 'b', and `eos_second` predicts EOS after BOS 'a', else 'a'. Each
-    # case's path is checked against the equal SpecTree, built node by node.
+    # case's chain is checked against the equal SpecTree, built node by node.
     vocab = make_vocab(3)
     bos, eos, size = vocab.bos_id, vocab.eos_id, vocab.size
     a, b = ConstantModel(vocab, one_hot(size, 0)), ConstantModel(vocab, one_hot(size, 1))
@@ -188,7 +207,6 @@ def test_a_path_verifies_and_prunes_as_its_equal_tree():
     )
     for draft, target, policy, want in cases:
         path = expand_tree(draft, (bos,), policy)
-        assert type(path) is SpecPath
         assert path.draft_queries == path.non_root_count == len(path.tokens)
         tree, parent = SpecTree(path.context), ROOT_ID
         for token, row in zip(path.tokens, path.rows):

@@ -505,6 +505,19 @@ def test_load_rejects_non_integer_or_misshapen_tables(tmp_path, fault):
         load_model(path)
 
 
+def test_load_rejects_a_count_beyond_int64_in_one_line(tmp_path):
+    # The unigram counts become an int64 array, which 2**63 overflows.
+    vocab, corpus = text_vocab(TRAIN_TEXT[:200])
+    path = tmp_path / "model.json"
+    save_model(train_ngram(corpus, order=2, smoothing_alpha=0.5, vocab=vocab), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["unigram"][0] = 2**63
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(InputError, match="model.json") as caught:
+        load_model(path)
+    assert "\n" not in str(caught.value)
+
+
 @pytest.mark.parametrize("key", [(), (0, 1)])
 def test_ngram_rejects_a_context_key_of_the_wrong_length(key):
     vocab = make_vocab(2)

@@ -90,7 +90,8 @@ MUTANTS = (
            "except (KeyError, TypeError, ValueError, OverflowError) as exc:",
            "except (KeyError, TypeError, ValueError) as exc:",
            ("tests/test_models.py::test_load_model_survives_mutated_files",
-            "tests/test_models.py::test_load_rejects_non_integer_or_misshapen_tables")),
+            "tests/test_models.py::test_load_rejects_non_integer_or_misshapen_tables",
+            "tests/test_models.py::test_load_rejects_a_count_beyond_int64_in_one_line")),
     Mutant("n-gram window of order - 2", "models.py",
            "self.context_window = order - 1", "self.context_window = order - 2",
            ("tests/test_models.py", "tests/test_contexts.py")),
@@ -147,10 +148,19 @@ MUTANTS = (
            ("tests/test_tree.py",)),
     Mutant("the path ignores the budget", "tree.py",
            "range(min(policy.node_budget, policy.max_depth))", "range(policy.max_depth)",
-           ("tests/test_decode.py::test_a_path_verifies_and_prunes_as_its_equal_tree",)),
+           ("tests/test_decode.py::"
+            "test_a_chain_policy_tree_verifies_and_prunes_as_its_equal_hand_built_tree",)),
     Mutant("path verification keeps walking after an accepted EOS", "decode.py",
-           "if token == eos:  # only ever a path's last token", "if False:",
-           ("tests/test_decode.py::test_a_path_verifies_and_prunes_as_its_equal_tree",)),
+           "if want == eos:", "if False:",
+           ("tests/test_decode.py::"
+            "test_a_chain_policy_tree_verifies_and_prunes_as_its_equal_hand_built_tree",)),
+    Mutant("the scan ignores the parent", "decode.py",
+           "if tokens[i] == want and parents[i] == node:", "if tokens[i] == want:",
+           ("tests/test_decode.py::"
+            "test_verify_matches_brute_force_oracle_on_interleaved_trees_and_their_cuts",)),
+    Mutant("a cut keeps dropped nodes' parents", "tree.py",
+           "parent if nid in keep else -1", "parent",
+           ("tests/test_tree.py",)),
     Mutant("acceptance rates left unsorted", "metrics.py",
            "return non_increasing([(h + 0.5) / (len(probes) + 1) for h in hits])",
            "return tuple((h + 0.5) / (len(probes) + 1) for h in hits)",
@@ -179,7 +189,9 @@ MUTANTS = (
 
 
 def run(mutants, copy: Path) -> int:
-    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    # The derandomized hypothesis profile (tests/conftest.py) draws the same
+    # examples on every run, so a verdict never rests on a lucky draw.
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "HYPOTHESIS_PROFILE": "derandomized"}
     caught = 0
     for m in mutants:
         path = copy / "src" / "specdec" / m.file
