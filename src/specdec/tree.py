@@ -53,9 +53,8 @@ class BranchPolicy:
     """Knobs for tree construction.
 
     entropy_threshold: nats; below it a node extends top-1, at or above it
-        the top ``max_branch`` tokens are expanded. ``math.inf`` (or
-        ``max_branch=1``, or a ``fan_width`` of at most 1) degenerates to
-        classic chain speculation.
+        the top ``max_branch`` tokens are expanded. ``math.inf`` or
+        ``max_branch=1`` gives a ``fan_width`` of 1: chain speculation.
     node_budget: global cap on non-root nodes in a tree.
     acceptance: optional per-rank acceptance vector, as
         :func:`~specdec.metrics.estimate_acceptance` measures it: entry r is
@@ -81,10 +80,11 @@ class BranchPolicy:
         expansion compares with sums of log rates; None and ``-inf``
         without a vector.
     fan_width: the widest fan expansion reads: the number of leading ranks,
-        at most ``max_branch``, whose log rate reaches ``log_floor``, the
-        comparison expansion makes. A node's score never exceeds its rate's
-        log, so a later rank could never attach. ``max_branch`` without a
-        vector. At most 1, the policy drafts a chain.
+        at most ``max_branch`` (1 under an infinite threshold, which reads
+        a one-wide fan at every query), whose log rate reaches
+        ``log_floor``, the comparison expansion makes. A node's score never
+        exceeds its rate's log, so a later rank could never attach. That
+        width without a vector. At most 1, the policy drafts a chain.
     """
 
     entropy_threshold: float
@@ -111,9 +111,9 @@ class BranchPolicy:
             raise InputError(
                 f"max_branch={self.max_branch} exceeds node_budget={self.node_budget}"
             )
-        derived = {
-            "floor": 0.0, "log_rates": None, "log_floor": -math.inf, "fan_width": self.max_branch,
-        }
+        # An infinite threshold reads a one-wide fan at every query.
+        widest = 1 if self.entropy_threshold == math.inf else self.max_branch
+        derived = {"floor": 0.0, "log_rates": None, "log_floor": -math.inf, "fan_width": widest}
         if (self.acceptance is None) != (self.cost is None):
             raise InputError("an acceptance vector and a cost model come together")
         if self.acceptance is not None:
@@ -130,7 +130,7 @@ class BranchPolicy:
             log_rates = tuple(map(math.log, rates))
             log_floor = math.log(floor) if floor > 0 else -math.inf
             fan_width = 0
-            while fan_width < self.max_branch and log_rates[fan_width] >= log_floor:
+            while fan_width < widest and log_rates[fan_width] >= log_floor:
                 fan_width += 1
             derived = {
                 "acceptance": rates,
@@ -150,13 +150,18 @@ class BranchPolicy:
 
 def _best_chain_speedup(rate: float, cost: CostModel, max_depth: int) -> float:
     """The best predicted speedup of a chain of depth 1 to ``max_depth``
-    whose every node is accepted at ``rate``."""
+    whose every node is accepted at ``rate``. The walk ends once a deeper
+    node adds nothing to gamma in floating point; a rate of exactly 1, which
+    :func:`~specdec.metrics.estimate_acceptance` never returns, walks every
+    depth."""
     gamma = reach = 1.0
     best = 0.0
     for depth in range(1, max_depth + 1):
         reach *= rate
         gamma += reach
         best = max(best, predicted_speedup(gamma, cost, depth))
+        if gamma + reach == gamma:  # deeper chains add cost, not tokens
+            break
     return best
 
 
@@ -241,9 +246,9 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     attached node; branch width follows the draft's entropy there, and the
     proposals are the row's kept fan for that width (:meth:`Row.fan
     <specdec.dists.Row.fan>`), never wider than ``policy.fan_width``, the
-    ranks that can clear the floor. A chain policy (``fan_width <= 1`` or an
-    infinite threshold) is drafted by a short loop from each row's greedy
-    token, under every rule below. EOS nodes and nodes at ``max_depth`` are
+    ranks that can clear the floor. A chain policy (``fan_width <= 1``,
+    which an infinite threshold gives) is drafted by a short loop from each
+    row's greedy token, under every rule below. EOS nodes and nodes at ``max_depth`` are
     kept but never queried, so a verified EOS can end decoding. At most
     ``node_budget`` draft queries are made. Attaching a node appends its
     token, parent id and row to the tree's sequences.
@@ -257,14 +262,13 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     it does. Without a vector the floor is ``-inf``.
 
     Proposals wait on a heap, best score first; it holds a node's next
-    proposal, not its whole fan. A query whose fan is one token wide and
-    whose proposal sorts before the heap's best attaches that token at once.
-    Any other query makes one *cursor* for the queried node (its fan ids,
-    width and rank scores, its score, id, row and context, its children's
-    path-code base and next unpushed rank) and hands rank 0 to
-    ``heapq.heappushpop``, which returns it untouched when it is the best
-    proposal left. Attaching a node pushes the next rank of its parent's
-    cursor. Entries sort by ``(-score, depth, code)``, where a node's path
+    proposal, not its whole fan. Each query makes one *cursor* for the
+    queried node (its fan ids, width and rank scores, its score, id, row and
+    context, its children's path-code base and next unpushed rank) and
+    hands rank 0 to ``heapq.heappushpop``, which returns it untouched when
+    it is the best proposal left; with no query due, the heap's best is
+    popped. Attaching a node pushes the next rank of its parent's cursor.
+    Entries sort by ``(-score, depth, code)``, where a node's path
     code is ``parent_code * max_branch + rank``: unique per depth and
     ordered like the draft's rank paths, so siblings attach in rank order
     and equal scores follow the draft's ranking, never the token id. The
@@ -274,12 +278,12 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     include their ancestors and pop off the heap in that order.
     """
     ctx = validate_context(draft.vocab, ctx)
-    threshold, fan_width = policy.entropy_threshold, policy.fan_width
-    if fan_width <= 1 or threshold == math.inf:
+    if policy.fan_width <= 1:
         return _expand_path(draft, ctx, policy)
     tokens, parents, rows = [], [], []
     add_token, add_parent, add_row = tokens.append, parents.append, rows.append
     eos = draft.vocab.eos_id
+    threshold, fan_width = policy.entropy_threshold, policy.fan_width
     max_branch, budget, max_depth = policy.max_branch, policy.node_budget, policy.max_depth
     # With a vector, a node is queried only if its rank 0 would reach the
     # floor, and a later rank is pushed only if it does.
@@ -299,25 +303,19 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
             ids, keys = row.fan(1 if row.entropy < threshold else fan_width)
             if rates:
                 keys = rates
-            width = len(ids)
             depth += 1
             code *= max_branch
-            neg_key, token = -(score + keys[0]), ids[0]
-            if width == 1 and (not heap or (neg_key, depth, code) < heap[0]):
-                rank = 1  # the queried node's only child; no sibling to push
-            else:
-                # The cursor: fan ids, width and rank scores, the node's
-                # score, id, row and context, its children's code base and
-                # the next unpushed rank.
-                cursor = [ids, width, keys, score, parent, row, node_ctx, code, 1]
-                neg_key, depth, code, token, cursor = pushpop(
-                    heap, (neg_key, depth, code, token, cursor))
-                ids, width, keys, score, parent, row, node_ctx, base, rank = cursor
+            # The cursor: fan ids, width and rank scores, the node's score,
+            # id, row and context, its children's code base and the next
+            # unpushed rank.
+            cursor = [ids, len(ids), keys, score, parent, row, node_ctx, code, 1]
+            entry = pushpop(heap, (-(score + keys[0]), depth, code, ids[0], cursor))
         elif heap:
-            neg_key, depth, code, token, cursor = pop(heap)
-            ids, width, keys, score, parent, row, node_ctx, base, rank = cursor
+            entry = pop(heap)
         else:
             break
+        neg_key, depth, code, token, cursor = entry
+        ids, width, keys, score, parent, row, node_ctx, base, rank = cursor
         # Fan ids of a checked row are distinct and in range: the node
         # needs no checks.
         count += 1

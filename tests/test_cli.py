@@ -491,3 +491,14 @@ def test_bench_infinite_draft_cost_exits_one_without_a_report(tmp_path, corpus_f
     assert code == 1
     assert err.count("\n") == 1 and "draft_cost must be finite" in err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_bench_with_a_huge_depth_grid_finishes(tmp_path, corpus_file):
+    # The chain floor stops where deeper chains add no tokens, not at the
+    # depth the grid names.
+    config = tmp_path / "deep.cfg"
+    text = _CONFIG_TEXT.format(corpus=corpus_file)
+    config.write_text(text.replace("depth_grid = 3", f"depth_grid = {10**12}"), encoding="utf-8")
+    assert main(["bench", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert report["records"][0]["depth"] == 10**12

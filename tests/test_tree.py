@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from specdec.decode import greedy_decode, speculative_decode
 from specdec.errors import InputError
-from specdec.metrics import CostModel
+from specdec.metrics import CostModel, predicted_speedup
 from specdec.models import ConstantModel, distill_interpolate, train_ngram
 from specdec.tree import (
     ROOT_ID,
@@ -457,6 +457,7 @@ def test_a_policy_derives_its_fan_width_from_the_floor():
     cost = CostModel(0.05, 1.0)
     assert BranchPolicy(0.35, 4, 3, 8).fan_width == 4
     assert BranchPolicy.chain(3).fan_width == 1
+    assert BranchPolicy(math.inf, 4, 3, 8).fan_width == 1
     # The floor is about 0.1495 (see the floor test above): ranks 0 and 1
     # clear it, ranks 2 and 3 do not; the count stops at max_branch.
     policy = BranchPolicy(0.35, 4, 3, 8, (0.9, 0.5, 0.1, 0.1), cost)
@@ -606,6 +607,33 @@ def test_a_policy_with_an_acceptance_vector_checks_it_and_derives_its_floor():
         BranchPolicy(0.35, 4, 3, 8, (0.9,) * 4)
     with pytest.raises(InputError):
         BranchPolicy(0.35, 4, 3, 8, cost=cost)
+
+
+def test_the_chain_floor_stops_once_deeper_chains_add_no_tokens(monkeypatch):
+    # Past some depth, r0**depth no longer moves gamma in floating point, so
+    # a deeper chain only costs more. The demo bench's lambda = 0.5 vector
+    # (ROADMAP) stops near depth 290 and the README example's (rank-0 rate
+    # 0.971) near 1,140, not at max_depth = 10**5, with the floor a walk of
+    # every depth to 10**4 finds, bit for bit.
+    cost = CostModel(0.05, 1.0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return predicted_speedup(*args)
+
+    monkeypatch.setattr("specdec.tree.predicted_speedup", counted)
+    for rates in ((0.888, 0.112, 0.01, 0.01), (101 / 104, 3 / 104, 1 / 104, 1 / 104)):
+        calls.clear()
+        policy = BranchPolicy(0.35, 4, 10**5, 8, rates, cost)
+        assert len(calls) <= 1200
+        gamma = reach = 1.0
+        best = 0.0
+        for depth in range(1, 10**4 + 1):
+            reach *= rates[0]
+            gamma += reach
+            best = max(best, predicted_speedup(gamma, cost, depth))
+        assert policy.floor == cost.draft_cost * best
 
 
 def test_a_node_whose_best_child_misses_the_floor_is_not_queried():

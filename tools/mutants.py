@@ -106,31 +106,23 @@ MUTANTS = (
            "context if isinstance(context, tuple) else tuple(context)", "tuple(context)",
            ("tests/test_contexts.py",)),
     Mutant("rank 0 taken without heappushpop", "tree.py",
-           "neg_key, depth, code, token, cursor = pushpop(\n                    heap, (",
-           "neg_key, depth, code, token, cursor = (\n                    (",
-           ("tests/test_tree.py",)),
-    Mutant("the one-wide shortcut ignores heap[0]", "tree.py",
-           "if width == 1 and (not heap or (neg_key, depth, code) < heap[0]):",
-           "if width == 1:",
+           "entry = pushpop(heap, (", "entry = ((",
            ("tests/test_tree.py",)),
     Mutant("heap orders equal keys by token before path code", "tree.py",
-           "(neg_key, depth, code) < heap[0]", "(neg_key, depth, token, code) < heap[0]",
+           "(-(score + keys[0]), depth, code, ids[0], cursor)",
+           "(-(score + keys[0]), depth, ids[0], code, cursor)",
            ("tests/test_tree.py",),
-           more=(("depth, code, token, cursor = pushpop(\n"
-                  "                    heap, (neg_key, depth, code, token, cursor))",
-                  "depth, token, code, cursor = pushpop(\n"
-                  "                    heap, (neg_key, depth, token, code, cursor))"),
-                 ("neg_key, depth, code, token, cursor = pop(heap)",
-                  "neg_key, depth, token, code, cursor = pop(heap)"),
+           more=(("neg_key, depth, code, token, cursor = entry",
+                  "neg_key, depth, token, code, cursor = entry"),
                  ("(neg_next, depth, base + rank, ids[rank], cursor)",
                   "(neg_next, depth, ids[rank], base + rank, cursor)"))),
     Mutant("fan_width counts a rank below the floor", "tree.py",
-           "while fan_width < self.max_branch and log_rates[fan_width] >= log_floor:",
-           "while fan_width < self.max_branch:",
+           "while fan_width < widest and log_rates[fan_width] >= log_floor:",
+           "while fan_width < widest:",
            ("tests/test_tree.py",)),
     Mutant("chain shortcut for a finite threshold", "tree.py",
-           "if fan_width <= 1 or threshold == math.inf:",
-           "if fan_width <= 1 or threshold > 0:",
+           "widest = 1 if self.entropy_threshold == math.inf else self.max_branch",
+           "widest = 1 if self.entropy_threshold > 0 else self.max_branch",
            ("tests/test_tree.py",)),
     Mutant("acceptance vector ignored in the key", "tree.py",
            "keys = rates", "keys = keys",
@@ -185,6 +177,32 @@ MUTANTS = (
     Mutant("config paths not resolved", "harness.py",
            "values[key] = str(Path(path).parent / values[key])", "pass",
            ("tests/test_cli.py::test_config_paths_resolve_against_the_config_file",)),
+    Mutant("the chain floor walks every depth", "tree.py",
+           "if gamma + reach == gamma:", "if False:",
+           ("tests/test_tree.py::test_the_chain_floor_stops_once_deeper_chains_add_no_tokens",)),
+    Mutant("emission not cut to max_tokens", "decode.py",
+           "emitted = emitted[: max_tokens - len(out)]", "pass",
+           ("tests/test_decode.py::test_truncated_final_cycle_keeps_exact_length",)),
+    Mutant("no stop at an emitted EOS", "decode.py",
+           "if eos in emitted:", "if False:",
+           ("tests/test_decode.py::test_speculative_stops_at_accepted_eos",)),
+    Mutant("the bonus left out of the next context", "decode.py",
+           "ctx = ctx.extended(emitted, window)", "ctx = ctx.extended(accepted, window)",
+           ("tests/test_decode.py::test_speculative_equals_greedy_seeded_sample",)),
+    Mutant("the decode never trims to its window", "decode.py",
+           "window = _window(draft, target)", "window = None",
+           ("tests/test_contexts.py::"
+            "test_long_outputs_match_greedy_on_contexts_of_window_plus_depth",)),
+    Mutant("run_matrix compares tokens with themselves", "harness.py",
+           "if tokens != baseline:", "if tokens != tokens:",
+           ("tests/test_cli.py::test_bench_losslessness_violation_exits_three",)),
+    Mutant("InputError mapped to exit code 2", "cli.py",
+           'print(f"specdec: error: {exc}", file=sys.stderr)\n        return 1',
+           'print(f"specdec: error: {exc}", file=sys.stderr)\n        return 2',
+           ("tests/test_cli.py::test_report_rejects_non_report_json",)),
+    Mutant("emit_report accepts unverified records", "harness.py",
+           "if any(not r.losslessness_verified for r in records):", "if False:",
+           ("tests/test_harness.py::test_emit_report_rejects_bad_inputs",)),
 )
 
 
