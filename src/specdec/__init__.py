@@ -21,8 +21,6 @@ from .harness import (
     split_corpus,
 )
 from .metrics import (
-    KL_DRAFT_TARGET,
-    KL_TARGET_DRAFT,
     CostModel,
     DecodeStats,
     combine_stats,
@@ -63,8 +61,6 @@ __all__ = [
     "ExperimentConfig",
     "InputError",
     "InterpolatedModel",
-    "KL_DRAFT_TARGET",
-    "KL_TARGET_DRAFT",
     "LanguageModel",
     "LosslessnessError",
     "NGramModel",

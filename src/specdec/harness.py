@@ -30,8 +30,6 @@ import numpy as np
 from .decode import greedy_decode, speculative_decode
 from .errors import InputError, LosslessnessError
 from .metrics import (
-    KL_DRAFT_TARGET,
-    KL_TARGET_DRAFT,
     STAT_COUNTERS,
     CostModel,
     combine_stats,
@@ -53,7 +51,7 @@ from .models import (
 )
 from .tree import BranchPolicy
 
-REPORT_VERSION = 3
+REPORT_VERSION = 4
 
 
 def ingest_corpus(path) -> tuple[Vocabulary, tuple[int, ...]]:
@@ -122,18 +120,19 @@ class ExperimentConfig:
     probe_length: int = 8
     max_tokens: int = 32
     seed: int = 20250825
-    kl_direction: str = KL_TARGET_DRAFT
     draft_cost: float = 0.05
     batch_cost: float = 1.0
 
     def __post_init__(self) -> None:
+        if not self.corpus:
+            raise InputError("corpus must be a non-empty path")
         for name, kind in _CONFIG_TYPES.items():
             if kind in (float, tuple[float, ...]):
-                value = getattr(self, name)
-                if any(map(math.isnan, value if isinstance(value, tuple) else (value,))):
+                values = getattr(self, name)
+                values = values if isinstance(values, tuple) else (values,)
+                if any(map(math.isnan, values)):
                     raise InputError(f"{name} must not be NaN")
-                # Grids may hold inf: tau_grid = inf means a chain.
-                if kind is float and math.isinf(value):
+                if any(map(math.isinf, values)):
                     raise InputError(f"{name} must be finite")
         for name in _GRIDS:
             if not getattr(self, name):
@@ -144,6 +143,11 @@ class ExperimentConfig:
             low = 0 if name == "tau_grid" else 1
             if min(getattr(self, name)) < low:
                 raise InputError(f"{name} values must be >= {low}")
+        if max(self.branch_grid) > min(self.budget_grid):
+            raise InputError(
+                f"branch_grid value {max(self.branch_grid)} exceeds "
+                f"budget_grid value {min(self.budget_grid)}"
+            )
         for name in ("target_order", "draft_order", "prompt_count", "prompt_length",
                      "probe_count", "probe_length", "max_tokens"):
             if getattr(self, name) < 1:
@@ -156,8 +160,6 @@ class ExperimentConfig:
             raise InputError("smoothing alphas must be >= 0")
         if not 0 <= self.seed < 2**64:
             raise InputError("seed must fit in 64 bits")
-        if self.kl_direction not in (KL_TARGET_DRAFT, KL_DRAFT_TARGET):
-            raise InputError(f"unknown kl_direction {self.kl_direction!r}")
         CostModel(self.draft_cost, self.batch_cost)  # validates
 
     @classmethod
@@ -246,8 +248,7 @@ class RunRecord:
             if kind not in (int, float):
                 continue
             value, key = getattr(self, name), _REPORT_KEYS.get(name, name)
-            # tau = inf is a chain.
-            if kind is float and (math.isnan(value) or (math.isinf(value) and name != "tau")):
+            if kind is float and not math.isfinite(value):
                 raise InputError(f"{key} must be finite, got {value}")
             low = 1 if name in ("branch", "depth", "budget", "prompts", "gamma") else 0
             if value < low:
@@ -405,7 +406,7 @@ def run_matrix(config: ExperimentConfig) -> list[RunRecord]:
         probes, prompts = samples[domain]
         for lam in lambdas:
             draft = drafts[lam]
-            kl = estimate_kl(draft, target, probes, config.kl_direction)
+            kl = estimate_kl(draft, target, probes)
             for (tau, branch, depth, budget), policy in policies[lam].items():
                 started = time.perf_counter()
                 per_prompt = []
@@ -452,28 +453,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, except that an
-    infinite float (``tau = inf``, a chain) is written as the number
-    ``1e999``: strict JSON parsers accept it and Python reads it back as
-    ``inf``, where json.dumps would write the non-JSON constant
-    ``Infinity``. Every other value is written as json.dumps writes it."""
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        items = [_json_text(v, inner) for v in value]
-        brackets = "[]"
-    elif value == math.inf:
-        return "1e999"
-    else:
-        return json.dumps(value, allow_nan=False)
-    if not items:
-        return brackets
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
-
-
 def emit_report(
     records: list[RunRecord],
     config: ExperimentConfig,
@@ -486,8 +465,9 @@ def emit_report(
             scatter.csv (kl_estimate, gamma pairs for the KL-vs-acceptance
             plot, ordered by cell key so a lambda sweep reads top-down).
     json -> report.json (full config echo plus all records; the corpus
-            paths as the config file wrote them; an infinite tau as
-            ``1e999``, so the file is strict JSON).
+            paths as the config file wrote them), written by
+            ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)``:
+            every value is finite, so the file is strict JSON.
     Only losslessness-verified records may be emitted.
     """
     if not records:
@@ -522,7 +502,8 @@ def emit_report(
             "records": [r.to_dict() for r in ordered],
         }
         json_path = out / "report.json"
-        json_path.write_text(_json_text(doc) + "\n", encoding="utf-8")
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        json_path.write_text(text + "\n", encoding="utf-8")
         written.append(json_path)
 
     return written

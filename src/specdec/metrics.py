@@ -16,11 +16,6 @@ from .dists import greedy_token, kl_divergence
 from .errors import InputError
 from .models import LanguageModel, next_distribution, validate_context
 
-#: Mean KL over probes with the target as p and the draft as q.
-KL_TARGET_DRAFT = "target-draft"
-#: The reverse convention, selectable to match either reporting style.
-KL_DRAFT_TARGET = "draft-target"
-
 
 @dataclass
 class DecodeStats:
@@ -99,26 +94,14 @@ def _checked_probes(draft: LanguageModel, target: LanguageModel, probes) -> list
     return probes
 
 
-def estimate_kl(
-    draft: LanguageModel,
-    target: LanguageModel,
-    probes,
-    direction: str = KL_TARGET_DRAFT,
-) -> float:
-    """Mean KL divergence between target and draft over probe contexts.
-
-    The default direction treats the target as p and the draft as q,
-    matching an alignment objective that drives the draft towards the
-    target; ``direction`` flips the convention if a report needs it.
-    """
+def estimate_kl(draft: LanguageModel, target: LanguageModel, probes) -> float:
+    """Mean KL(target || draft) over probe contexts: the target is p and
+    the draft q, matching an alignment objective that drives the draft
+    towards the target."""
     probes = _checked_probes(draft, target, probes)
-    if direction not in (KL_TARGET_DRAFT, KL_DRAFT_TARGET):
-        raise InputError(f"unknown kl direction {direction!r}")
     total = 0.0
     for ctx in probes:
-        t = next_distribution(target, ctx)
-        d = next_distribution(draft, ctx)
-        total += kl_divergence(t, d) if direction == KL_TARGET_DRAFT else kl_divergence(d, t)
+        total += kl_divergence(next_distribution(target, ctx), next_distribution(draft, ctx))
     return total / len(probes)
 
 

@@ -52,8 +52,8 @@ _ROOT = SpecNode(ROOT_ID, None, -1, 0, 1.0, 0.0)
 class BranchPolicy:
     """Knobs for tree construction.
 
-    entropy_threshold: nats; below it a node extends top-1, at or above it
-        the top ``max_branch`` tokens are expanded. ``math.inf`` or
+    entropy_threshold: nats, finite; below it a node extends top-1, at or
+        above it the top ``max_branch`` tokens are expanded.
         ``max_branch=1`` gives a ``fan_width`` of 1: chain speculation.
     node_budget: global cap on non-root nodes in a tree.
     acceptance: optional per-rank acceptance vector, as
@@ -80,11 +80,10 @@ class BranchPolicy:
         expansion compares with sums of log rates; None and ``-inf``
         without a vector.
     fan_width: the widest fan expansion reads: the number of leading ranks,
-        at most ``max_branch`` (1 under an infinite threshold, which reads
-        a one-wide fan at every query), whose log rate reaches
-        ``log_floor``, the comparison expansion makes. A node's score never
-        exceeds its rate's log, so a later rank could never attach. That
-        width without a vector. At most 1, the policy drafts a chain.
+        at most ``max_branch``, whose log rate reaches ``log_floor``, the
+        comparison expansion makes. A node's score never exceeds its rate's
+        log, so a later rank could never attach. ``max_branch`` without a
+        vector. At most 1, the policy drafts a chain.
     """
 
     entropy_threshold: float
@@ -99,8 +98,10 @@ class BranchPolicy:
     fan_width: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.entropy_threshold >= 0:  # NaN fails this test too
-            raise InputError(f"entropy_threshold must be >= 0, got {self.entropy_threshold}")
+        if not 0 <= self.entropy_threshold < math.inf:  # NaN fails this test too
+            raise InputError(
+                f"entropy_threshold must be finite and >= 0, got {self.entropy_threshold}"
+            )
         if self.max_branch < 1:
             raise InputError(f"max_branch must be >= 1, got {self.max_branch}")
         if self.max_depth < 1:
@@ -111,9 +112,8 @@ class BranchPolicy:
             raise InputError(
                 f"max_branch={self.max_branch} exceeds node_budget={self.node_budget}"
             )
-        # An infinite threshold reads a one-wide fan at every query.
-        widest = 1 if self.entropy_threshold == math.inf else self.max_branch
-        derived = {"floor": 0.0, "log_rates": None, "log_floor": -math.inf, "fan_width": widest}
+        derived = {"floor": 0.0, "log_rates": None, "log_floor": -math.inf,
+                   "fan_width": self.max_branch}
         if (self.acceptance is None) != (self.cost is None):
             raise InputError("an acceptance vector and a cost model come together")
         if self.acceptance is not None:
@@ -130,7 +130,7 @@ class BranchPolicy:
             log_rates = tuple(map(math.log, rates))
             log_floor = math.log(floor) if floor > 0 else -math.inf
             fan_width = 0
-            while fan_width < widest and log_rates[fan_width] >= log_floor:
+            while fan_width < self.max_branch and log_rates[fan_width] >= log_floor:
                 fan_width += 1
             derived = {
                 "acceptance": rates,
@@ -144,8 +144,9 @@ class BranchPolicy:
 
     @classmethod
     def chain(cls, depth: int) -> "BranchPolicy":
-        """Single-path policy: the linear speculative decoding special case."""
-        return cls(entropy_threshold=math.inf, max_branch=1, max_depth=depth, node_budget=depth)
+        """Single-path policy: the linear speculative decoding special case.
+        With ``max_branch=1`` the threshold is never read."""
+        return cls(0.0, 1, depth, depth)
 
 
 def _best_chain_speedup(rate: float, cost: CostModel, max_depth: int) -> float:
@@ -246,11 +247,11 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     attached node; branch width follows the draft's entropy there, and the
     proposals are the row's kept fan for that width (:meth:`Row.fan
     <specdec.dists.Row.fan>`), never wider than ``policy.fan_width``, the
-    ranks that can clear the floor. A chain policy (``fan_width <= 1``,
-    which an infinite threshold gives) is drafted by a short loop from each
-    row's greedy token, under every rule below. EOS nodes and nodes at ``max_depth`` are
-    kept but never queried, so a verified EOS can end decoding. At most
-    ``node_budget`` draft queries are made. Attaching a node appends its
+    ranks that can clear the floor. A chain policy (``fan_width <= 1``) is
+    drafted by a short loop from each row's greedy token, under every rule
+    below. EOS nodes and nodes at ``max_depth`` are kept but never queried,
+    so a verified EOS can end decoding. At most ``node_budget`` draft
+    queries are made. Attaching a node appends its
     token, parent id and row to the tree's sequences.
 
     A node's *score* is what it ranks by: its cumulative draft log-prob, or

@@ -171,28 +171,24 @@ def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-def test_an_infinite_tau_is_written_as_strict_json_and_reads_back(tmp_path, config_file):
-    # tau_grid = inf asks for a chain; a corpus path may spell "Infinity".
-    corpus = tmp_path / "Infinity.txt"
-    corpus.write_text(TRAIN_TEXT, encoding="utf-8")
+def test_an_infinite_tau_exits_one_and_reports_are_plain_json_dumps(
+        tmp_path, config_file, capsys):
+    # A chain is branch_grid = 1, never tau_grid = inf.
     config = tmp_path / "inf.cfg"
-    text = _CONFIG_TEXT.format(corpus=corpus).replace("tau_grid = 0.35", "tau_grid = 0.35, inf")
-    config.write_text(text, encoding="utf-8")
-    out, reemit = tmp_path / "bench", tmp_path / "reemit"
-    assert main(["bench", "--config", str(config), "--out", str(out)]) == 0
-    doc = json.loads((out / "report.json").read_text(encoding="utf-8"),
-                     parse_constant=_refuse_constant)
-    assert doc["config"]["tau_grid"] == [0.35, math.inf]
-    assert doc["config"]["corpus"] == str(corpus)
-    assert {record["tau"] for record in doc["records"]} == {0.35, math.inf}
-    assert main(["report", str(out / "report.json"), "--out", str(reemit)]) == 0
-    for name in ("report.csv", "scatter.csv", "report.json"):
-        assert (reemit / name).read_bytes() == (out / name).read_bytes()
+    text = config_file.read_text(encoding="utf-8")
+    config.write_text(text.replace("tau_grid = 0.35", "tau_grid = 0.35, inf"), encoding="utf-8")
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "tau_grid must be finite" in err
+    assert not out.exists()
 
-    # A report with finite taus is exactly what json.dumps writes.
+    # Every value is finite, so a report is exactly what json.dumps writes,
+    # with no non-JSON constant.
     assert main(["bench", "--config", str(config_file), "--out", str(out)]) == 0
     text = (out / "report.json").read_text(encoding="utf-8")
-    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    doc = json.loads(text, parse_constant=_refuse_constant)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_bench_format_csv_skips_json(tmp_path, config_file):
@@ -348,15 +344,14 @@ def test_report_rejects_a_field_of_the_wrong_json_type(
     assert not (tmp_path / "re").exists()
 
 
-#: Record values of the right JSON type that no run can produce. tau = inf
-#: is a chain, and the round-trip test in test_harness.py reads it back.
+#: Record values of the right JSON type that no run can produce.
 _OUT_OF_RANGE = [
     ("gamma", math.nan), ("gamma", math.inf), ("gamma", 0.5),
     ("cycles", -5), ("emitted_tokens", -1), ("target_context_evals", -1),
     ("target_contexts_scored", -1), ("draft_calls", -1), ("tree_nodes", -1),
     ("prompts", 0), ("branch", 0), ("depth", 0), ("budget", 0),
     ("lambda", 7.0), ("lambda", -0.5), ("lambda", math.nan),
-    ("tau", -1.0), ("tau", math.nan),
+    ("tau", -1.0), ("tau", math.nan), ("tau", math.inf),
     ("kl_estimate", -1.0), ("kl_estimate", math.inf),
     ("predicted_speedup", -1.0), ("predicted_speedup", math.nan),
 ]
@@ -491,6 +486,48 @@ def test_bench_infinite_draft_cost_exits_one_without_a_report(tmp_path, corpus_f
     assert code == 1
     assert err.count("\n") == 1 and "draft_cost must be finite" in err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--out", "{out}", "--config", "{empty}"],
+        ["bench", "--out", "{out}", "--config", "{config}", "--corpus", ""],
+        ["decode", "the", "--config", "{empty}"],
+        ["decode", "the", "--config", "{config}", "--corpus", ""],
+        ["train", "--out", "{out}", "--corpus", ""],
+    ],
+    ids=["bench-config", "bench-flag", "decode-config", "decode-flag", "train-flag"],
+)
+def test_an_empty_corpus_exits_one_naming_the_key(tmp_path, config_file, capsys, argv):
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("corpus =\n", encoding="utf-8")
+    args = [a.format(out=tmp_path / "out", empty=empty, config=config_file) for a in argv]
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "specdec: error: corpus must be a non-empty path\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["bench", "--out", "{out}"], ["decode", "the"]],
+                         ids=["bench", "decode"])
+def test_a_branch_wider_than_a_budget_exits_one_naming_both_grids(
+        tmp_path, config_file, capsys, monkeypatch, argv):
+    config = tmp_path / "wide.cfg"
+    text = config_file.read_text(encoding="utf-8")
+    text = text.replace("branch_grid = 1, 3", "branch_grid = 1, 4")
+    config.write_text(text.replace("budget_grid = 6", "budget_grid = 2"), encoding="utf-8")
+
+    def no_training(config):
+        raise AssertionError("models trained before the config was checked")
+
+    monkeypatch.setattr(harness, "build_models", no_training)
+    monkeypatch.setattr("specdec.cli.build_models", no_training)
+    code = main([a.format(out=tmp_path / "out") for a in argv] + ["--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "specdec: error: branch_grid value 4 exceeds budget_grid value 2\n"
 
 
 def test_bench_with_a_huge_depth_grid_finishes(tmp_path, corpus_file):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,7 +201,7 @@ def test_a_chain_policy_tree_verifies_and_prunes_as_its_equal_hand_built_tree():
         # a miss at the first token
         (a, b, BranchPolicy.chain(3), ((), 1, 1)),
         # a budget smaller than the depth
-        (a, a, BranchPolicy(math.inf, 1, 4, 2), ((0, 0), 0, 3)),
+        (a, a, BranchPolicy(0.0, 1, 4, 2), ((0, 0), 0, 3)),
     )
     for draft, target, policy, want in cases:
         path = expand_tree(draft, (bos,), policy)
@@ -285,7 +283,7 @@ def test_policy_changes_stats_but_never_output():
         BranchPolicy.chain(4),
         BranchPolicy(0.0, 3, 3, 9),
         BranchPolicy(0.8, 2, 5, 8),
-        BranchPolicy(math.inf, 4, 4, 12),
+        BranchPolicy(3.0, 4, 4, 12),  # above every entropy: one-wide fans
     ]
     outputs = {
         tuple(speculative_decode(draft, target, prompt, 16, p)[0]) for p in policies
@@ -387,7 +385,7 @@ def test_a_chain_decode_never_reads_the_draft_entropy(monkeypatch):
         raise AssertionError("a chain read Row.entropy")
 
     monkeypatch.setattr(Row, "entropy", property(unread))
-    # An infinite threshold or a width of 1 makes a chain whatever the entropy.
+    # A width of 1 makes a chain whatever the threshold and the entropy.
     for policy in (BranchPolicy.chain(4), BranchPolicy(0.35, 1, 4, 4)):
         assert speculative_decode(draft, target, prompt, 24, policy)[0] == want
     with pytest.raises(AssertionError, match="Row.entropy"):

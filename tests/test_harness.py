@@ -52,7 +52,7 @@ def small_config(corpus_path, **overrides) -> ExperimentConfig:
         target_alpha=0.1,
         draft_alpha=0.5,
         lambda_grid=(1.0,),
-        tau_grid=(float("inf"),),
+        tau_grid=(1.0,),
         branch_grid=(1,),
         depth_grid=(3,),
         budget_grid=(3,),
@@ -133,7 +133,6 @@ seed = 99
     assert config.branch_grid == (1, 4)
     assert config.seed == 99
     assert config.prompt_count == 200  # default applied
-    assert config.kl_direction == "target-draft"
 
 
 def test_config_file_errors(tmp_path, corpus_file):
@@ -143,9 +142,11 @@ def test_config_file_errors(tmp_path, corpus_file):
         ExperimentConfig.from_file(no_corpus)
 
     unknown = tmp_path / "b.cfg"
-    unknown.write_text(f"corpus = {corpus_file}\nwibble = 3\n", encoding="utf-8")
-    with pytest.raises(InputError):
-        ExperimentConfig.from_file(unknown)
+    # kl_direction is no key: KL is always target-draft.
+    for line in ("wibble = 3", "kl_direction = target-draft"):
+        unknown.write_text(f"corpus = {corpus_file}\n{line}\n", encoding="utf-8")
+        with pytest.raises(InputError, match="unknown config key"):
+            ExperimentConfig.from_file(unknown)
 
     bad_value = tmp_path / "c.cfg"
     bad_value.write_text(f"corpus = {corpus_file}\nseed = soon\n", encoding="utf-8")
@@ -164,8 +165,6 @@ def test_config_validation(corpus_file):
     with pytest.raises(InputError):
         small_config(corpus_file, lambda_grid=(1.5,))
     with pytest.raises(InputError):
-        small_config(corpus_file, kl_direction="sideways")
-    with pytest.raises(InputError):
         small_config(corpus_file, seed=2**64)
     with pytest.raises(InputError):
         small_config(corpus_file, prompt_count=0)
@@ -173,6 +172,10 @@ def test_config_validation(corpus_file):
                       ("budget_grid", (4, 0))):
         with pytest.raises(InputError, match=f"{key} values must be >= "):
             small_config(corpus_file, **{key: grid})
+    # No tree of the grid may branch wider than its node budget.
+    with pytest.raises(InputError, match="branch_grid value 4 exceeds budget_grid value 2"):
+        small_config(corpus_file, branch_grid=(1, 4), budget_grid=(2, 8))
+    assert small_config(corpus_file, branch_grid=(1, 2), budget_grid=(2, 8)).branch_grid == (1, 2)
 
 
 def test_run_matrix_perfect_draft_chain_cell(corpus_file):
@@ -258,7 +261,7 @@ def test_emit_report_single_record(tmp_path, corpus_file):
     paths = emit_report(records, config, tmp_path / "out", "csv")
     csv_path = paths[0]
     lines = csv_path.read_text(encoding="utf-8").splitlines()
-    assert lines[0].startswith("# specdec report v3")
+    assert lines[0].startswith("# specdec report v4")
     assert lines[1] == ",".join(CSV_COLUMNS)
     assert len(lines) == 3
     assert lines[2].startswith("in,1,")
@@ -415,10 +418,11 @@ def test_report_format_matches_v1_literally(tmp_path, corpus_file):
     config = small_config(corpus_file)
     emit_report(run_matrix(config), config, tmp_path, "both")
     lines = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[:2] == ["# specdec report v3", V1_CSV_HEADER]
+    assert lines[:2] == ["# specdec report v4", V1_CSV_HEADER]
     doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert set(doc) == {"format", "version", "config", "records"}
-    assert set(doc["config"]) == V1_CONFIG_KEYS
+    # Version 4 dropped the kl_direction key: KL is always target-draft.
+    assert set(doc["config"]) == V1_CONFIG_KEYS - {"kl_direction"}
     assert [set(r) for r in doc["records"]] == [V1_RECORD_KEYS]
 
 
@@ -434,7 +438,9 @@ def test_config_rejects_nan_naming_the_key(tmp_path, corpus_file, key):
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf"])
-@pytest.mark.parametrize("key", ["target_alpha", "draft_alpha", "draft_cost", "batch_cost"])
+@pytest.mark.parametrize(
+    "key", ["target_alpha", "draft_alpha", "draft_cost", "batch_cost", "tau_grid"]
+)
 def test_config_rejects_infinite_scalar_naming_the_key(tmp_path, corpus_file, key, value):
     path = tmp_path / "inf.cfg"
     path.write_text(f"corpus = {corpus_file}\n{key} = {value}\n", encoding="utf-8")
@@ -483,12 +489,20 @@ _BY_TYPE = {
     tuple[int, ...]: st.lists(st.integers(1, 2**31), min_size=1, max_size=4).map(tuple),
     tuple[float, ...]: st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4).map(tuple),
 }
+
+
+def _config_with_branches_capped(branch_grid, budget_grid, **values) -> ExperimentConfig:
+    # No branch may exceed a budget: cap the branch grid at the least budget.
+    branches = tuple(min(branch, min(budget_grid)) for branch in branch_grid)
+    return ExperimentConfig(branch_grid=branches, budget_grid=budget_grid, **values)
+
+
 _CONFIGS = st.fixed_dictionaries({
-    name: (st.sampled_from(["target-draft", "draft-target"]) if name == "kl_direction"
+    name: (_SAFE_TEXT.filter(bool) if name == "corpus"
            else st.integers(1, 2**60 - 1) if name in ("prompt_count", "probe_count")
            else _BY_TYPE[kind])
     for name, kind in get_type_hints(ExperimentConfig).items()
-}).map(lambda values: ExperimentConfig(**values))
+}).map(lambda values: _config_with_branches_capped(**values))
 
 
 def _render(value) -> str:

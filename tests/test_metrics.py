@@ -9,8 +9,6 @@ import pytest
 
 from specdec.errors import InputError
 from specdec.metrics import (
-    KL_DRAFT_TARGET,
-    KL_TARGET_DRAFT,
     CostModel,
     DecodeStats,
     combine_stats,
@@ -127,14 +125,13 @@ def test_estimate_kl_directions_and_mean():
                 total += pi * math.log(pi / ((qi + eps) / (1 + eps * len(q_row))))
         return total
 
-    forward = estimate_kl(draft, target, probes, KL_TARGET_DRAFT)
+    # KL(target || draft): the target is p. The reverse direction differs,
+    # so an estimate with p and q swapped fails the first assertion.
+    forward = estimate_kl(draft, target, probes)
     expected = (hand_kl(p1, q) + hand_kl(p2, q)) / 2
     assert forward == pytest.approx(expected, abs=1e-9)
-
-    reverse = estimate_kl(draft, target, probes, KL_DRAFT_TARGET)
     expected_rev = (hand_kl(q, p1) + hand_kl(q, p2)) / 2
-    assert reverse == pytest.approx(expected_rev, abs=1e-9)
-    assert forward != pytest.approx(reverse, abs=1e-3)
+    assert forward != pytest.approx(expected_rev, abs=1e-3)
 
 
 def test_estimate_kl_validation():
@@ -145,8 +142,6 @@ def test_estimate_kl_validation():
         estimate_kl(m1, m1, [])
     with pytest.raises(InputError):
         estimate_kl(m1, m2, [(v1.bos_id,)])
-    with pytest.raises(InputError):
-        estimate_kl(m1, m1, [(v1.bos_id,)], "sideways")
 
 
 def test_estimate_acceptance_counts_fan_ranks_with_add_half_smoothing():

@@ -74,7 +74,7 @@ def test_policy_validation():
     assert chain.max_branch == 1
     assert chain.max_depth == 5
     assert chain.node_budget == 5
-    assert math.isinf(chain.entropy_threshold)
+    assert chain.entropy_threshold == 0.0
 
 
 def test_branch_width_cases():
@@ -155,7 +155,7 @@ def test_expand_never_extends_eos():
     row[vocab.eos_id] = 0.9
     row[0] = 0.1
     draft = ConstantModel(vocab, row)
-    policy = BranchPolicy(math.inf, 1, 4, 8)
+    policy = BranchPolicy(0.0, 1, 4, 8)
     tree = expand_tree(draft, (vocab.bos_id,), policy)
     assert tree.non_root_count == 1
     only = tree.nodes[1]
@@ -229,11 +229,12 @@ def test_prune_binary_tree_against_enumeration_oracle():
     assert set(again.nodes) == set(pruned.nodes)
 
 
-def test_chain_degeneration_with_branch_one_and_infinite_threshold():
+def test_chain_degeneration_with_branch_one_and_a_threshold_above_every_entropy():
     vocab = make_vocab(6)
     for seed in range(10):
         draft = RandomTableModel(vocab, seed=seed)
-        for policy in (BranchPolicy(0.0, 1, 5, 5), BranchPolicy(math.inf, 4, 5, 16)):
+        # Entropies over 8 tokens stay below log(8) < 3: every fan is one wide.
+        for policy in (BranchPolicy(0.0, 1, 5, 5), BranchPolicy(3.0, 4, 5, 16)):
             tree = expand_tree(draft, (vocab.bos_id,), policy)
             for nid in tree.nodes:
                 assert len(tree.children.get(nid, [])) <= 1
@@ -295,7 +296,9 @@ def test_cum_logprob_matches_external_recomputation():
 def test_policy_rejects_nan_threshold():
     with pytest.raises(InputError, match="entropy_threshold"):
         BranchPolicy(math.nan, 2, 3, 8)
-    assert math.isinf(BranchPolicy(math.inf, 2, 3, 8).entropy_threshold)
+    # A chain is max_branch=1, never an infinite threshold.
+    with pytest.raises(InputError, match="entropy_threshold must be finite and >= 0"):
+        BranchPolicy(math.inf, 4, 3, 8)
 
 
 def test_chain_policy_queries_once_per_depth():
@@ -457,7 +460,7 @@ def test_a_policy_derives_its_fan_width_from_the_floor():
     cost = CostModel(0.05, 1.0)
     assert BranchPolicy(0.35, 4, 3, 8).fan_width == 4
     assert BranchPolicy.chain(3).fan_width == 1
-    assert BranchPolicy(math.inf, 4, 3, 8).fan_width == 1
+    assert BranchPolicy(1.0, 1, 3, 8).fan_width == 1
     # The floor is about 0.1495 (see the floor test above): ranks 0 and 1
     # clear it, ranks 2 and 3 do not; the count stops at max_branch.
     policy = BranchPolicy(0.35, 4, 3, 8, (0.9, 0.5, 0.1, 0.1), cost)
@@ -476,7 +479,7 @@ def test_a_policy_derives_its_fan_width_from_the_floor():
     assert "fan_width" not in repr(policy)
     assert policy == BranchPolicy(0.35, 4, 3, 8, (0.9, 0.5, 0.1, 0.1), cost)
     assert hash(policy) == hash((0.35, 4, 3, 8, (0.9, 0.5, 0.1, 0.1), cost))
-    assert hash(BranchPolicy.chain(3)) == hash((math.inf, 1, 3, 3, None, None))
+    assert hash(BranchPolicy.chain(3)) == hash((0.0, 1, 3, 3, None, None))
 
 
 def test_spec_node_is_an_immutable_named_tuple():
@@ -549,7 +552,7 @@ def near_floor(rate: float, step: int, policy: BranchPolicy) -> tuple[float, ...
     n_chars=st.integers(2, 5),
     lam=st.sampled_from([0.0, 0.5, 1.0]),
     prompt_len=st.integers(0, 4),
-    threshold=st.sampled_from([0.0, 0.35, 1.0, math.inf]),
+    threshold=st.sampled_from([0.0, 0.35, 1.0, 9.0]),  # 9.0: above every entropy
     max_branch=st.integers(1, 4),
     max_depth=st.integers(1, 4),
     extra_budget=st.integers(0, 10),

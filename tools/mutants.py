@@ -117,12 +117,8 @@ MUTANTS = (
                  ("(neg_next, depth, base + rank, ids[rank], cursor)",
                   "(neg_next, depth, ids[rank], base + rank, cursor)"))),
     Mutant("fan_width counts a rank below the floor", "tree.py",
-           "while fan_width < widest and log_rates[fan_width] >= log_floor:",
-           "while fan_width < widest:",
-           ("tests/test_tree.py",)),
-    Mutant("chain shortcut for a finite threshold", "tree.py",
-           "widest = 1 if self.entropy_threshold == math.inf else self.max_branch",
-           "widest = 1 if self.entropy_threshold > 0 else self.max_branch",
+           "while fan_width < self.max_branch and log_rates[fan_width] >= log_floor:",
+           "while fan_width < self.max_branch:",
            ("tests/test_tree.py",)),
     Mutant("acceptance vector ignored in the key", "tree.py",
            "keys = rates", "keys = keys",
@@ -171,9 +167,13 @@ MUTANTS = (
     Mutant("verify_tree skips the context check", "decode.py",
            "ctx = validate_context(target.vocab, tree.context)", "ctx = tree.context",
            ("tests/test_contexts.py",)),
-    Mutant("infinite tau written as Infinity", "harness.py",
-           "elif value == math.inf:", "elif False:",
-           ("tests/test_cli.py::test_an_infinite_tau_is_written_as_strict_json_and_reads_back",)),
+    Mutant("an infinite tau_grid accepted", "harness.py",
+           "if any(map(math.isinf, values)):", "if kind is float and any(map(math.isinf, values)):",
+           ("tests/test_harness.py::test_config_rejects_infinite_scalar_naming_the_key",)),
+    Mutant("estimate_kl swaps p and q", "metrics.py",
+           "kl_divergence(next_distribution(target, ctx), next_distribution(draft, ctx))",
+           "kl_divergence(next_distribution(draft, ctx), next_distribution(target, ctx))",
+           ("tests/test_metrics.py::test_estimate_kl_directions_and_mean",)),
     Mutant("config paths not resolved", "harness.py",
            "values[key] = str(Path(path).parent / values[key])", "pass",
            ("tests/test_cli.py::test_config_paths_resolve_against_the_config_file",)),
