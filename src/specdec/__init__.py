@@ -26,7 +26,6 @@ from .metrics import (
     combine_stats,
     estimate_acceptance,
     estimate_kl,
-    mean_acceptance,
     predicted_speedup,
 )
 from .models import (
@@ -81,7 +80,6 @@ __all__ = [
     "ingest_corpus",
     "kl_divergence",
     "load_model",
-    "mean_acceptance",
     "next_distribution",
     "predicted_speedup",
     "prune_tree",

@@ -57,18 +57,10 @@ def _build_parser() -> _Parser:
     bench.add_argument("--seed", type=int, help="override the config's seed")
     bench.add_argument("--corpus", help="override the config's corpus path")
     bench.add_argument("--max-tokens", type=int, help="override max tokens per prompt")
-    bench.add_argument(
-        "--format", choices=["csv", "json", "both"], default="both",
-        help="report format(s) to write (default both)",
-    )
 
     report = sub.add_parser("report", help="re-emit CSV/JSON from a saved report.json")
     report.add_argument("records", help="path to a report.json produced by bench")
     report.add_argument("--out", required=True, help="output directory")
-    report.add_argument(
-        "--format", choices=["csv", "json", "both"], default="both",
-        help="report format(s) to write (default both)",
-    )
     return parser
 
 
@@ -121,7 +113,7 @@ def _cmd_decode(args) -> int:
 def _cmd_bench(args) -> int:
     config = _load_config(args)
     records = run_matrix(config)
-    written = emit_report(records, config, args.out, args.format)
+    written = emit_report(records, config, args.out)
     timings = Path(args.out) / "timings.log"
     timings.write_text(
         "".join(f"{r.cell_label}\t{r.wall_clock_ms:.3f} ms\n" for r in records),
@@ -136,7 +128,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_report(args) -> int:
     config, records = load_records(args.records)
-    written = emit_report(records, config, args.out, args.format)
+    written = emit_report(records, config, args.out)
     for path in written:
         print(f"wrote {path}")
     return 0

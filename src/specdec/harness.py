@@ -35,7 +35,6 @@ from .metrics import (
     combine_stats,
     estimate_acceptance,
     estimate_kl,
-    mean_acceptance,
     predicted_speedup,
 )
 from .models import (
@@ -165,8 +164,9 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         """Parse the flat key=value config format; unset keys take their
-        field defaults."""
+        field defaults, and a key set twice is an error."""
         values: dict[str, object] = {}
+        first_line: dict[str, int] = {}
         for lineno, raw in enumerate(read_text(path, "config").splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -177,6 +177,11 @@ class ExperimentConfig:
             key, value = key.strip(), value.strip()
             if key not in _CONFIG_TYPES:
                 raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in first_line:
+                raise InputError(
+                    f"{path}:{lineno}: config key {key!r} is already set on line {first_line[key]}"
+                )
+            first_line[key] = lineno
             try:
                 values[key] = _parse_value(_CONFIG_TYPES[key], value)
             except ValueError as exc:
@@ -420,7 +425,7 @@ def run_matrix(config: ExperimentConfig) -> list[RunRecord]:
                         raise LosslessnessError(config.seed, cell, prompt)
                     per_prompt.append(stats)
                 merged = combine_stats(per_prompt)
-                gamma = mean_acceptance(merged)
+                gamma = merged.gamma
                 records.append(
                     RunRecord(
                         domain=domain,
@@ -453,60 +458,47 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_report(
-    records: list[RunRecord],
-    config: ExperimentConfig,
-    out_dir,
-    fmt: str = "both",
-) -> list[Path]:
-    """Write the deterministic report files; returns the paths written.
+def emit_report(records: list[RunRecord], config: ExperimentConfig, out_dir) -> list[Path]:
+    """Write the three deterministic report files; returns their paths.
 
-    csv  -> report.csv (one row per record, fixed column order) and
-            scatter.csv (kl_estimate, gamma pairs for the KL-vs-acceptance
-            plot, ordered by cell key so a lambda sweep reads top-down).
-    json -> report.json (full config echo plus all records; the corpus
-            paths as the config file wrote them), written by
-            ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)``:
-            every value is finite, so the file is strict JSON.
+    report.csv  -- one row per record, fixed column order.
+    scatter.csv -- (kl_estimate, gamma) pairs for the KL-vs-acceptance
+                   plot, ordered by cell key so a lambda sweep reads top-down.
+    report.json -- full config echo plus all records (the corpus paths as
+                   the config file wrote them), written by
+                   ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)``:
+                   every value is finite, so the file is strict JSON.
     Only losslessness-verified records may be emitted.
     """
     if not records:
         raise InputError("no records to report")
-    if fmt not in ("csv", "json", "both"):
-        raise InputError(f"unknown report format {fmt!r}")
     if any(not r.losslessness_verified for r in records):
         raise InputError("refusing to report records without verified losslessness")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ordered = sorted(records, key=lambda r: r.cell_key)
-    written: list[Path] = []
 
-    if fmt in ("csv", "both"):
-        lines = [f"# specdec report v{REPORT_VERSION}", ",".join(CSV_COLUMNS)]
-        lines.extend(",".join(map(_fmt, rec.to_dict().values())) for rec in ordered)
-        csv_path = out / "report.csv"
-        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(csv_path)
+    lines = [f"# specdec report v{REPORT_VERSION}", ",".join(CSV_COLUMNS)]
+    lines.extend(",".join(map(_fmt, rec.to_dict().values())) for rec in ordered)
+    csv_path = out / "report.csv"
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-        scatter = [f"# specdec scatter v{REPORT_VERSION}", "kl_estimate,gamma"]
-        scatter.extend(f"{_fmt(r.kl_estimate)},{_fmt(r.gamma)}" for r in ordered)
-        scatter_path = out / "scatter.csv"
-        scatter_path.write_text("\n".join(scatter) + "\n", encoding="utf-8")
-        written.append(scatter_path)
+    scatter = [f"# specdec scatter v{REPORT_VERSION}", "kl_estimate,gamma"]
+    scatter.extend(f"{_fmt(r.kl_estimate)},{_fmt(r.gamma)}" for r in ordered)
+    scatter_path = out / "scatter.csv"
+    scatter_path.write_text("\n".join(scatter) + "\n", encoding="utf-8")
 
-    if fmt in ("json", "both"):
-        doc = {
-            "format": "specdec-report",
-            "version": REPORT_VERSION,
-            "config": {**asdict(config), **config.written_paths},
-            "records": [r.to_dict() for r in ordered],
-        }
-        json_path = out / "report.json"
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-        json_path.write_text(text + "\n", encoding="utf-8")
-        written.append(json_path)
+    doc = {
+        "format": "specdec-report",
+        "version": REPORT_VERSION,
+        "config": {**asdict(config), **config.written_paths},
+        "records": [r.to_dict() for r in ordered],
+    }
+    json_path = out / "report.json"
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    json_path.write_text(text + "\n", encoding="utf-8")
 
-    return written
+    return [csv_path, scatter_path, json_path]
 
 
 def load_records(path) -> tuple[ExperimentConfig, list[RunRecord]]:

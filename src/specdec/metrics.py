@@ -35,19 +35,16 @@ class DecodeStats:
 
     @property
     def gamma(self) -> float:
-        """Average tokens emitted per speculative cycle (bonus included)."""
-        return mean_acceptance(self)
+        """Average tokens emitted per speculative cycle (bonus included):
+        ``emitted_tokens / cycles``, the mean of ``per_cycle_acceptance``.
+        Stats with no cycle raise InputError."""
+        if not self.cycles:
+            raise InputError("no cycles recorded; cannot compute acceptance length")
+        return self.emitted_tokens / self.cycles
 
 
 #: The counters that add up across runs: every field but the per-cycle list.
 STAT_COUNTERS = tuple(f.name for f in fields(DecodeStats) if f.name != "per_cycle_acceptance")
-
-
-def mean_acceptance(stats: DecodeStats) -> float:
-    """Arithmetic mean of the per-cycle acceptance counts."""
-    if not stats.per_cycle_acceptance:
-        raise InputError("no cycles recorded; cannot compute acceptance length")
-    return sum(stats.per_cycle_acceptance) / len(stats.per_cycle_acceptance)
 
 
 def combine_stats(runs) -> DecodeStats:

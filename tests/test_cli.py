@@ -68,6 +68,9 @@ def test_usage_error_exits_one():
     with pytest.raises(SystemExit) as excinfo:
         main(["bench", "--config"])  # missing value
     assert excinfo.value.code == 1
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "--config", "x.cfg", "--out", "out", "--format", "csv"])  # no such option
+    assert excinfo.value.code == 1
 
 
 def test_train_writes_loadable_models(tmp_path, corpus_file):
@@ -161,10 +164,10 @@ def test_bench_and_report_round_trip(tmp_path, config_file, capsys):
         assert (out / name).exists()
 
     reemit = tmp_path / "reemit"
-    code = main(["report", str(out / "report.json"), "--out", str(reemit), "--format", "csv"])
+    code = main(["report", str(out / "report.json"), "--out", str(reemit)])
     assert code == 0
-    assert (reemit / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
-    assert not (reemit / "report.json").exists()
+    for name in ("report.csv", "scatter.csv", "report.json"):
+        assert (reemit / name).read_bytes() == (out / name).read_bytes()
 
 
 def _refuse_constant(name):
@@ -189,14 +192,6 @@ def test_an_infinite_tau_exits_one_and_reports_are_plain_json_dumps(
     text = (out / "report.json").read_text(encoding="utf-8")
     doc = json.loads(text, parse_constant=_refuse_constant)
     assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def test_bench_format_csv_skips_json(tmp_path, config_file):
-    out = tmp_path / "csvonly"
-    code = main(["bench", "--config", str(config_file), "--out", str(out), "--format", "csv"])
-    assert code == 0
-    assert (out / "report.csv").exists()
-    assert not (out / "report.json").exists()
 
 
 def test_bench_seed_override_changes_report(tmp_path, config_file):
@@ -288,7 +283,7 @@ def _deeply_nested(doc_text: str) -> str:
 @pytest.mark.parametrize("corrupt", [_truncate, _drop_config_key, _future_version, _deeply_nested])
 def test_report_rejects_broken_report_with_one_line(tmp_path, config_file, capsys, corrupt):
     out = tmp_path / "bench"
-    assert main(["bench", "--config", str(config_file), "--out", str(out), "--format", "json"]) == 0
+    assert main(["bench", "--config", str(config_file), "--out", str(out)]) == 0
     broken = tmp_path / "broken.json"
     broken.write_text(corrupt((out / "report.json").read_text(encoding="utf-8")), encoding="utf-8")
     capsys.readouterr()
@@ -304,8 +299,7 @@ def report_file(tmp_path_factory):
     root = tmp_path_factory.mktemp("report")
     (root / "corpus.txt").write_text(TRAIN_TEXT, encoding="utf-8")
     (root / "run.cfg").write_text(_CONFIG_TEXT.format(corpus="corpus.txt"), encoding="utf-8")
-    code = main(["bench", "--config", str(root / "run.cfg"), "--out", str(root / "bench"),
-                 "--format", "json"])
+    code = main(["bench", "--config", str(root / "run.cfg"), "--out", str(root / "bench")])
     assert code == 0
     return root / "bench" / "report.json"
 

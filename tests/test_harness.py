@@ -158,6 +158,13 @@ def test_config_file_errors(tmp_path, corpus_file):
     with pytest.raises(InputError):
         ExperimentConfig.from_file(no_equals)
 
+    # A repeated key is an error, not a silent overwrite.
+    repeated = tmp_path / "e.cfg"
+    repeated.write_text(f"corpus = {corpus_file}\nseed = 7\n# later\nseed = 8\n",
+                        encoding="utf-8")
+    with pytest.raises(InputError, match=r"e\.cfg:4: config key 'seed' is already set on line 2$"):
+        ExperimentConfig.from_file(repeated)
+
 
 def test_config_validation(corpus_file):
     with pytest.raises(InputError):
@@ -258,7 +265,7 @@ def test_run_matrix_aborts_on_divergence(corpus_file, monkeypatch):
 def test_emit_report_single_record(tmp_path, corpus_file):
     config = small_config(corpus_file)
     records = run_matrix(config)
-    paths = emit_report(records, config, tmp_path / "out", "csv")
+    paths = emit_report(records, config, tmp_path / "out")
     csv_path = paths[0]
     lines = csv_path.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("# specdec report v4")
@@ -270,8 +277,8 @@ def test_emit_report_single_record(tmp_path, corpus_file):
 def test_emit_report_is_deterministic(tmp_path, corpus_file):
     config = small_config(corpus_file, lambda_grid=(0.0, 1.0), prompt_count=2)
     records = run_matrix(config)
-    emit_report(records, config, tmp_path / "a", "both")
-    emit_report(records, config, tmp_path / "b", "both")
+    emit_report(records, config, tmp_path / "a")
+    emit_report(records, config, tmp_path / "b")
     for name in ("report.csv", "scatter.csv", "report.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -281,7 +288,7 @@ def test_scatter_orders_by_lambda_with_nonincreasing_kl(tmp_path, corpus_file):
         corpus_file, lambda_grid=(0.0, 0.25, 0.5, 0.75, 1.0), prompt_count=2
     )
     records = run_matrix(config)
-    emit_report(records, config, tmp_path / "out", "csv")
+    emit_report(records, config, tmp_path / "out")
     rows = (tmp_path / "out" / "scatter.csv").read_text().splitlines()[2:]
     kls = [float(r.split(",")[0]) for r in rows]
     assert len(kls) == 5
@@ -291,19 +298,17 @@ def test_scatter_orders_by_lambda_with_nonincreasing_kl(tmp_path, corpus_file):
 def test_emit_report_rejects_bad_inputs(tmp_path, corpus_file):
     config = small_config(corpus_file)
     with pytest.raises(InputError):
-        emit_report([], config, tmp_path, "csv")
+        emit_report([], config, tmp_path)
     records = run_matrix(config)
-    with pytest.raises(InputError):
-        emit_report(records, config, tmp_path, "yaml")
     unverified = replace(records[0], losslessness_verified=False)
     with pytest.raises(InputError):
-        emit_report([unverified], config, tmp_path, "csv")
+        emit_report([unverified], config, tmp_path)
 
 
 def test_report_json_round_trip(tmp_path, corpus_file):
     config = small_config(corpus_file, lambda_grid=(0.0, 1.0), prompt_count=2)
     records = run_matrix(config)
-    emit_report(records, config, tmp_path / "out", "json")
+    emit_report(records, config, tmp_path / "out")
     loaded_config, loaded_records = load_records(tmp_path / "out" / "report.json")
     assert loaded_config == config
     assert [r.to_dict() for r in loaded_records] == [r.to_dict() for r in records]
@@ -416,7 +421,7 @@ V1_CONFIG_KEYS = {
 
 def test_report_format_matches_v1_literally(tmp_path, corpus_file):
     config = small_config(corpus_file)
-    emit_report(run_matrix(config), config, tmp_path, "both")
+    emit_report(run_matrix(config), config, tmp_path)
     lines = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()
     assert lines[:2] == ["# specdec report v4", V1_CSV_HEADER]
     doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))

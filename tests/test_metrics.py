@@ -14,7 +14,6 @@ from specdec.metrics import (
     combine_stats,
     estimate_acceptance,
     estimate_kl,
-    mean_acceptance,
     non_increasing,
     predicted_speedup,
 )
@@ -23,15 +22,14 @@ from specdec.models import ConstantModel
 from conftest import TableModel, make_vocab, one_hot
 
 
-def test_mean_acceptance_basic():
+def test_gamma_basic():
     stats = DecodeStats(cycles=3, emitted_tokens=12, per_cycle_acceptance=[3, 5, 4])
-    assert mean_acceptance(stats) == 4.0
     assert stats.gamma == 4.0
 
 
-def test_mean_acceptance_requires_cycles():
+def test_gamma_requires_cycles():
     with pytest.raises(InputError):
-        mean_acceptance(DecodeStats())
+        DecodeStats().gamma
 
 
 def test_combine_stats_sums_counters():

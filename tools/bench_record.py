@@ -6,7 +6,9 @@ it writes to ``.perfbench-out/result-<workload>-seed<N>-trace<T>.json``
 into one JSON file, keyed ``<workload>/trace<T>``. Each record keeps everything but its
 raw latency samples (``details.raw``), which are about 180 KB per 8 s run.
 With ``--check``, the runs are compared with a file this tool wrote
-instead: every ``counts`` entry must repeat exactly. Standard library only.
+instead: every ``counts`` entry must repeat exactly, and each one that does
+not is printed as ``<run>: <count path> <old> -> <new>``. Standard library
+only.
 
     python tools/bench_record.py --seed 22 --out BENCH_22.json
     python tools/bench_record.py --check BENCH_22.json
@@ -36,6 +38,23 @@ def record(workload: str, seed: int, seconds: float, trace: int) -> dict:
     return result
 
 
+def count_differences(run: str, old: dict, new: dict) -> list[str]:
+    """One line ``<run>: <count path> <old> -> <new>`` per ``counts`` entry
+    of two records of ``run`` that differs. A nested count is named by its
+    dotted path (``traced.decode.verify``); one missing on a side reads
+    ``absent`` there."""
+
+    def walk(old: dict, new: dict, prefix: str):
+        for key in dict.fromkeys([*old, *new]):
+            a, b = old.get(key, "absent"), new.get(key, "absent")
+            if isinstance(a, dict) and isinstance(b, dict):
+                yield from walk(a, b, f"{prefix}{key}.")
+            elif a != b:
+                yield f"{run}: {prefix}{key} {a} -> {b}"
+
+    return list(walk(old["counts"], new["counts"], ""))
+
+
 def record_all(seed: int) -> dict:
     """Every workload of ``BENCHMARK.json``, untraced and traced, at its ``run_seconds``."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -56,16 +75,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.check is not None:
         old = json.loads(args.check.read_text(encoding="utf-8"))
-        differ = []
+        differ = 0
         for key, run in old["runs"].items():
             workload, trace = key.split("/trace")
             print(key, file=sys.stderr, flush=True)
             new = record(workload, old["seed"], old["seconds"], int(trace))
-            if new["counts"] != run["counts"]:
-                differ.append(key)
-        for key in differ:
-            print(f"counts differ: {key}")
-        print(f"{len(old['runs']) - len(differ)}/{len(old['runs'])} runs repeat their counts")
+            lines = count_differences(key, run, new)
+            for line in lines:
+                print(line)
+            differ += bool(lines)
+        print(f"{len(old['runs']) - differ}/{len(old['runs'])} runs repeat their counts")
         return 1 if differ else 0
     if args.seed is None or args.out is None:
         parser.error("--seed and --out are required unless --check is given")

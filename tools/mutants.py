@@ -203,6 +203,12 @@ MUTANTS = (
     Mutant("emit_report accepts unverified records", "harness.py",
            "if any(not r.losslessness_verified for r in records):", "if False:",
            ("tests/test_harness.py::test_emit_report_rejects_bad_inputs",)),
+    Mutant("emit_report skips report.json", "harness.py",
+           'json_path.write_text(text + "\\n", encoding="utf-8")', "pass",
+           ("tests/test_cli.py::test_bench_and_report_round_trip",)),
+    Mutant("gamma divides by the wrong counter", "metrics.py",
+           "self.emitted_tokens / self.cycles", "self.target_contexts_scored / self.cycles",
+           ("tests/test_metrics.py::test_gamma_basic",)),
 )
 
 
