@@ -32,12 +32,16 @@ EPSILON_FLOOR = 1e-10
 SUM_TOLERANCE = 1e-9
 
 
-def validate_distribution(probs: np.ndarray, size: int | None = None) -> None:
-    """Raise :class:`InputError` unless ``probs`` is a valid distribution."""
+def _check_shape(probs: np.ndarray, size: int | None) -> None:
     if probs.ndim != 1 or probs.size == 0:
         raise InputError(f"distribution must be a non-empty vector, got shape {probs.shape}")
     if size is not None and probs.size != size:
         raise InputError(f"distribution has length {probs.size}, expected {size}")
+
+
+def validate_distribution(probs: np.ndarray, size: int | None = None) -> None:
+    """Raise :class:`InputError` unless ``probs`` is a valid distribution."""
+    _check_shape(probs, size)
     if np.any(probs < 0.0):
         raise InputError("distribution has negative entries")
     total = float(probs.sum())
@@ -100,9 +104,10 @@ class Row(np.ndarray):
         return fan
 
 
-def check_row(values, size: int) -> Row:
-    """Copy ``values`` into a float64 :class:`Row` after checking it as a
-    distribution over ``size`` tokens; raises :class:`InputError`.
+def as_vector(values, size: int) -> np.ndarray:
+    """``values`` as a float64 vector of ``size`` numbers, the form a
+    distribution over ``size`` tokens takes; raises :class:`InputError`.
+    Its entries are not checked as probabilities.
 
     Only integer and float entries count as numbers: numpy would also
     convert bools, numeric strings and bytes to float64, and gives a list
@@ -117,6 +122,16 @@ def check_row(values, size: int) -> Row:
     if isinstance(values, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in values):
         raise InputError("distribution is not a vector of numbers: it holds bools")
     probs = probs.astype(np.float64, copy=False)
+    _check_shape(probs, size)
+    return probs
+
+
+def check_row(values, size: int) -> Row:
+    """Copy ``values`` into a float64 :class:`Row` after checking it as a
+    distribution over ``size`` tokens (:func:`as_vector`, then
+    :func:`validate_distribution`); raises :class:`InputError`.
+    """
+    probs = as_vector(values, size)
     validate_distribution(probs, size)
     row = Row(probs.shape)
     row[...] = probs

@@ -44,7 +44,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 # validate_distribution is unused here; kept because perfbench traces it by this name.
-from .dists import Row, check_row, validate_distribution
+from .dists import Row, as_vector, check_row, validate_distribution
 from .errors import InputError
 
 BOS_STRING = "<s>"
@@ -204,10 +204,11 @@ def next_distribution(model: LanguageModel, ctx: Context) -> Row:
 
     ``ctx`` must be a tuple that :func:`validate_context` accepted. Callers
     check it once where it enters (``greedy_decode``, ``speculative_decode``,
-    ``expand_tree``, ``verify_tree``, ``estimate_kl``; inside
-    ``speculative_decode``, expansion and verification take its checked
-    context without a walk) and extend it only with tokens of checked rows,
-    so just the O(1) "already ends in eos" check runs here. The decode
+    ``expand_tree``, ``verify_tree``, ``estimate_kl``,
+    ``estimate_acceptance``; inside ``speculative_decode``, expansion and
+    verification take its checked context without a walk) and extend it
+    only with tokens of checked rows, so just the O(1) "already ends in
+    eos" check runs here. The decode
     loops pass a model with a ``context_window`` only the last tokens of
     the context, at least one and at least the window.
 
@@ -400,9 +401,12 @@ class InterpolatedModel(LanguageModel):
     def distribution(self, ctx: Context) -> np.ndarray:
         if self._source is not None:
             return self._source.distribution(ctx)
+        # A plug-in side may return a list, so each side is converted and
+        # shape-checked as next_distribution would; the blend is checked there.
+        size = self.vocab.size
         return (
-            self.lam * self.target.distribution(ctx)
-            + (1.0 - self.lam) * self.draft_base.distribution(ctx)
+            self.lam * as_vector(self.target.distribution(ctx), size)
+            + (1.0 - self.lam) * as_vector(self.draft_base.distribution(ctx), size)
         )
 
     def _row_key(self, ctx: Context) -> Hashable:

@@ -211,11 +211,31 @@ class SpecTree:
         return _View(self, lambda nid: [i for i, up in enumerate(self.parents, 1) if up == nid])
 
     def _node(self, nid: int) -> SpecNode:
-        if nid == ROOT_ID:
-            return _ROOT
-        parent, token = self.parents[nid - 1], self.tokens[nid - 1]
-        up, prob = self._node(parent), float(self.rows[nid - 1][token])
-        return SpecNode(nid, token, parent, up.depth + 1, prob, up.cum_logprob + math.log(prob))
+        # Walk up to the root, then derive the path's nodes back down: a
+        # loop, so a tree of any depth reads back.
+        path = []
+        while nid != ROOT_ID:
+            path.append(nid)
+            nid = self.parents[nid - 1]
+        node = _ROOT
+        for nid in reversed(path):
+            node = self._child(node, nid)
+        return node
+
+    def _child(self, up: SpecNode, nid: int) -> SpecNode:
+        token = self.tokens[nid - 1]
+        prob = float(self.rows[nid - 1][token])
+        return SpecNode(nid, token, up.id, up.depth + 1, prob, up.cum_logprob + math.log(prob))
+
+    def _kept_nodes(self) -> dict[int, SpecNode]:
+        """Every kept node, the root included, derived in one root-down pass:
+        a parent comes before its children, and a dropped node's parent is
+        ``-1``."""
+        nodes = {ROOT_ID: _ROOT}
+        for nid, parent in enumerate(self.parents, 1):
+            if parent != -1:
+                nodes[nid] = self._child(nodes[parent], nid)
+        return nodes
 
 
 class _View(Mapping):
@@ -262,21 +282,22 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     its rank 0 child would reach the floor; a later rank is pushed only if
     it does. Without a vector the floor is ``-inf``.
 
-    Proposals wait on a heap, best score first; it holds a node's next
-    proposal, not its whole fan. Each query makes one *cursor* for the
-    queried node (its fan ids, width and rank scores, its score, id, row and
-    context, its children's path-code base and next unpushed rank) and
-    hands rank 0 to ``heapq.heappushpop``, which returns it untouched when
-    it is the best proposal left; with no query due, the heap's best is
-    popped. Attaching a node pushes the next rank of its parent's cursor.
-    Entries sort by ``(-score, depth, code)``, where a node's path
-    code is ``parent_code * max_branch + rank``: unique per depth and
-    ordered like the draft's rank paths, so siblings attach in rank order
-    and equal scores follow the draft's ranking, never the token id. The
-    result equals pruning the full breadth-first expansion to the budget,
-    and with a vector to the floor, by score with :func:`_rank_key`'s
-    tiebreaks: a child never outranks its parent, so the ``n`` best nodes
-    include their ancestors and pop off the heap in that order.
+    Proposals wait on a heap, best score first, one per queried node. A
+    query makes an immutable *cursor* ``(ids, keys, score, parent, row,
+    node_ctx)`` (the fan and its rank scores, the node's score, id, row and
+    context) and hands its rank 0 to ``heapq.heappushpop``, which returns it
+    untouched when it is the best proposal left; with no query due, the
+    heap's best is popped. An entry is ``(-score, depth, code, cursor)``: a
+    path code is ``parent_code * max_branch + rank``, so its rank is ``code
+    % max_branch`` and its token ``ids[rank]``. Attaching a node pushes its
+    next sibling, ``code + 1``. Codes are unique per depth, so entries never
+    compare cursors, and ordered like the draft's rank paths, so siblings
+    attach in rank order and equal scores follow the draft's ranking,
+    never the token id. The result equals pruning the full breadth-first
+    expansion to the budget, and with a vector to the floor, by score with
+    :func:`_rank_key`'s tiebreaks: a child never outranks its parent, so
+    the ``n`` best nodes include their ancestors and pop off the heap in
+    that order.
     """
     ctx = validate_context(draft.vocab, ctx)
     if policy.fan_width <= 1:
@@ -304,19 +325,16 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
             ids, keys = row.fan(1 if row.entropy < threshold else fan_width)
             if rates:
                 keys = rates
-            depth += 1
-            code *= max_branch
-            # The cursor: fan ids, width and rank scores, the node's score,
-            # id, row and context, its children's code base and the next
-            # unpushed rank.
-            cursor = [ids, len(ids), keys, score, parent, row, node_ctx, code, 1]
-            entry = pushpop(heap, (-(score + keys[0]), depth, code, ids[0], cursor))
+            cursor = (ids, keys, score, parent, row, node_ctx)
+            entry = pushpop(heap, (-(score + keys[0]), depth + 1, code * max_branch, cursor))
         elif heap:
             entry = pop(heap)
         else:
             break
-        neg_key, depth, code, token, cursor = entry
-        ids, width, keys, score, parent, row, node_ctx, base, rank = cursor
+        neg_key, depth, code, cursor = entry
+        ids, keys, score, parent, row, node_ctx = cursor
+        rank = code % max_branch
+        token = ids[rank]
         # Fan ids of a checked row are distinct and in range: the node
         # needs no checks.
         count += 1
@@ -325,11 +343,10 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
         add_row(row)
         if count == budget:
             break
-        if rank < width:
-            neg_next = -(score + keys[rank])
+        if rank + 1 < len(ids):
+            neg_next = -(score + keys[rank + 1])
             if neg_next <= neg_floor:
-                push(heap, (neg_next, depth, base + rank, ids[rank], cursor))
-                cursor[8] = rank + 1
+                push(heap, (neg_next, depth, code + 1, cursor))
         query = token != eos and depth < max_depth
         if query:
             parent, score, node_ctx = count, -neg_key, node_ctx + (token,)
@@ -382,9 +399,7 @@ def prune_tree(tree: SpecTree, n: int) -> SpecTree:
         raise InputError(f"prune budget must be >= 1, got {n}")
     if tree.non_root_count <= n:
         return tree
-    ranked = sorted(
-        (node for nid, node in tree.nodes.items() if nid != ROOT_ID), key=_rank_key
-    )
+    ranked = sorted(tree._kept_nodes().values(), key=_rank_key)[1:]  # the root ranks first
     keep = {node.id for node in ranked[:n]}
     parents = [parent if nid in keep else -1 for nid, parent in enumerate(tree.parents, 1)]
     cut = SpecTree(tree.context, tree.tokens, parents, tree.rows, tree.draft_queries)
@@ -395,23 +410,25 @@ def prune_tree(tree: SpecTree, n: int) -> SpecTree:
 def render_tree(tree: SpecTree, vocab: Vocabulary) -> str:
     """Deterministic one-node-per-line dump for golden-file tests.
 
-    Depth-first, children in list order; two spaces of
-    indent per depth; token strings are repr-escaped.
+    Depth-first, children in attach order; two spaces of indent per depth;
+    token strings are repr-escaped. The walk keeps its own stack, so a
+    tree of any depth renders.
     """
+    nodes = tree._kept_nodes()
+    children: dict[int, list[int]] = {}
+    for node in nodes.values():
+        children.setdefault(node.parent, []).append(node.id)
     lines = ["<root>"]
-
-    def walk(node_id: int, depth: int) -> None:
-        for child_id in tree.children[node_id]:
-            node = tree.nodes[child_id]
-            lines.append(
-                "{}{} p={:.6f} lp={:.6f}".format(
-                    "  " * (depth + 1),
-                    repr(vocab.string(node.token)),  # type: ignore[arg-type]
-                    node.draft_prob,
-                    node.cum_logprob,
-                )
+    stack = children.get(ROOT_ID, [])[::-1]
+    while stack:
+        node = nodes[stack.pop()]
+        lines.append(
+            "{}{} p={:.6f} lp={:.6f}".format(
+                "  " * node.depth,
+                repr(vocab.string(node.token)),  # type: ignore[arg-type]
+                node.draft_prob,
+                node.cum_logprob,
             )
-            walk(child_id, depth + 1)
-
-    walk(ROOT_ID, 0)
+        )
+        stack += children.get(node.id, [])[::-1]
     return "\n".join(lines) + "\n"

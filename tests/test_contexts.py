@@ -217,6 +217,27 @@ def test_a_list_row_that_is_not_numbers_is_a_one_line_input_error(row):
         greedy_decode(model, (BOS,), 3)
 
 
+def test_a_blend_with_a_list_side_converts_it():
+    side = _ListModel(VOCAB, [0.25, 0.5, 0.0, 0.25])
+    for blend in (distill_interpolate(side, MODEL, 0.5), distill_interpolate(MODEL, side, 0.5)):
+        row = next_distribution(blend, (BOS,))
+        assert row.tolist() == pytest.approx([0.375, 0.4, 0.0, 0.225])
+        assert greedy_decode(blend, (BOS,), 3) == [1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    ("values", "message"),
+    [(["a", "b", "c", "d"], "not a vector of numbers"), ([0.5, 0.5, 0.0], "length 3, expected 4")],
+    ids=["not numbers", "wrong length"],
+)
+def test_a_bad_blend_side_is_a_one_line_input_error(values, message):
+    side = _ListModel(VOCAB, values)
+    for blend in (distill_interpolate(side, MODEL, 0.5), distill_interpolate(MODEL, side, 0.5)):
+        with pytest.raises(InputError, match=message) as excinfo:
+            next_distribution(blend, (BOS,))
+        assert "\n" not in str(excinfo.value)
+
+
 class _Unwindowed(models.LanguageModel):
     """Plug-in wrapper that declares no window, so it reads whole contexts."""
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -309,6 +310,19 @@ def test_chain_policy_queries_once_per_depth():
         tree = expand_tree(draft, (vocab.bos_id,), BranchPolicy.chain(depth))
         assert tree.draft_queries == depth
         assert tree.non_root_count == depth
+
+
+def test_a_tree_deeper_than_the_recursion_limit_reads_back():
+    # Node views, cuts and renders walk a tree by loops, never one call
+    # frame per level.
+    vocab = make_vocab(2)
+    depth = sys.getrecursionlimit() + 100
+    draft = ConstantModel(vocab, [0.9, 0.1, 0.0, 0.0])
+    tree = expand_tree(draft, (vocab.bos_id,), BranchPolicy.chain(depth))
+    assert tree.non_root_count == depth
+    assert tree.nodes[depth].depth == depth
+    assert list(prune_tree(tree, 10).nodes) == list(range(11))
+    assert len(render_tree(tree, vocab).splitlines()) == depth + 1
 
 
 def one_ulp_draft() -> ConstantModel:

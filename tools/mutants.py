@@ -108,14 +108,18 @@ MUTANTS = (
     Mutant("rank 0 taken without heappushpop", "tree.py",
            "entry = pushpop(heap, (", "entry = ((",
            ("tests/test_tree.py",)),
-    Mutant("heap orders equal keys by token before path code", "tree.py",
-           "(-(score + keys[0]), depth, code, ids[0], cursor)",
-           "(-(score + keys[0]), depth, ids[0], code, cursor)",
-           ("tests/test_tree.py",),
-           more=(("neg_key, depth, code, token, cursor = entry",
-                  "neg_key, depth, token, code, cursor = entry"),
-                 ("(neg_next, depth, base + rank, ids[rank], cursor)",
-                  "(neg_next, depth, ids[rank], base + rank, cursor)"))),
+    Mutant("an entry's rank read as 0", "tree.py",
+           "rank = code % max_branch", "rank = 0",
+           ("tests/test_tree.py::test_expand_uniform_binary_tree",)),
+    Mutant("the next sibling skips a rank", "tree.py",
+           "depth, code + 1, cursor)", "depth, code + 2, cursor)",
+           ("tests/test_tree.py::test_expand_uniform_binary_tree",)),
+    Mutant("node views recurse once per level", "tree.py",
+           "        path = []\n        while nid != ROOT_ID:",
+           "        if nid != ROOT_ID:\n"
+           "            return self._child(self._node(self.parents[nid - 1]), nid)\n"
+           "        path = []\n        while nid != ROOT_ID:",
+           ("tests/test_tree.py::test_a_tree_deeper_than_the_recursion_limit_reads_back",)),
     Mutant("fan_width counts a rank below the floor", "tree.py",
            "while fan_width < self.max_branch and log_rates[fan_width] >= log_floor:",
            "while fan_width < self.max_branch:",
@@ -180,6 +184,12 @@ MUTANTS = (
     Mutant("the chain floor walks every depth", "tree.py",
            "if gamma + reach == gamma:", "if False:",
            ("tests/test_tree.py::test_the_chain_floor_stops_once_deeper_chains_add_no_tokens",)),
+    Mutant("a blend multiplies raw side values", "models.py",
+           "self.lam * as_vector(self.target.distribution(ctx), size)",
+           "self.lam * self.target.distribution(ctx)",
+           ("tests/test_contexts.py::test_a_blend_with_a_list_side_converts_it",),
+           more=(("(1.0 - self.lam) * as_vector(self.draft_base.distribution(ctx), size)",
+                  "(1.0 - self.lam) * self.draft_base.distribution(ctx)"),)),
     Mutant("emission not cut to max_tokens", "decode.py",
            "emitted = emitted[: max_tokens - len(out)]", "pass",
            ("tests/test_decode.py::test_truncated_final_cycle_keeps_exact_length",)),
