@@ -59,15 +59,13 @@ class Row(np.ndarray):
     kept with the row, so a row kept in a model's table yields them once,
     and a row nobody ranks is never sorted. Models keep their rows for
     their lifetime, so a row is one object with slots.
+
+    ``greedy_token`` is a plain slot, not a property, so a read costs no
+    Python frame: :func:`greedy_token` of the row, the argmax with ties to
+    the lower id, which :func:`check_row` files.
     """
 
-    __slots__ = ("_greedy_token", "_entropy", "_fan_width", "_fan")
-
-    @property
-    def greedy_token(self) -> int:
-        """:func:`greedy_token` of the row: the argmax, ties to the lower id,
-        filed by :func:`check_row`."""
-        return self._greedy_token
+    __slots__ = ("greedy_token", "_entropy", "_fan_width", "_fan")
 
     @property
     def entropy(self) -> float:
@@ -137,7 +135,7 @@ def check_row(values, size: int) -> Row:
     row[...] = probs
     row.setflags(write=False)
     # argmax returns the first maximal index, i.e. the lowest id.
-    row._greedy_token = int(probs.argmax())
+    row.greedy_token = int(probs.argmax())
     return row
 
 
@@ -149,7 +147,7 @@ def greedy_token(probs: np.ndarray) -> int:
     :func:`check_row` filed, and this reads it.
     """
     if isinstance(probs, Row):
-        return probs._greedy_token
+        return probs.greedy_token
     return int(probs.argmax())
 
 

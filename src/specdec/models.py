@@ -115,22 +115,27 @@ class _CheckedContext(tuple):
     covers. Like a whole context, a tail is trusted only by callers with an
     equal vocabulary; any other walks it as a fresh context, which must
     start at BOS.
+
+    It is made by the C-level ``tuple.__new__`` and then given its
+    ``vocab``, with no Python constructor frame: the decode loop makes one
+    per cycle. Copy and pickle rebuild it the same way, from tuple's own
+    ``__getnewargs__`` and the instance dict that holds ``vocab``.
     """
 
-    def __new__(cls, tokens: tuple[int, ...], vocab: Vocabulary) -> "_CheckedContext":
-        ctx = super().__new__(cls, tokens)
-        ctx.vocab = vocab
-        return ctx
-
-    def __getnewargs__(self):  # so copy and pickle rebuild it
-        return tuple(self), self.vocab
+    vocab: Vocabulary
 
     def extended(self, tokens: tuple[int, ...], keep: int | None = None) -> "_CheckedContext":
         """This context plus ``tokens`` taken from checked rows, none of
         them EOS unless it is the last; only its last ``keep`` tokens if
         ``keep`` is given."""
         ctx = self + tokens
-        return _CheckedContext(ctx if keep is None else ctx[-keep:], self.vocab)
+        ctx = _new_context(_CheckedContext, ctx if keep is None else ctx[-keep:])
+        ctx.vocab = self.vocab
+        return ctx
+
+
+#: Makes a _CheckedContext from a tuple without a Python frame.
+_new_context = tuple.__new__
 
 
 def validate_context(vocab: Vocabulary, ctx) -> Context:
@@ -154,7 +159,9 @@ def validate_context(vocab: Vocabulary, ctx) -> Context:
             raise InputError(f"context token {t} out of range for vocabulary size {size}")
     if eos in tokens[:-1]:
         raise InputError("eos may only appear as the final context token")
-    return _CheckedContext(tokens, vocab)
+    ctx = _new_context(_CheckedContext, tokens)
+    ctx.vocab = vocab
+    return ctx
 
 
 class LanguageModel(ABC):

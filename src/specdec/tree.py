@@ -84,6 +84,12 @@ class BranchPolicy:
         comparison expansion makes. A node's score never exceeds its rate's
         log, so a later rank could never attach. ``max_branch`` without a
         vector. At most 1, the policy drafts a chain.
+    path_depth: how deep a chain policy drafts: the number of leading
+        depths, up to ``min(node_budget, max_depth)``, whose score, the sum
+        of ``log_rates[0]`` down to them, reaches ``log_floor``. The scores
+        are summed one depth at a time, the float additions a per-query
+        walk would make. ``min(node_budget, max_depth)`` without a vector
+        or with a floor of 0.
     """
 
     entropy_threshold: float
@@ -96,6 +102,7 @@ class BranchPolicy:
     log_rates: tuple[float, ...] | None = field(init=False, repr=False, compare=False)
     log_floor: float = field(init=False, repr=False, compare=False)
     fan_width: int = field(init=False, repr=False, compare=False)
+    path_depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.entropy_threshold < math.inf:  # NaN fails this test too
@@ -112,8 +119,9 @@ class BranchPolicy:
             raise InputError(
                 f"max_branch={self.max_branch} exceeds node_budget={self.node_budget}"
             )
+        limit = min(self.node_budget, self.max_depth)
         derived = {"floor": 0.0, "log_rates": None, "log_floor": -math.inf,
-                   "fan_width": self.max_branch}
+                   "fan_width": self.max_branch, "path_depth": limit}
         if (self.acceptance is None) != (self.cost is None):
             raise InputError("an acceptance vector and a cost model come together")
         if self.acceptance is not None:
@@ -132,12 +140,21 @@ class BranchPolicy:
             fan_width = 0
             while fan_width < self.max_branch and log_rates[fan_width] >= log_floor:
                 fan_width += 1
+            # No finite sum falls below a floor of -inf: every depth is drafted.
+            path_depth = limit if log_floor == -math.inf else 0
+            score = 0.0
+            while path_depth < limit:
+                score += log_rates[0]
+                if score < log_floor:
+                    break
+                path_depth += 1
             derived = {
                 "acceptance": rates,
                 "floor": floor,
                 "log_rates": log_rates,
                 "log_floor": log_floor,
                 "fan_width": fan_width,
+                "path_depth": path_depth,
             }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -359,14 +376,13 @@ def _expand_path(draft: LanguageModel, ctx: Context, policy: BranchPolicy) -> Sp
     The heap loop's rules hold: no query at EOS, at ``max_depth`` or once
     the budget is full, and with a vector a node's score is ``log_rates[0]``
     per depth and a node is queried only if its child would reach the floor.
+    Every rule but EOS is fixed by the policy, so ``policy.path_depth``
+    holds how many queries they allow and the loop does no score
+    arithmetic.
     """
     eos = draft.vocab.eos_id
-    rate, log_floor = policy.log_rates[0] if policy.log_rates else 0.0, policy.log_floor
-    tokens, rows, node_ctx, score = [], [], ctx, 0.0
-    for _ in range(min(policy.node_budget, policy.max_depth)):
-        score += rate
-        if score < log_floor:
-            break
+    tokens, rows, node_ctx = [], [], ctx
+    for _ in range(policy.path_depth):
         row = next_distribution(draft, node_ctx)
         token = row.greedy_token
         tokens.append(token)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +81,30 @@ def test_context_validation():
         validate_context(vocab, (bos, eos, 0))  # eos not final
     with pytest.raises(InputError):
         validate_context(vocab, (bos, 99))
+
+
+@pytest.mark.parametrize("keep", [None, 1, 3, 5, 9])
+def test_an_extended_context_is_checked_and_holds_its_last_keep_tokens(keep):
+    vocab = make_vocab(3)
+    whole = (vocab.bos_id, 0, 1, 2, 0)
+    ctx = validate_context(vocab, whole[:3]).extended(whole[3:], keep)
+    assert type(ctx) is models._CheckedContext
+    assert ctx == (whole if keep is None else whole[-keep:])
+    assert validate_context(make_vocab(3), ctx) is ctx  # an equal vocabulary trusts it
+    clones = [copy.deepcopy(ctx)]
+    clones += [pickle.loads(pickle.dumps(ctx, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in clones:
+        assert type(clone) is models._CheckedContext and clone == ctx and clone.vocab == vocab
+        assert validate_context(vocab, clone) is clone
+    # An unequal vocabulary with the same ids walks it as a fresh context,
+    # which a tail that lost its BOS fails.
+    renamed = Vocabulary(("x", "y", "z", BOS_STRING, EOS_STRING), vocab.bos_id, vocab.eos_id)
+    if ctx[0] == vocab.bos_id:
+        walked = validate_context(renamed, ctx)
+        assert walked == ctx and walked is not ctx and walked.vocab is renamed
+    else:
+        with pytest.raises(InputError, match="bos_id"):
+            validate_context(renamed, ctx)
 
 
 def test_next_distribution_rejects_terminal_context():

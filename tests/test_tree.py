@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specdec.decode import greedy_decode, speculative_decode
@@ -494,6 +494,63 @@ def test_a_policy_derives_its_fan_width_from_the_floor():
     assert policy == BranchPolicy(0.35, 4, 3, 8, (0.9, 0.5, 0.1, 0.1), cost)
     assert hash(policy) == hash((0.35, 4, 3, 8, (0.9, 0.5, 0.1, 0.1), cost))
     assert hash(BranchPolicy.chain(3)) == hash((0.0, 1, 3, 3, None, None))
+
+
+def per_cycle_walk(policy: BranchPolicy) -> int:
+    """How deep a chain drafted when each cycle walked the scores itself."""
+    rate = policy.log_rates[0] if policy.log_rates else 0.0
+    depth, score = 0, 0.0
+    for _ in range(min(policy.node_budget, policy.max_depth)):
+        score += rate
+        if score < policy.log_floor:
+            break
+        depth += 1
+    return depth
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    acceptance=st.one_of(
+        st.none(),
+        st.lists(st.sampled_from([1.0, 0.97, 0.9, 0.5, 0.1, 0.01]), min_size=1, max_size=3)
+        .map(lambda rates: tuple(sorted(rates, reverse=True))),
+    ),
+    draft_cost=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    batch_cost=st.sampled_from([1.0, 2.5]),
+    max_depth=st.integers(1, 30),
+    node_budget=st.integers(1, 30),
+)
+# Rate 1.0 at draft_cost = batch_cost = 1: every chain's speedup is 1, so the
+# floor is 1 and every depth's score equals log_floor, 0.0; each is drafted.
+@example(acceptance=(1.0,), draft_cost=1.0, batch_cost=1.0, max_depth=6, node_budget=9)
+# A rank-0 rate below the floor: the walk stops before the first query.
+@example(acceptance=(0.01,), draft_cost=0.05, batch_cost=1.0, max_depth=4, node_budget=8)
+def test_path_depth_is_the_per_cycle_walk_derived_once(
+    acceptance, draft_cost, batch_cost, max_depth, node_budget,
+):
+    cost = None if acceptance is None else CostModel(draft_cost, batch_cost)
+    policy = BranchPolicy(0.0, 1, max_depth, node_budget, acceptance, cost)
+    assert policy.path_depth == per_cycle_walk(policy)
+    # A draft that never proposes EOS drafts exactly path_depth nodes a
+    # cycle, and the decode stays greedy whatever the depth, 0 included.
+    vocab = make_vocab(3)
+    draft = ConstantModel(vocab, one_hot(vocab.size, 1))
+    target = ConstantModel(vocab, [0.2, 0.5, 0.3, 0.0, 0.0])
+    prompt = (vocab.bos_id, 0)
+    tree = expand_tree(draft, prompt, policy)
+    assert tree.draft_queries == tree.non_root_count == policy.path_depth
+    tokens, stats = speculative_decode(draft, target, prompt, 12, policy)
+    assert tokens == greedy_decode(target, prompt, 12)
+    assert stats.draft_calls == policy.path_depth * stats.cycles
+
+
+def test_a_huge_chain_policy_derives_its_path_depth_where_the_walk_stops():
+    huge = 10**12
+    policy = BranchPolicy(0.0, 1, huge, huge, (0.9,), CostModel(0.05, 1.0))
+    assert 0 < policy.path_depth == per_cycle_walk(policy) < 100
+    # A floor of 0 stops no walk: every depth is drafted, with no walk.
+    assert BranchPolicy(0.0, 1, huge, huge, (0.9,), CostModel(0.0, 1.0)).path_depth == huge
+    assert BranchPolicy(0.0, 1, huge, 7).path_depth == 7
 
 
 def test_spec_node_is_an_immutable_named_tuple():

@@ -62,9 +62,6 @@ MUTANTS = (
            "if type(ctx) is _CheckedContext and (ctx.vocab is vocab or ctx.vocab == vocab):",
            "if type(ctx) is _CheckedContext:",
            ("tests/test_contexts.py",)),
-    Mutant("drop __getnewargs__", "models.py",
-           "    def __getnewargs__(self):", "    def _unused(self):",
-           ("tests/test_contexts.py",)),
     Mutant("unclamped tail slice", "models.py",
            "else ctx[-window:]", "else ctx[len(ctx) - window:]",
            ("tests/test_models.py::test_a_blend_tail_index_serves_the_row_its_table_holds",
@@ -80,7 +77,7 @@ MUTANTS = (
            "row = table.get(key)", "row = None",
            ("tests/test_models.py::test_each_model_row_is_checked_exactly_once",)),
     Mutant("the greedy token is not filed", "dists.py",
-           "row._greedy_token = int(probs.argmax())", "pass",
+           "row.greedy_token = int(probs.argmax())", "pass",
            ("tests/test_models.py::test_served_rows_carry_their_facts",)),
     Mutant("constant model keeps no table", "models.py",
            "self._table: dict[Hashable, Row] = {(): self._row}",
@@ -100,7 +97,8 @@ MUTANTS = (
            "min(target.context_window, draft_base.context_window)",
            ("tests/test_models.py",)),
     Mutant("trim keeps one token fewer", "models.py",
-           "ctx if keep is None else ctx[-keep:]", "ctx if keep is None else ctx[1 - keep:]",
+           "_new_context(_CheckedContext, ctx if keep is None else ctx[-keep:])",
+           "_new_context(_CheckedContext, ctx if keep is None else ctx[1 - keep:])",
            ("tests/test_contexts.py",)),
     Mutant("SpecTree copies its context", "tree.py",
            "context if isinstance(context, tuple) else tuple(context)", "tuple(context)",
@@ -134,12 +132,15 @@ MUTANTS = (
            "if query and (not rates or -(score + rates[0]) <= neg_floor):", "if query:",
            ("tests/test_tree.py",),
            more=(("if score < log_floor:", "if False:"),)),
+    Mutant("path_depth stops at a score equal to the floor", "tree.py",
+           "if score < log_floor:", "if score <= log_floor:",
+           ("tests/test_tree.py::test_path_depth_is_the_per_cycle_walk_derived_once",)),
     Mutant("the path queries the node at max_depth", "tree.py",
-           "range(min(policy.node_budget, policy.max_depth))",
-           "range(min(policy.node_budget, policy.max_depth + 1))",
+           "limit = min(self.node_budget, self.max_depth)",
+           "limit = min(self.node_budget, self.max_depth + 1)",
            ("tests/test_tree.py",)),
     Mutant("the path ignores the budget", "tree.py",
-           "range(min(policy.node_budget, policy.max_depth))", "range(policy.max_depth)",
+           "limit = min(self.node_budget, self.max_depth)", "limit = self.max_depth",
            ("tests/test_decode.py::"
             "test_a_chain_policy_tree_verifies_and_prunes_as_its_equal_hand_built_tree",)),
     Mutant("path verification keeps walking after an accepted EOS", "decode.py",
