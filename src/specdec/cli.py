@@ -95,8 +95,7 @@ def _cmd_decode(args) -> int:
     draft = distill_interpolate(target, draft_base, args.lam)
     prompt = (vocab.bos_id,) + vocab.encode(args.prompt)
     # The bench cell of the first value of each grid, for this lambda's draft.
-    cell = (config.tau_grid[0], config.branch_grid[0], config.depth_grid[0],
-            config.budget_grid[0])
+    cell = (config.branch_grid[0], config.depth_grid[0], config.budget_grid[0])
     policy = cell_policies(config, draft, target, in_domain_probes(config, vocab, held))[cell]
     tokens, stats = speculative_decode(draft, target, prompt, config.max_tokens, policy)
     print(f"tokens: {list(tokens)}")

@@ -144,11 +144,13 @@ def greedy_token(probs: np.ndarray) -> int:
 
     The fixed tie-break keeps greedy decoding draft-independent, which the
     losslessness guarantee relies on. A :class:`Row` carries the token
-    :func:`check_row` filed, and this reads it.
+    :func:`check_row` filed, and this reads it; an array derived from a row
+    (``row * 1.0``, ``row.copy()``) carries none and gets its argmax.
     """
-    if isinstance(probs, Row):
+    try:
         return probs.greedy_token
-    return int(probs.argmax())
+    except AttributeError:
+        return int(probs.argmax())
 
 
 def entropy(probs: np.ndarray) -> float:

@@ -50,7 +50,7 @@ from .models import (
 )
 from .tree import BranchPolicy
 
-REPORT_VERSION = 4
+REPORT_VERSION = 5
 
 
 def ingest_corpus(path) -> tuple[Vocabulary, tuple[int, ...]]:
@@ -67,8 +67,7 @@ def ingest_corpus(path) -> tuple[Vocabulary, tuple[int, ...]]:
         bos_id=len(chars),
         eos_id=len(chars) + 1,
     )
-    ids = {ch: i for i, ch in enumerate(chars)}
-    return vocab, tuple(ids[ch] for ch in text)
+    return vocab, vocab.encode(text)
 
 
 def _read_corpus(path) -> str:
@@ -109,7 +108,6 @@ class ExperimentConfig:
     target_alpha: float = 0.1
     draft_alpha: float = 0.5
     lambda_grid: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
-    tau_grid: tuple[float, ...] = (1.0,)
     branch_grid: tuple[int, ...] = (4,)
     depth_grid: tuple[int, ...] = (3,)
     budget_grid: tuple[int, ...] = (8,)
@@ -138,10 +136,9 @@ class ExperimentConfig:
                 raise InputError(f"{name} must be non-empty")
         if any(not 0.0 <= lam <= 1.0 for lam in self.lambda_grid):
             raise InputError("lambda_grid values must lie in [0, 1]")
-        for name in ("tau_grid", "branch_grid", "depth_grid", "budget_grid"):
-            low = 0 if name == "tau_grid" else 1
-            if min(getattr(self, name)) < low:
-                raise InputError(f"{name} values must be >= {low}")
+        for name in ("branch_grid", "depth_grid", "budget_grid"):
+            if min(getattr(self, name)) < 1:
+                raise InputError(f"{name} values must be >= 1")
         if max(self.branch_grid) > min(self.budget_grid):
             raise InputError(
                 f"branch_grid value {max(self.branch_grid)} exceeds "
@@ -229,7 +226,6 @@ class RunRecord:
 
     domain: str
     lam: float
-    tau: float
     branch: int
     depth: int
     budget: int
@@ -263,7 +259,7 @@ class RunRecord:
 
     @property
     def cell_key(self) -> tuple:
-        return (self.domain, self.lam, self.tau, self.branch, self.depth, self.budget)
+        return (self.domain, self.lam, self.branch, self.depth, self.budget)
 
     @property
     def cell_label(self) -> str:
@@ -285,8 +281,8 @@ _REPORT_KEYS = {
 CSV_COLUMNS = list(_REPORT_KEYS.values())
 
 
-def _cell_label(domain, lam, tau, branch, depth, budget) -> str:
-    return f"{domain},lam={lam:g},tau={tau:g},b={branch},d={depth},n={budget}"
+def _cell_label(domain, lam, branch, depth, budget) -> str:
+    return f"{domain},lam={lam:g},b={branch},d={depth},n={budget}"
 
 
 def _sample_spans(zone: tuple[int, ...], length: int, count: int, rng, what: str):
@@ -351,21 +347,20 @@ def in_domain_probes(config: ExperimentConfig, vocab: Vocabulary, held) -> list[
 
 
 def cell_policies(config: ExperimentConfig, draft, target, probes) -> dict[tuple, BranchPolicy]:
-    """The policy of each (tau, branch, depth, budget) cell of the config's
-    grid for ``draft``, in cell order.
+    """The policy of each (branch, depth, budget) cell of the config's grid
+    for ``draft``, in cell order.
 
     Each carries the acceptance vector that :func:`estimate_acceptance`
     measures for ``draft`` against ``target`` on ``probes`` (the in-domain
     probes) over the widest fan of ``branch_grid``, and the config's cost
     model, so trees rank nodes by expected acceptance and draft only what
-    pays. The vector is measured once per call.
+    pays. The vector is measured once per call. The entropy gate is off
+    (threshold 0): the vector's floor alone shapes each tree.
     """
     acceptance = estimate_acceptance(draft, target, probes, max(config.branch_grid))
     cost = config.cost_model
-    cells = sorted(
-        set(product(config.tau_grid, config.branch_grid, config.depth_grid, config.budget_grid))
-    )
-    return {cell: BranchPolicy(*cell, acceptance, cost) for cell in cells}
+    cells = sorted(set(product(config.branch_grid, config.depth_grid, config.budget_grid)))
+    return {cell: BranchPolicy(0.0, *cell, acceptance, cost) for cell in cells}
 
 
 def run_matrix(config: ExperimentConfig) -> list[RunRecord]:
@@ -412,7 +407,7 @@ def run_matrix(config: ExperimentConfig) -> list[RunRecord]:
         for lam in lambdas:
             draft = drafts[lam]
             kl = estimate_kl(draft, target, probes)
-            for (tau, branch, depth, budget), policy in policies[lam].items():
+            for (branch, depth, budget), policy in policies[lam].items():
                 started = time.perf_counter()
                 per_prompt = []
                 for prompt in prompts:
@@ -421,7 +416,7 @@ def run_matrix(config: ExperimentConfig) -> list[RunRecord]:
                     )
                     baseline = greedy_decode(target, prompt, config.max_tokens)
                     if tokens != baseline:
-                        cell = _cell_label(domain, lam, tau, branch, depth, budget)
+                        cell = _cell_label(domain, lam, branch, depth, budget)
                         raise LosslessnessError(config.seed, cell, prompt)
                     per_prompt.append(stats)
                 merged = combine_stats(per_prompt)
@@ -430,7 +425,6 @@ def run_matrix(config: ExperimentConfig) -> list[RunRecord]:
                     RunRecord(
                         domain=domain,
                         lam=lam,
-                        tau=tau,
                         branch=branch,
                         depth=depth,
                         budget=budget,

@@ -147,7 +147,8 @@ class BranchPolicy:
                 score += log_rates[0]
                 if score < log_floor:
                     break
-                path_depth += 1
+                # A score of 0 (a rate of 1) never falls: every depth passes.
+                path_depth = limit if score == 0.0 else path_depth + 1
             derived = {
                 "acceptance": rates,
                 "floor": floor,
@@ -169,9 +170,13 @@ class BranchPolicy:
 def _best_chain_speedup(rate: float, cost: CostModel, max_depth: int) -> float:
     """The best predicted speedup of a chain of depth 1 to ``max_depth``
     whose every node is accepted at ``rate``. The walk ends once a deeper
-    node adds nothing to gamma in floating point; a rate of exactly 1, which
-    :func:`~specdec.metrics.estimate_acceptance` never returns, walks every
-    depth."""
+    node adds nothing to gamma in floating point. At a rate of exactly 1,
+    which :func:`~specdec.metrics.estimate_acceptance` never returns, depth
+    d's speedup (d + 1) / (batch + draft * d) is monotone in d, so the best
+    depth is 1 or ``max_depth``, with no walk."""
+    if rate == 1.0:
+        return max(predicted_speedup(2.0, cost, 1),
+                   predicted_speedup(max_depth + 1.0, cost, max_depth))
     gamma = reach = 1.0
     best = 0.0
     for depth in range(1, max_depth + 1):

@@ -241,7 +241,6 @@ def test_bench_reports_are_byte_identical(tmp_path):
         f"""
 corpus = {corpus}
 lambda_grid = 0.0, 1.0
-tau_grid = 0.35
 branch_grid = 1, 3
 depth_grid = 3
 budget_grid = 6

@@ -38,7 +38,6 @@ def corpus_file(tmp_path):
 _CONFIG_TEXT = """
 corpus = {corpus}
 lambda_grid = 0.0, 1.0
-tau_grid = 0.35
 branch_grid = 1, 3
 depth_grid = 3
 budget_grid = 6
@@ -116,13 +115,12 @@ DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demo" / "bench.cfg"
 
 @pytest.fixture(scope="module")
 def demo_cells():
-    """The demo matrix's (draft, target, policy) by (lambda, tau, branch,
-    depth, budget), as run_matrix hands them to speculative_decode."""
+    """The demo matrix's (draft, target, policy) by (lambda, branch, depth,
+    budget), as run_matrix hands them to speculative_decode."""
     original, cells = harness.speculative_decode, {}
 
     def record(draft, target, prompt, max_tokens, policy):
-        cell = (draft.lam, policy.entropy_threshold, policy.max_branch, policy.max_depth,
-                policy.node_budget)
+        cell = (draft.lam, policy.max_branch, policy.max_depth, policy.node_budget)
         cells[cell] = draft, target, policy
         return original(draft, target, prompt, max_tokens, policy)
 
@@ -140,7 +138,7 @@ def test_decode_drafts_as_the_matching_bench_cell_does(capsys, demo_cells, lam):
     of the grid it reports the draft calls that speculative_decode reports
     for its prompt under that cell's policy."""
     config = ExperimentConfig.from_file(DEMO_CONFIG)
-    draft, target, policy = demo_cells[float(lam), 0.35, 1, 4, 8]
+    draft, target, policy = demo_cells[float(lam), 1, 4, 8]
     assert policy.acceptance is not None
     prompt = (target.vocab.bos_id,) + target.vocab.encode("the cat")
     _, stats = harness.speculative_decode(draft, target, prompt, config.max_tokens, policy)
@@ -174,20 +172,10 @@ def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-def test_an_infinite_tau_exits_one_and_reports_are_plain_json_dumps(
-        tmp_path, config_file, capsys):
-    # A chain is branch_grid = 1, never tau_grid = inf.
-    config = tmp_path / "inf.cfg"
-    text = config_file.read_text(encoding="utf-8")
-    config.write_text(text.replace("tau_grid = 0.35", "tau_grid = 0.35, inf"), encoding="utf-8")
-    out = tmp_path / "bench"
-    assert main(["bench", "--config", str(config), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "tau_grid must be finite" in err
-    assert not out.exists()
-
+def test_reports_are_plain_json_dumps(tmp_path, config_file):
     # Every value is finite, so a report is exactly what json.dumps writes,
     # with no non-JSON constant.
+    out = tmp_path / "bench"
     assert main(["bench", "--config", str(config_file), "--out", str(out)]) == 0
     text = (out / "report.json").read_text(encoding="utf-8")
     doc = json.loads(text, parse_constant=_refuse_constant)
@@ -345,7 +333,6 @@ _OUT_OF_RANGE = [
     ("target_contexts_scored", -1), ("draft_calls", -1), ("tree_nodes", -1),
     ("prompts", 0), ("branch", 0), ("depth", 0), ("budget", 0),
     ("lambda", 7.0), ("lambda", -0.5), ("lambda", math.nan),
-    ("tau", -1.0), ("tau", math.nan), ("tau", math.inf),
     ("kl_estimate", -1.0), ("kl_estimate", math.inf),
     ("predicted_speedup", -1.0), ("predicted_speedup", math.nan),
 ]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from specdec.dists import (
     EPSILON_FLOOR,
+    check_row,
     entropy,
     greedy_token,
     kl_divergence,
@@ -112,6 +113,15 @@ def test_validate_rejects_bad_shape_and_size():
 def test_greedy_tie_breaks_to_lowest_id():
     assert greedy_token(np.array([0.4, 0.4, 0.2])) == 0
     assert greedy_token(np.array([0.2, 0.4, 0.4])) == 1
+    # Arrays numpy derives from a checked row carry no filed token: they
+    # get their argmax, ties to the lowest id.
+    row = check_row([0.2, 0.4, 0.4], 3)
+    assert greedy_token(row) == 1
+    for derived in (row * 1.0, row[:], row.copy()):
+        assert greedy_token(derived) == 1
+    mutated = row.copy()
+    mutated[0] = 0.9
+    assert greedy_token(mutated) == 0
 
 
 @given(dist_weights)

@@ -52,7 +52,6 @@ def small_config(corpus_path, **overrides) -> ExperimentConfig:
         target_alpha=0.1,
         draft_alpha=0.5,
         lambda_grid=(1.0,),
-        tau_grid=(1.0,),
         branch_grid=(1,),
         depth_grid=(3,),
         budget_grid=(3,),
@@ -142,8 +141,9 @@ def test_config_file_errors(tmp_path, corpus_file):
         ExperimentConfig.from_file(no_corpus)
 
     unknown = tmp_path / "b.cfg"
-    # kl_direction is no key: KL is always target-draft.
-    for line in ("wibble = 3", "kl_direction = target-draft"):
+    # kl_direction and tau_grid are no keys: KL is always target-draft, and
+    # the acceptance floor alone shapes a bench cell's tree.
+    for line in ("wibble = 3", "kl_direction = target-draft", "tau_grid = 0.35"):
         unknown.write_text(f"corpus = {corpus_file}\n{line}\n", encoding="utf-8")
         with pytest.raises(InputError, match="unknown config key"):
             ExperimentConfig.from_file(unknown)
@@ -175,9 +175,8 @@ def test_config_validation(corpus_file):
         small_config(corpus_file, seed=2**64)
     with pytest.raises(InputError):
         small_config(corpus_file, prompt_count=0)
-    for key, grid in (("tau_grid", (1.0, -1.0)), ("branch_grid", (0,)), ("depth_grid", (0,)),
-                      ("budget_grid", (4, 0))):
-        with pytest.raises(InputError, match=f"{key} values must be >= "):
+    for key, grid in (("branch_grid", (0,)), ("depth_grid", (0,)), ("budget_grid", (4, 0))):
+        with pytest.raises(InputError, match=f"{key} values must be >= 1"):
             small_config(corpus_file, **{key: grid})
     # No tree of the grid may branch wider than its node budget.
     with pytest.raises(InputError, match="branch_grid value 4 exceeds budget_grid value 2"):
@@ -268,7 +267,7 @@ def test_emit_report_single_record(tmp_path, corpus_file):
     paths = emit_report(records, config, tmp_path / "out")
     csv_path = paths[0]
     lines = csv_path.read_text(encoding="utf-8").splitlines()
-    assert lines[0].startswith("# specdec report v4")
+    assert lines[0].startswith("# specdec report v5")
     assert lines[1] == ",".join(CSV_COLUMNS)
     assert len(lines) == 3
     assert lines[2].startswith("in,1,")
@@ -362,7 +361,7 @@ def demo_seed_7():
 
 def _chain_and_tree_cells(records):
     by_key = {r.cell_key: r for r in records}
-    pairs = [(by_key[(r.domain, r.lam, r.tau, 1, r.depth, r.budget)], r)
+    pairs = [(by_key[(r.domain, r.lam, 1, r.depth, r.budget)], r)
              for r in records if r.branch > 1]
     assert pairs
     return pairs
@@ -393,7 +392,7 @@ def test_demo_domains_of_one_lambda_decode_under_equal_hashable_policies(demo_se
         per_draft.setdefault(draft, {})
         per_draft[draft][policy] = per_draft[draft].get(policy, 0) + 1
     assert len(per_draft) == len(config.lambda_grid)
-    grid = {(r.tau, r.branch, r.depth, r.budget) for r in records}
+    grid = {(r.branch, r.depth, r.budget) for r in records}
     for counts in per_draft.values():
         assert len(counts) == len(grid)
         assert set(counts.values()) == {2 * config.prompt_count}  # both domains
@@ -423,16 +422,18 @@ def test_report_format_matches_v1_literally(tmp_path, corpus_file):
     config = small_config(corpus_file)
     emit_report(run_matrix(config), config, tmp_path)
     lines = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[:2] == ["# specdec report v4", V1_CSV_HEADER]
+    # Version 5 dropped the tau column: no bench cell gates on entropy.
+    assert lines[:2] == ["# specdec report v5", V1_CSV_HEADER.replace("lambda,tau,", "lambda,")]
     doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert set(doc) == {"format", "version", "config", "records"}
     # Version 4 dropped the kl_direction key: KL is always target-draft.
-    assert set(doc["config"]) == V1_CONFIG_KEYS - {"kl_direction"}
-    assert [set(r) for r in doc["records"]] == [V1_RECORD_KEYS]
+    # Version 5 dropped the tau_grid key with the tau column.
+    assert set(doc["config"]) == V1_CONFIG_KEYS - {"kl_direction", "tau_grid"}
+    assert [set(r) for r in doc["records"]] == [V1_RECORD_KEYS - {"tau"}]
 
 
 @pytest.mark.parametrize(
-    "key", ["target_alpha", "draft_alpha", "draft_cost", "batch_cost", "lambda_grid", "tau_grid"]
+    "key", ["target_alpha", "draft_alpha", "draft_cost", "batch_cost", "lambda_grid"]
 )
 def test_config_rejects_nan_naming_the_key(tmp_path, corpus_file, key):
     value = "1.0, nan" if key.endswith("_grid") else "nan"
@@ -444,7 +445,7 @@ def test_config_rejects_nan_naming_the_key(tmp_path, corpus_file, key):
 
 @pytest.mark.parametrize("value", ["inf", "-inf"])
 @pytest.mark.parametrize(
-    "key", ["target_alpha", "draft_alpha", "draft_cost", "batch_cost", "tau_grid"]
+    "key", ["target_alpha", "draft_alpha", "draft_cost", "batch_cost", "lambda_grid"]
 )
 def test_config_rejects_infinite_scalar_naming_the_key(tmp_path, corpus_file, key, value):
     path = tmp_path / "inf.cfg"

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
+import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import specdec
 from specdec.decode import greedy_decode, speculative_decode
 from specdec.errors import InputError
 from specdec.metrics import CostModel, predicted_speedup
@@ -551,6 +555,33 @@ def test_a_huge_chain_policy_derives_its_path_depth_where_the_walk_stops():
     # A floor of 0 stops no walk: every depth is drafted, with no walk.
     assert BranchPolicy(0.0, 1, huge, huge, (0.9,), CostModel(0.0, 1.0)).path_depth == huge
     assert BranchPolicy(0.0, 1, huge, 7).path_depth == 7
+    # A rank-0 rate of 1: the score never falls, so there is no walk to
+    # stop. Built in a child process, so that a walk over every depth
+    # fails the test instead of hanging the suite.
+    src = str(Path(specdec.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _SURE_CHAIN_SCRIPT], capture_output=True, text=True, env=env,
+        timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    cost = CostModel(0.05, 1.0)
+    assert result.stdout.split() == [
+        str(huge), "1", repr(cost.draft_cost * predicted_speedup(huge + 1.0, cost, huge)),
+        # A draft call dearer than a target pass: no depth reaches the floor.
+        "0", "0",
+    ]
+
+
+_SURE_CHAIN_SCRIPT = """
+from specdec.metrics import CostModel
+from specdec.tree import BranchPolicy
+huge = 10**12
+policy = BranchPolicy(0.0, 1, huge, huge, (1.0,), CostModel(0.05, 1.0))
+print(policy.path_depth, policy.fan_width, repr(policy.floor))
+dear = BranchPolicy(0.0, 1, huge, huge, (1.0,), CostModel(2.0, 1.0))
+print(dear.path_depth, dear.fan_width)
+"""
 
 
 def test_spec_node_is_an_immutable_named_tuple():

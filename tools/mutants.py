@@ -79,6 +79,12 @@ MUTANTS = (
     Mutant("the greedy token is not filed", "dists.py",
            "row.greedy_token = int(probs.argmax())", "pass",
            ("tests/test_models.py::test_served_rows_carry_their_facts",)),
+    Mutant("a derived row's greedy token is read from its slot", "dists.py",
+           "try:\n        return probs.greedy_token\n    except AttributeError:\n"
+           "        return int(probs.argmax())",
+           "if isinstance(probs, Row):\n        return probs.greedy_token\n"
+           "    return int(probs.argmax())",
+           ("tests/test_dists.py::test_greedy_tie_breaks_to_lowest_id",)),
     Mutant("constant model keeps no table", "models.py",
            "self._table: dict[Hashable, Row] = {(): self._row}",
            "self._table: dict[Hashable, Row] = {}",
@@ -132,6 +138,10 @@ MUTANTS = (
            "if query and (not rates or -(score + rates[0]) <= neg_floor):", "if query:",
            ("tests/test_tree.py",),
            more=(("if score < log_floor:", "if False:"),)),
+    Mutant("a rank-0 rate of 1 walks every depth", "tree.py",
+           "if rate == 1.0:", "if False:",
+           ("tests/test_tree.py::"
+            "test_a_huge_chain_policy_derives_its_path_depth_where_the_walk_stops",)),
     Mutant("path_depth stops at a score equal to the floor", "tree.py",
            "if score < log_floor:", "if score <= log_floor:",
            ("tests/test_tree.py::test_path_depth_is_the_per_cycle_walk_derived_once",)),
@@ -172,7 +182,7 @@ MUTANTS = (
     Mutant("verify_tree skips the context check", "decode.py",
            "ctx = validate_context(target.vocab, tree.context)", "ctx = tree.context",
            ("tests/test_contexts.py",)),
-    Mutant("an infinite tau_grid accepted", "harness.py",
+    Mutant("an infinite lambda_grid accepted", "harness.py",
            "if any(map(math.isinf, values)):", "if kind is float and any(map(math.isinf, values)):",
            ("tests/test_harness.py::test_config_rejects_infinite_scalar_naming_the_key",)),
     Mutant("estimate_kl swaps p and q", "metrics.py",
