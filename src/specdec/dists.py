@@ -11,7 +11,7 @@ its proposal fan, the ids and log-probabilities of its best tokens.
 :func:`specdec.models.next_distribution` hands out only rows made here. A
 row from a built-in model's finite table is made once (a constant's when
 it is built); a plug-in model's row is made on every call. :func:`greedy_token`,
-:func:`entropy` and :func:`kl_divergence` are plain math on rows that were
+:func:`entropy` and the KL functions are plain math on rows that were
 already checked; they do not check again, and :func:`greedy_token` reads
 the token :func:`check_row` filed in a :class:`Row`.
 """
@@ -161,19 +161,28 @@ def entropy(probs: np.ndarray) -> float:
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q') in nats of two checked rows, where q' is q with an
-    epsilon floor. Rows of different lengths raise :class:`InputError`.
+    """KL(p || q') in nats of two checked rows: :func:`kl_rows` of the pair."""
+    return float(kl_rows([p], [q])[0])
+
+
+def kl_rows(p, q) -> np.ndarray:
+    """KL(p[k] || q'[k]) in nats of each pair of K checked rows, read as two
+    (K, V) float64 blocks; blocks of different shapes raise :class:`InputError`.
 
     q' = (q + eps) / (1 + eps*V) with eps = ``EPSILON_FLOOR``, so q' is a
     proper distribution and zero entries in q cost a large-but-finite
-    penalty instead of infinity. Bit-identical inputs return exactly 0;
-    the result is clamped at 0 against floating-point underflow.
+    penalty instead of infinity. Bit-identical rows give exactly 0, and each
+    value is clamped at 0. A row with a zero in p is summed over its nonzero
+    entries alone, as one vector: with the zeros in place its last bit can move.
     """
+    p, q = np.array(p, dtype=np.float64), np.array(q, dtype=np.float64)
     if q.shape != p.shape:
-        raise InputError(f"length mismatch: p has {p.size} entries, q has {q.size}")
-    if np.array_equal(p, q):
-        return 0.0
-    q_floor = (q + EPSILON_FLOOR) / (1.0 + EPSILON_FLOOR * q.size)
-    mask = p > 0.0
-    value = float(np.sum(p[mask] * np.log(p[mask] / q_floor[mask])))
-    return max(0.0, value)
+        raise InputError(f"length mismatch: p has {p.shape[-1]} entries, q has {q.shape[-1]}")
+    q_floor = (q + EPSILON_FLOOR) / (1.0 + EPSILON_FLOOR * p.shape[1])
+    positive = p > 0.0
+    # A zero of p adds 0 * log(1 / q') here, not 0 * log(0).
+    values = np.sum(p * np.log(np.where(positive, p, 1.0) / q_floor), axis=1)
+    for i in np.flatnonzero(~positive.all(axis=1)):
+        mask = positive[i]
+        values[i] = np.sum(p[i, mask] * np.log(p[i, mask] / q_floor[i, mask]))
+    return np.where((values > 0.0) & ~(p == q).all(axis=1), values, 0.0)

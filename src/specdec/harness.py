@@ -40,6 +40,7 @@ from .metrics import (
 from .models import (
     BOS_STRING,
     EOS_STRING,
+    Context,
     Vocabulary,
     dataclass_from_json,
     distill_interpolate,
@@ -47,6 +48,7 @@ from .models import (
     read_json,
     read_text,
     train_ngram,
+    validate_context,
 )
 from .tree import BranchPolicy
 
@@ -285,8 +287,11 @@ def _cell_label(domain, lam, branch, depth, budget) -> str:
     return f"{domain},lam={lam:g},b={branch},d={depth},n={budget}"
 
 
-def _sample_spans(zone: tuple[int, ...], length: int, count: int, rng, what: str):
-    """``count`` spans of ``length`` tokens from ``zone``; ``what`` is
+def _contexts(zone: tuple[int, ...], vocab: Vocabulary, length: int, count: int, rng,
+              what: str) -> list[Context]:
+    """``count`` bos-anchored contexts, each a span of ``length`` tokens
+    from ``zone``, checked by :func:`validate_context` where they are drawn,
+    so each decode and estimate takes them back unwalked. ``what`` is
     "prompt" or "probe", and ``{what}_count`` the config key ``count`` came
     from."""
     if len(zone) < length:
@@ -296,34 +301,27 @@ def _sample_spans(zone: tuple[int, ...], length: int, count: int, rng, what: str
         )
     try:
         starts = rng.integers(0, len(zone) - length + 1, size=count)
-        return [tuple(zone[s:s + length]) for s in starts]
+        return [validate_context(vocab, (vocab.bos_id,) + zone[s:s + length]) for s in starts]
     except MemoryError:
         raise InputError(f"{what}_count = {count} does not fit in memory") from None
 
 
 def _probes(
     sequence: tuple[int, ...], vocab: Vocabulary, config: ExperimentConfig, rng
-) -> list[tuple[int, ...]]:
-    """Bos-anchored probe contexts from the first half of a zone."""
-    return [
-        (vocab.bos_id,) + span
-        for span in _sample_spans(sequence[:len(sequence) // 2], config.probe_length,
-                                  config.probe_count, rng, "probe")
-    ]
+) -> list[Context]:
+    """Probe contexts from the first half of a zone."""
+    return _contexts(sequence[:len(sequence) // 2], vocab, config.probe_length,
+                     config.probe_count, rng, "probe")
 
 
 def _domain_samples(
     sequence: tuple[int, ...], vocab: Vocabulary, config: ExperimentConfig, rng
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+) -> tuple[list[Context], list[Context]]:
     """Probe contexts from the first half of a zone, prompts from the second,
-    so the two sets never share positions. Contexts are bos-anchored."""
-    half = len(sequence) // 2
+    so the two sets never share positions."""
     probes = _probes(sequence, vocab, config, rng)
-    prompts = [
-        (vocab.bos_id,) + span
-        for span in _sample_spans(sequence[half:], config.prompt_length,
-                                  config.prompt_count, rng, "prompt")
-    ]
+    prompts = _contexts(sequence[len(sequence) // 2:], vocab, config.prompt_length,
+                        config.prompt_count, rng, "prompt")
     return probes, prompts
 
 
@@ -339,7 +337,7 @@ def build_models(config: ExperimentConfig):
     return vocab, target, draft_base, held
 
 
-def in_domain_probes(config: ExperimentConfig, vocab: Vocabulary, held) -> list[tuple[int, ...]]:
+def in_domain_probes(config: ExperimentConfig, vocab: Vocabulary, held) -> list[Context]:
     """The in-domain probe contexts that :func:`run_matrix` samples from
     the held-out tokens ``held``: the first draw of ``config.seed``'s
     generator, since the in-domain samples are drawn first."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .dists import greedy_token, kl_divergence
+from .dists import greedy_token, kl_rows
 from .errors import InputError
 from .models import LanguageModel, next_distribution, validate_context
 
@@ -94,11 +94,14 @@ def _checked_probes(draft: LanguageModel, target: LanguageModel, probes) -> list
 def estimate_kl(draft: LanguageModel, target: LanguageModel, probes) -> float:
     """Mean KL(target || draft) over probe contexts: the target is p and
     the draft q, matching an alignment objective that drives the draft
-    towards the target."""
+    towards the target. :func:`~specdec.dists.kl_rows` takes every probe's
+    KL in one pass over the two sides' rows."""
     probes = _checked_probes(draft, target, probes)
+    p = [next_distribution(target, ctx) for ctx in probes]
+    q = [next_distribution(draft, ctx) for ctx in probes]
     total = 0.0
-    for ctx in probes:
-        total += kl_divergence(next_distribution(target, ctx), next_distribution(draft, ctx))
+    for value in kl_rows(p, q).tolist():  # summed in probe order
+        total += value
     return total / len(probes)
 
 

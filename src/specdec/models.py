@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
+from collections import Counter
 from collections.abc import Hashable
 from dataclasses import dataclass
 from pathlib import Path
@@ -340,8 +341,9 @@ class NGramModel(LanguageModel):
 
 def train_ngram(corpus, order: int, smoothing_alpha: float, vocab: Vocabulary) -> NGramModel:
     """Count (order-1)-gram transitions over ``corpus`` (a token-id sequence)
-    and build the smoothed model. Deterministic."""
-    tokens = [int(t) for t in corpus]
+    and build the smoothed model. Deterministic: contexts and their tokens
+    are filed in order of first occurrence."""
+    tokens = list(map(int, corpus))
     if not tokens:
         raise InputError("corpus is empty")
     if order < 1:
@@ -349,18 +351,17 @@ def train_ngram(corpus, order: int, smoothing_alpha: float, vocab: Vocabulary) -
     if len(tokens) < order:
         raise InputError(f"corpus of length {len(tokens)} cannot train order-{order} model")
     size = vocab.size
-    for t in tokens:
-        if not 0 <= t < size:
-            raise InputError(f"corpus token {t} out of range for vocabulary size {size}")
+    if min(tokens) < 0 or max(tokens) >= size:
+        t = next(t for t in tokens if not 0 <= t < size)
+        raise InputError(f"corpus token {t} out of range for vocabulary size {size}")
 
     unigram = np.bincount(tokens, minlength=size).astype(np.int64, copy=False)
 
+    # Each gram is counted at C speed, as the tuple of ``order`` shifted tokens.
+    grams = Counter(zip(*(tokens[i:len(tokens) - order + 1 + i] for i in range(order))))
     context_counts: dict[tuple[int, ...], dict[int, int]] = {}
-    width = order - 1
-    for i in range(width, len(tokens)):
-        ctx = tuple(tokens[i - width:i])
-        row = context_counts.setdefault(ctx, {})
-        row[tokens[i]] = row.get(tokens[i], 0) + 1
+    for gram, count in grams.items():
+        context_counts.setdefault(gram[:-1], {})[gram[-1]] = count
 
     return NGramModel(vocab, order, smoothing_alpha, context_counts, unigram)
 

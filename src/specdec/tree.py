@@ -88,8 +88,9 @@ class BranchPolicy:
         depths, up to ``min(node_budget, max_depth)``, whose score, the sum
         of ``log_rates[0]`` down to them, reaches ``log_floor``. The scores
         are summed one depth at a time, the float additions a per-query
-        walk would make. ``min(node_budget, max_depth)`` without a vector
-        or with a floor of 0.
+        walk would make, for at most ``_WALK_LIMIT`` depths.
+        ``min(node_budget, max_depth)`` without a vector, with a floor of 0
+        or with a rank-0 rate of 1.
     """
 
     entropy_threshold: float
@@ -134,7 +135,7 @@ class BranchPolicy:
                 raise InputError(f"acceptance rates must lie in (0, 1], got {rates}")
             if any(a < b for a, b in zip(rates, rates[1:])):
                 raise InputError(f"acceptance rates must be non-increasing, got {rates}")
-            floor = self.cost.draft_cost * _best_chain_speedup(rates[0], self.cost, self.max_depth)
+            floor = _chain_floor(rates[0], self.cost, self.max_depth)
             log_rates = tuple(map(math.log, rates))
             log_floor = math.log(floor) if floor > 0 else -math.inf
             fan_width = 0
@@ -143,7 +144,7 @@ class BranchPolicy:
             # No finite sum falls below a floor of -inf: every depth is drafted.
             path_depth = limit if log_floor == -math.inf else 0
             score = 0.0
-            while path_depth < limit:
+            while path_depth < min(limit, _WALK_LIMIT):
                 score += log_rates[0]
                 if score < log_floor:
                     break
@@ -167,25 +168,32 @@ class BranchPolicy:
         return cls(0.0, 1, depth, depth)
 
 
-def _best_chain_speedup(rate: float, cost: CostModel, max_depth: int) -> float:
-    """The best predicted speedup of a chain of depth 1 to ``max_depth``
-    whose every node is accepted at ``rate``. The walk ends once a deeper
-    node adds nothing to gamma in floating point. At a rate of exactly 1,
-    which :func:`~specdec.metrics.estimate_acceptance` never returns, depth
-    d's speedup (d + 1) / (batch + draft * d) is monotone in d, so the best
-    depth is 1 or ``max_depth``, with no walk."""
+#: The most depths either walk of :class:`BranchPolicy` takes.
+_WALK_LIMIT = 2**20
+
+
+def _chain_floor(rate: float, cost: CostModel, max_depth: int) -> float:
+    """``draft_cost`` times the best predicted speedup of a chain of depth 1
+    to ``max_depth`` whose every node is accepted at ``rate``; 0 for a free
+    draft call. Gamma is concave in the depth and the cost linear, so the
+    walk ends where the speedup first falls, or after ``_WALK_LIMIT``
+    depths. At a rate of exactly 1, which :func:`~specdec.metrics.estimate_acceptance`
+    never returns, the speedup is monotone: the best depth is 1 or ``max_depth``."""
+    if not cost.draft_cost:
+        return 0.0
     if rate == 1.0:
-        return max(predicted_speedup(2.0, cost, 1),
-                   predicted_speedup(max_depth + 1.0, cost, max_depth))
+        return cost.draft_cost * max(predicted_speedup(2.0, cost, 1),
+                                     predicted_speedup(max_depth + 1.0, cost, max_depth))
     gamma = reach = 1.0
     best = 0.0
-    for depth in range(1, max_depth + 1):
+    for depth in range(1, min(max_depth, _WALK_LIMIT) + 1):
         reach *= rate
         gamma += reach
-        best = max(best, predicted_speedup(gamma, cost, depth))
-        if gamma + reach == gamma:  # deeper chains add cost, not tokens
+        speedup = predicted_speedup(gamma, cost, depth)
+        if speedup < best:
             break
-    return best
+        best = speedup
+    return cost.draft_cost * best
 
 
 class SpecTree:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from specdec.dists import entropy
+from specdec.dists import EPSILON_FLOOR, entropy
 from specdec.errors import InputError
 from specdec.models import (
     BOS_STRING,
@@ -255,6 +255,43 @@ def best_nodes(full: SpecTree, policy) -> SpecTree:
     filled = len(ranked) == policy.node_budget and ranked[-1].id in full.queried
     kept.draft_queries = len(queried) - filled
     return kept
+
+
+def reference_kl(p: np.ndarray, q: np.ndarray) -> float:
+    """KL(p || q') of two checked rows as one vector at a time, the
+    reference :func:`specdec.dists.kl_rows` must equal bit for bit: 0 for
+    equal rows, else the sum over p's nonzero entries, clamped at 0."""
+    if np.array_equal(p, q):
+        return 0.0
+    q_floor = (q + EPSILON_FLOOR) / (1.0 + EPSILON_FLOOR * q.size)
+    mask = p > 0.0
+    return max(0.0, float(np.sum(p[mask] * np.log(p[mask] / q_floor[mask]))))
+
+
+def reference_ngram_counts(corpus, order: int, size: int):
+    """The (context counts, unigram counts) that :func:`specdec.models.train_ngram`
+    must build, counted one token at a time with the same checks and
+    messages. Contexts and their tokens are filed in first-occurrence order."""
+    tokens = [int(t) for t in corpus]
+    if not tokens:
+        raise InputError("corpus is empty")
+    if order < 1:
+        raise InputError(f"order must be >= 1, got {order}")
+    if len(tokens) < order:
+        raise InputError(f"corpus of length {len(tokens)} cannot train order-{order} model")
+    for t in tokens:
+        if not 0 <= t < size:
+            raise InputError(f"corpus token {t} out of range for vocabulary size {size}")
+    unigram = [0] * size
+    for t in tokens:
+        unigram[t] += 1
+    context_counts: dict[tuple[int, ...], dict[int, int]] = {}
+    width = order - 1
+    for i in range(width, len(tokens)):
+        ctx = tuple(tokens[i - width:i])
+        row = context_counts.setdefault(ctx, {})
+        row[tokens[i]] = row.get(tokens[i], 0) + 1
+    return context_counts, unigram
 
 
 TRAIN_TEXT = (

@@ -305,10 +305,19 @@ _CONFIG_HINTS = get_type_hints(ExperimentConfig)
 _RECORD_HINTS = get_type_hints(RunRecord)
 
 
+def _typed_case(part: str, key: str, value):
+    """One case, named by its part, key and value, so that adding or
+    deleting a field renames no other case. A string is written as itself,
+    as pytest writes it; any other value by its repr."""
+    shown = value if isinstance(value, str) else repr(value)
+    return pytest.param(part, key, value, id=f"{part}-{key}-{shown}")
+
+
 @pytest.mark.parametrize(
     "part,key,value",
-    [("config", key, value) for key, kind in _CONFIG_HINTS.items() for value in _WRONG_JSON[kind]]
-    + [("record", key, value) for key in CSV_COLUMNS
+    [_typed_case("config", key, value)
+     for key, kind in _CONFIG_HINTS.items() for value in _WRONG_JSON[kind]]
+    + [_typed_case("record", key, value) for key in CSV_COLUMNS
        for value in _WRONG_JSON[_RECORD_HINTS["lam" if key == "lambda" else key]]],
 )
 def test_report_rejects_a_field_of_the_wrong_json_type(

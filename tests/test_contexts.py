@@ -4,9 +4,10 @@
 and ``estimate_kl`` each run ``validate_context`` on the context they are
 given. It walks a context once: one it already accepted for an equal
 vocabulary comes back as given, so a ``speculative_decode`` walks only its
-prompt. ``next_distribution`` trusts its caller and does not walk the
-context again. The traced benchmark wraps functions under the names their
-callers look them up by, so those names are pinned here too.
+prompt, and a bench walks only the prompts and probes it samples.
+``next_distribution`` trusts its caller and does not walk the context
+again. The traced benchmark wraps functions under the names their callers
+look them up by, so those names are pinned here too.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 import specdec.decode as decode
+import specdec.harness as harness
 import specdec.metrics as metrics
 import specdec.models as models
 import specdec.tree as tree
@@ -80,7 +82,7 @@ def context_checks(monkeypatch):
             calls.append(len(ctx))
         return checked
 
-    for module in (models, tree, decode, metrics):
+    for module in (models, tree, decode, metrics, harness):
         monkeypatch.setattr(module, "validate_context", counting)
     return calls
 
@@ -115,6 +117,24 @@ def test_each_context_is_checked_once_where_it_enters(context_checks):
     context_checks.clear()
     next_distribution(target, prompt)
     assert context_checks == []
+
+
+def test_a_bench_walks_each_sampled_context_once(context_checks, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(TRAIN_TEXT, encoding="utf-8")
+    (tmp_path / "ood.txt").write_text("the sun saw a hill. " * 8, encoding="utf-8")
+    config = harness.ExperimentConfig(
+        corpus=str(corpus), ood_corpus=str(tmp_path / "ood.txt"), lambda_grid=(0.0, 0.5),
+        branch_grid=(1, 3), depth_grid=(3,), budget_grid=(6,), prompt_count=5,
+        prompt_length=6, probe_count=7, probe_length=4, max_tokens=12,
+    )
+    records = harness.run_matrix(config)
+    assert len(records) == 2 * 2 * 2
+    # Per domain, the probes and then the prompts, each walked where it is
+    # drawn; no decode, KL or acceptance estimate walks one again.
+    per_domain = ([config.probe_length + 1] * config.probe_count
+                  + [config.prompt_length + 1] * config.prompt_count)
+    assert context_checks == per_domain * 2
 
 
 def test_a_context_checked_for_one_vocabulary_is_checked_again_for_another():

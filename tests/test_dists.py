@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdec.dists import (
@@ -15,9 +15,12 @@ from specdec.dists import (
     entropy,
     greedy_token,
     kl_divergence,
+    kl_rows,
     validate_distribution,
 )
 from specdec.errors import InputError
+
+from conftest import reference_kl
 
 
 def naive_kl(p, q) -> float:
@@ -85,9 +88,39 @@ def test_kl_handles_zero_in_q_support():
     assert kl_divergence(p, q) == pytest.approx(expected, abs=1e-9)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.integers(2, 300),
+    count=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    zero_share=st.sampled_from([0.0, 0.0, 0.3, 0.8]),
+    equal=st.sampled_from([0, 0, 1, 2]),
+)
+def test_kl_rows_equal_the_reference_row_by_row(size, count, seed, zero_share, equal):
+    # Dense rows, rows with zeros in p (and in q), and rows equal to their
+    # pair: each block value equals the one-vector reference bit for bit.
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.full(size, rng.choice([0.1, 1.0, 10.0])), size=count)
+    q = rng.dirichlet(np.full(size, rng.choice([0.1, 1.0, 10.0])), size=count)
+    for block in (p, q):
+        block[rng.random((count, size)) < zero_share] = 0.0
+        block[:, rng.integers(size)] += 0.5  # no row is all zeros
+        block /= block.sum(axis=1, keepdims=True)
+    q[:equal] = p[:equal]
+    values = kl_rows(p, q)
+    assert values.shape == (count,)
+    for i in range(count):
+        want = reference_kl(p[i], q[i])
+        assert values[i] == kl_divergence(p[i], q[i]) == want
+        assert math.copysign(1.0, values[i]) == 1.0
+    assert (values[:equal] == 0.0).all()
+
+
 def test_kl_length_mismatch_rejected():
     with pytest.raises(InputError):
         kl_divergence(np.array([1.0, 0.0]), np.array([0.5, 0.25, 0.25]))
+    with pytest.raises(InputError, match="p has 2 entries, q has 3"):
+        kl_rows(np.array([[1.0, 0.0]]), np.array([[0.5, 0.25, 0.25]]))
 
 
 def test_validate_rejects_negative_entries():

@@ -39,7 +39,15 @@ from specdec.models import (
 )
 from specdec.tree import BranchPolicy
 
-from conftest import TRAIN_TEXT, PermutedModel, make_vocab, mutate_json, text_vocab, top_tokens
+from conftest import (
+    TRAIN_TEXT,
+    PermutedModel,
+    make_vocab,
+    mutate_json,
+    reference_ngram_counts,
+    text_vocab,
+    top_tokens,
+)
 
 
 def test_vocabulary_basics():
@@ -174,6 +182,38 @@ def test_train_rejects_bad_inputs():
         train_ngram((0, 99), order=1, smoothing_alpha=0.1, vocab=vocab)
     with pytest.raises(InputError):
         train_ngram((0, 1), order=1, smoothing_alpha=-0.5, vocab=vocab)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_train_counts_equal_the_per_token_reference(order):
+    vocab, corpus = text_vocab(TRAIN_TEXT[:400])
+    bos, eos = vocab.bos_id, vocab.eos_id
+    # Corpora holding bos and eos ids count them like any other token.
+    for tokens in (corpus, (bos, *corpus[:40], eos, bos, *corpus[40:90], eos), corpus[:order]):
+        model = train_ngram(tokens, order=order, smoothing_alpha=0.1, vocab=vocab)
+        contexts, unigram = reference_ngram_counts(tokens, order, vocab.size)
+        assert model._context_counts == contexts
+        assert list(model._context_counts) == list(contexts)  # first-occurrence order
+        assert [list(row) for row in model._context_counts.values()] == [
+            list(row) for row in contexts.values()]
+        assert model._unigram_counts.tolist() == unigram
+
+
+@pytest.mark.parametrize(
+    "corpus,order",
+    [((), 1), ((0, 1), 0), ((0,), 2), ((0, 99), 1), ((0, 1, -1, 99), 2), ((5, 0), 3),
+     ((0, 10**30), 1), ((0, 1, -(10**30)), 1), ((2**64, -1), 2)],
+    ids=["empty", "order 0", "too short", "out of range", "first bad token named",
+         "too short and out of range", "huge", "huge negative", "huge first"],
+)
+def test_train_errors_keep_the_reference_messages(corpus, order):
+    # An InputError is a one-line message and exit code 1 in the CLI.
+    vocab = make_vocab(2)
+    with pytest.raises(InputError) as want:
+        reference_ngram_counts(corpus, order, vocab.size)
+    with pytest.raises(InputError) as got:
+        train_ngram(corpus, order=order, smoothing_alpha=0.1, vocab=vocab)
+    assert str(got.value) == str(want.value)
 
 
 def test_interpolation_endpoints_are_bit_exact():

@@ -566,11 +566,32 @@ def test_a_huge_chain_policy_derives_its_path_depth_where_the_walk_stops():
     )
     assert result.returncode == 0, result.stderr
     cost = CostModel(0.05, 1.0)
-    assert result.stdout.split() == [
-        str(huge), "1", repr(cost.draft_cost * predicted_speedup(huge + 1.0, cost, huge)),
+    lines = result.stdout.splitlines()
+    assert [line.split() for line in lines[:2]] == [
+        [str(huge), "1", repr(cost.draft_cost * predicted_speedup(huge + 1.0, cost, huge))],
         # A draft call dearer than a target pass: no depth reaches the floor.
-        "0", "0",
+        ["0", "0"],
     ]
+    # A rank-0 rate just below 1: gamma keeps growing in floating point for
+    # hundreds of millions of depths, but the speedup peaks near depth
+    # 20,000. The floor is the best speedup a walk of every depth to 10**5
+    # finds, and the path stops where the per-cycle walk does.
+    depth, width, floor = lines[2].split()
+    rate, gamma, reach, best = 0.9999999, 1.0, 1.0, 0.0
+    for d in range(1, 10**5 + 1):
+        reach *= rate
+        gamma += reach
+        best = max(best, predicted_speedup(gamma, cost, d))
+    assert float(floor) == cost.draft_cost * best and width == "1"
+    score, walked = 0.0, 0
+    while score + math.log(rate) >= math.log(float(floor)):
+        score += math.log(rate)
+        walked += 1
+    assert 0 < int(depth) == walked < 10**5
+    # A free draft call: a floor of 0 and every depth drafted, with no walk.
+    assert lines[3].split() == [str(huge), "1", "0.0"]
+    # The largest rate below 1: both walks stop after 2**20 depths.
+    assert lines[4].split()[:2] == [str(2**20), "1"]
 
 
 _SURE_CHAIN_SCRIPT = """
@@ -581,6 +602,10 @@ policy = BranchPolicy(0.0, 1, huge, huge, (1.0,), CostModel(0.05, 1.0))
 print(policy.path_depth, policy.fan_width, repr(policy.floor))
 dear = BranchPolicy(0.0, 1, huge, huge, (1.0,), CostModel(2.0, 1.0))
 print(dear.path_depth, dear.fan_width)
+for rate, cost in ((0.9999999, CostModel(0.05, 1.0)), (0.9999999, CostModel(0.0, 1.0)),
+                   (1 - 2**-53, CostModel(0.05, 1.0))):
+    near = BranchPolicy(0.0, 1, huge, huge, (rate,), cost)
+    print(near.path_depth, near.fan_width, repr(near.floor))
 """
 
 
@@ -739,6 +764,34 @@ def test_the_chain_floor_stops_once_deeper_chains_add_no_tokens(monkeypatch):
             gamma += reach
             best = max(best, predicted_speedup(gamma, cost, depth))
         assert policy.floor == cost.draft_cost * best
+
+
+def test_the_chain_floor_walk_stops_where_the_speedup_first_falls(monkeypatch):
+    # Gamma is concave in the depth and the cost linear, so the speedup has
+    # one peak: the first depth whose speedup falls ends the walk, with the
+    # floor a walk of every depth finds, bit for bit.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return predicted_speedup(*args)
+
+    monkeypatch.setattr("specdec.tree.predicted_speedup", counted)
+    for rate in (0.05, 0.3, 0.888, 0.99, 0.999):
+        for draft_cost in (1e-3, 0.05, 0.5, 2.0):
+            for batch_cost in (1.0, 2.5):
+                cost = CostModel(draft_cost, batch_cost)
+                calls.clear()
+                policy = BranchPolicy(0.0, 1, 3000, 3000, (rate,), cost)
+                speedups = []
+                gamma = reach = 1.0
+                for depth in range(1, 3001):
+                    reach *= rate
+                    gamma += reach
+                    speedups.append(predicted_speedup(gamma, cost, depth))
+                assert policy.floor == draft_cost * max(speedups)
+                peak = speedups.index(max(speedups)) + 1
+                assert len(calls) == min(peak + 1, 3000)
 
 
 def test_a_node_whose_best_child_misses_the_floor_is_not_queried():

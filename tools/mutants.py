@@ -186,14 +186,27 @@ MUTANTS = (
            "if any(map(math.isinf, values)):", "if kind is float and any(map(math.isinf, values)):",
            ("tests/test_harness.py::test_config_rejects_infinite_scalar_naming_the_key",)),
     Mutant("estimate_kl swaps p and q", "metrics.py",
-           "kl_divergence(next_distribution(target, ctx), next_distribution(draft, ctx))",
-           "kl_divergence(next_distribution(draft, ctx), next_distribution(target, ctx))",
+           "for value in kl_rows(p, q).tolist():", "for value in kl_rows(q, p).tolist():",
            ("tests/test_metrics.py::test_estimate_kl_directions_and_mean",)),
+    Mutant("the dense-row sum is used for a row with a zero", "dists.py",
+           "for i in np.flatnonzero(~positive.all(axis=1)):", "for i in ():",
+           ("tests/test_dists.py::test_kl_rows_equal_the_reference_row_by_row",)),
+    Mutant("identical rows are not zeroed", "dists.py",
+           "np.where((values > 0.0) & ~(p == q).all(axis=1), values, 0.0)",
+           "np.where(values > 0.0, values, 0.0)",
+           ("tests/test_dists.py::test_kl_rows_equal_the_reference_row_by_row",)),
+    Mutant("the harness samples contexts unchecked", "harness.py",
+           "validate_context(vocab, (vocab.bos_id,) + zone[s:s + length])",
+           "(vocab.bos_id,) + zone[s:s + length]",
+           ("tests/test_contexts.py::test_a_bench_walks_each_sampled_context_once",)),
+    Mutant("n-gram counts drop the last gram", "models.py",
+           "tokens[i:len(tokens) - order + 1 + i]", "tokens[i:len(tokens) - order + i]",
+           ("tests/test_models.py::test_train_counts_equal_the_per_token_reference",)),
     Mutant("config paths not resolved", "harness.py",
            "values[key] = str(Path(path).parent / values[key])", "pass",
            ("tests/test_cli.py::test_config_paths_resolve_against_the_config_file",)),
     Mutant("the chain floor walks every depth", "tree.py",
-           "if gamma + reach == gamma:", "if False:",
+           "if speedup < best:", "if False:",
            ("tests/test_tree.py::test_the_chain_floor_stops_once_deeper_chains_add_no_tokens",)),
     Mutant("a blend multiplies raw side values", "models.py",
            "self.lam * as_vector(self.target.distribution(ctx), size)",
