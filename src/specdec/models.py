@@ -170,8 +170,8 @@ class LanguageModel(ABC):
 
     Implementations must be pure: identical contexts yield bit-identical
     distributions, and instances are immutable after construction (safe to
-    query from multiple threads), apart from the row table ``_table`` that
-    :func:`next_distribution` fills.
+    query from multiple threads), apart from the row table ``_table``,
+    which fills itself as :func:`next_distribution` reads it.
 
     ``context_window`` is the number of trailing context tokens the rows
     depend on: two contexts that end in the same ``context_window`` tokens
@@ -181,20 +181,17 @@ class LanguageModel(ABC):
 
     ``_table`` is None, the default, for a model that keeps no row table,
     such as a plug-in, whose rows are checked on every call. A model with
-    finitely many rows sets ``_table`` to a dict at construction, declares
-    a ``context_window`` and defines ``_row_key(ctx)``, the hashable key of
-    the row after ``ctx``, which two contexts share only if their rows are
-    bit-identical. :func:`next_distribution` files each row under its key
-    and under the *tail* of each context it was served for, the context's
-    last ``context_window`` tokens (all of a shorter context). A key must
-    therefore never equal a tail unless both name the same row: an
-    n-gram's key is its tail or ``()``, and a blend's key is a pair of
-    keys.
+    finitely many rows declares a ``context_window``, defines
+    ``_row_key(tail)``, the hashable key of the row after a context tail,
+    which two tails share only if their rows are bit-identical, and sets
+    ``_table = RowTable(self)`` at construction. On a miss the table tests
+    the tail for EOS and then passes it to ``_row_key`` and, for a row it
+    does not hold yet, to ``distribution`` (see :class:`RowTable`).
     """
 
     vocab: Vocabulary
     context_window: int | None = None
-    _table: dict[Hashable, Row] | None = None
+    _table: RowTable | None = None
 
     @abstractmethod
     def distribution(self, ctx: Context) -> np.ndarray:
@@ -207,6 +204,41 @@ class LanguageModel(ABC):
         """
 
 
+class RowTable(dict):
+    """A tabled model's checked rows, filed by row key and by context tail.
+
+    A context's *tail* is its last ``max(context_window, 1)`` tokens (all of
+    a shorter context), cut by the slice ``tail``; a model without a window
+    raises ``TypeError`` here. A read is ``table[ctx[table.tail]]``. On a
+    miss, :meth:`__missing__` rejects a tail that ends in EOS, then looks up
+    the row under the model's ``_row_key(tail)``, making and checking it
+    from ``distribution(tail)`` if absent, and files it under the tail too.
+    So each distinct row is checked once in the model's lifetime, and no
+    entry ends in EOS: keys come from tails that do not (an n-gram's
+    suffix, a blend's pair of keys, a constant's ``()``). A key must never
+    equal a tail unless both name the same row; a window-0 model's tail is
+    its last token, while its one row sits under ``()``.
+    """
+
+    __slots__ = ("model", "tail")
+
+    def __init__(self, model: LanguageModel) -> None:
+        super().__init__()
+        self.model = model
+        self.tail = slice(-max(model.context_window, 1), None)
+
+    def __missing__(self, tail: Context) -> Row:
+        model = self.model
+        if tail[-1] == model.vocab.eos_id:
+            raise InputError("context already ends in eos; nothing to predict")
+        key = model._row_key(tail)
+        row = self.get(key)
+        if row is None:
+            row = self[key] = check_row(model.distribution(tail), model.vocab.size)
+        self[tail] = row
+        return row
+
+
 def next_distribution(model: LanguageModel, ctx: Context) -> Row:
     """Query ``model`` for the next-token distribution after ``ctx``.
 
@@ -216,9 +248,9 @@ def next_distribution(model: LanguageModel, ctx: Context) -> Row:
     ``estimate_acceptance``; inside ``speculative_decode``, expansion and
     verification take its checked context without a walk) and extend it
     only with tokens of checked rows, so just the O(1) "already ends in
-    eos" check runs here. The decode
-    loops pass a model with a ``context_window`` only the last tokens of
-    the context, at least one and at least the window.
+    eos" check runs here, on a plug-in's every call and on a table's miss.
+    The decode loops pass a model with a ``context_window`` only the last
+    tokens of the context, at least one and at least the window.
 
     The row comes back as a :class:`~specdec.dists.Row` from
     :func:`~specdec.dists.check_row`: converted to float64, checked (one
@@ -229,28 +261,15 @@ def next_distribution(model: LanguageModel, ctx: Context) -> Row:
     row.
 
     A model with a row table serves a row with one slice and one dict
-    probe: its table is probed by the context's tail first. Only on a miss
-    does the row key run; the row found or made under the key is then filed
-    under the tail as well. So each distinct row is checked once in the
-    model's lifetime, and ranked at its first fan read and again only for a
-    wider fan. A model with a table but no window raises ``TypeError``.
+    probe of its :class:`RowTable`; the eos check, the row key and the
+    row's check run only on a miss, since no entry ends in eos.
     """
-    if ctx[-1] == model.vocab.eos_id:
-        raise InputError("context already ends in eos; nothing to predict")
     table = model._table
     if table is None:
+        if ctx[-1] == model.vocab.eos_id:
+            raise InputError("context already ends in eos; nothing to predict")
         return check_row(model.distribution(ctx), model.vocab.size)
-    window = model.context_window
-    tail = () if window == 0 else ctx[-window:]  # ctx[-0:] is all of ctx
-    row = table.get(tail)
-    if row is not None:
-        return row
-    key = model._row_key(ctx)
-    row = table.get(key)
-    if row is None:
-        row = table[key] = check_row(model.distribution(ctx), model.vocab.size)
-    table[tail] = row
-    return row
+    return table[ctx[table.tail]]
 
 
 class ConstantModel(LanguageModel):
@@ -264,7 +283,8 @@ class ConstantModel(LanguageModel):
     def __init__(self, vocab: Vocabulary, probs) -> None:
         self.vocab = vocab
         self._row = check_row(probs, vocab.size)
-        self._table: dict[Hashable, Row] = {(): self._row}
+        self._table = RowTable(self)
+        self._table[()] = self._row
 
     def distribution(self, ctx: Context) -> np.ndarray:
         return self._row.view(np.ndarray)
@@ -287,9 +307,9 @@ class NGramModel(LanguageModel):
     no seen suffix and backs off, whether or not it starts at BOS.
 
     Construction keeps the counts and builds no row. :meth:`distribution`
-    smooths a row when asked, and :func:`next_distribution` keeps each
-    checked row in a table keyed by that suffix, or by ``()`` for the
-    backoff row, filled on first use.
+    smooths a row when asked, and its :class:`RowTable` keeps each checked
+    row keyed by that suffix, or by ``()`` for the backoff row, filled on
+    first use.
     """
 
     def __init__(
@@ -322,7 +342,7 @@ class NGramModel(LanguageModel):
                 raise InputError("cannot smooth an empty count row with alpha=0")
             if mass == math.inf:
                 raise InputError(f"smoothing_alpha={alpha} overflows a row's mass")
-        self._table: dict[Hashable, Row] = {}
+        self._table = RowTable(self)
 
     def distribution(self, ctx: Context) -> np.ndarray:
         counts = self._context_counts.get(self._row_key(ctx), self._backoff_counts)
@@ -375,9 +395,9 @@ class InterpolatedModel(LanguageModel):
 
     At lam=0 or 1 the rows are one model's rows, so the blend shares that
     model's keys, window and row table (None for a plug-in). In between,
-    a blend keeps a table only if both sides do: :func:`next_distribution`
-    keeps the checked blends there, filed under a pair of both sides' keys
-    and under each context's tail (see :class:`LanguageModel`), so a served
+    a blend keeps a table only if both sides do: its :class:`RowTable`
+    keeps the checked blends, filed under a pair of both sides' keys
+    and under each context's tail (see :class:`RowTable`), so a served
     row costs one slice and one probe, not two key lookups and a tuple. A
     blend with a plug-in on either side keeps none, like a plug-in.
 
@@ -401,10 +421,10 @@ class InterpolatedModel(LanguageModel):
             self._table = self._source._table
             self.context_window = self._source.context_window
         else:
-            if target._table is not None and draft_base._table is not None:
-                self._table = {}
             if None not in (target.context_window, draft_base.context_window):
                 self.context_window = max(target.context_window, draft_base.context_window)
+            if target._table is not None and draft_base._table is not None:
+                self._table = RowTable(self)
 
     def distribution(self, ctx: Context) -> np.ndarray:
         if self._source is not None:

@@ -29,6 +29,7 @@ from specdec.models import (
     ConstantModel,
     LanguageModel,
     NGramModel,
+    RowTable,
     Vocabulary,
     distill_interpolate,
     load_model,
@@ -417,7 +418,7 @@ def _distinct_rows(model) -> int:
     table = model._table
     for entry, row in table.items():
         if all(type(t) is int for t in entry):  # a blend's keys hold keys, not ids
-            assert row is table[model._row_key(entry)]
+            assert row is table.get(model._row_key(entry))
     return len({id(row) for row in table.values()})
 
 
@@ -480,25 +481,20 @@ def test_a_constant_model_checks_its_one_row_once(monkeypatch):
     tokens, stats = speculative_decode(draft, target, prompt, 24, BranchPolicy.chain(4))
     assert tokens == greedy_decode(target, prompt, 24)
     assert stats.draft_calls > 1
-    assert list(draft._table) == [()]
+    assert _distinct_rows(draft) == 1
     assert len(checks) == 1 + _distinct_rows(target)  # none of them the draft's
 
 
 def test_a_tabled_model_without_a_window_raises():
-    """A table probed by tail needs a window: without one, every context
-    would share the tail ``()`` and be served one row."""
+    """A table probed by tail needs a window: without one, it would have no
+    tail to cut, so building the table raises."""
 
     class Windowless(_CountsModel):
-        _table = {}
-
         def _row_key(self, ctx):
             return ctx
 
-    vocab = make_vocab(2)
-    model = Windowless(vocab)
-    for ctx in ((vocab.bos_id,), (vocab.bos_id, 0, 1)):
-        with pytest.raises(TypeError):
-            next_distribution(model, ctx)
+    with pytest.raises(TypeError):
+        RowTable(Windowless(make_vocab(2)))
 
 
 _OPTIMIZED_SCRIPT = """
@@ -704,7 +700,7 @@ def test_a_plug_in_base_does_not_grow_the_blend_table():
     base = train_ngram(corpus, order=1, smoothing_alpha=0.5, vocab=vocab)
     for i in range(1_000):
         next_distribution(distill_interpolate(target, base, 0.0), contexts[i % len(contexts)])
-    assert len(base._table) == 1
+    assert _distinct_rows(base) == 1
     assert distill_interpolate(target, base, 1.0)._table is target._table
 
 
@@ -809,7 +805,7 @@ _BLEND_SIDES = {
 def test_a_blend_tail_index_serves_the_row_its_table_holds(target_order, base_order, lam,
                                                            contexts):
     """A blend's table files each row under its key and under the context's
-    last ``context_window`` tokens (all of a shorter context), and serves
+    last ``max(context_window, 1)`` tokens (all of a shorter context), and serves
     that one row object by either, so each distinct row is still checked
     once."""
     target, base = _BLEND_SIDES[target_order], _BLEND_SIDES[base_order]
@@ -820,13 +816,13 @@ def test_a_blend_tail_index_serves_the_row_its_table_holds(target_order, base_or
     tails, keys = set(), set()
     for tokens in contexts:
         full = (_WINDOWED_VOCAB.bos_id, *tokens)
-        tail, key = _last(full, window), blend._row_key(full)
+        tail, key = _last(full, max(window, 1)), blend._row_key(full)
         tails.add(tail)
         keys.add(key)
         # Either the whole context or the shortest one a decode passes, twice.
         for ctx in (full, _last(full, max(window, 1))) * 2:
             row = next_distribution(blend, ctx)
-            assert row is blend._table[tail] is blend._table[key]
+            assert row is blend._table.get(tail) is blend._table.get(key)
             fresh = distill_interpolate(target, base, lam)
             assert next_distribution(fresh, ctx).tobytes() == row.tobytes()
         assert blend.distribution(full).tobytes() == row.tobytes()
@@ -867,11 +863,11 @@ def test_a_tabled_model_serves_its_key_row_by_tail(spec, contexts):
     entries = set()
     for tokens in contexts:
         full = (_WINDOWED_VOCAB.bos_id, *tokens)
-        tail, key = _last(full, window), model._row_key(full)
+        tail, key = _last(full, max(window, 1)), model._row_key(full)
         entries |= {tail, key}
         for ctx in (_last(full, max(window, 1)), full) * 2:
             row = next_distribution(model, ctx)
-            assert row is model._table[tail] is model._table[key]
+            assert row is model._table.get(tail) is model._table.get(key)
             assert row.tobytes() == next_distribution(_build_tabled(spec), ctx).tobytes()
     assert set(model._table) == entries
 
@@ -909,3 +905,130 @@ def test_only_rows_with_a_key_are_filed_under_their_tail():
     assert set(middle._table) == {ctx[-2:], middle._row_key(ctx)}
     assert set(outer._table) == {ctx[-2:], outer._row_key(ctx)}
     assert untabled._table is None
+
+
+def _with_eos(corpus, vocab):
+    """``corpus`` with an EOS after every full stop."""
+    full_stop = vocab.encode(".")[0]
+    return tuple(u for t in corpus for u in ((t, vocab.eos_id) if t == full_stop else (t,)))
+
+
+#: N-grams trained on a corpus that holds EOS ids: some of their seen
+#: suffixes end in EOS.
+_EOS_SIDES = {
+    order: train_ngram(_with_eos(_WINDOWED_CORPUS, _WINDOWED_VOCAB), order, 0.1, _WINDOWED_VOCAB)
+    for order in range(1, 6)
+}
+
+#: :data:`_TABLED_SPECS` with an :data:`_EOS_SIDES` n-gram as a further leaf.
+_ANY_TABLED_SPECS = st.recursive(
+    st.one_of(st.integers(1, 5).map(lambda order: ("ngram", order)),
+              st.integers(1, 5).map(lambda order: ("eos-ngram", order)),
+              st.just(("constant",))),
+    lambda inner: st.tuples(
+        st.just("blend"), inner, inner, st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+    max_leaves=4,
+)
+
+
+def _build_any_tabled(spec) -> LanguageModel:
+    """A fresh model, tables empty, from an :data:`_ANY_TABLED_SPECS` spec."""
+    if spec[0] == "eos-ngram":
+        side = _EOS_SIDES[spec[1]]
+        return NGramModel(_WINDOWED_VOCAB, side.order, side.alpha, side._context_counts,
+                          side._unigram_counts)
+    if spec[0] == "blend":
+        return distill_interpolate(_build_any_tabled(spec[1]), _build_any_tabled(spec[2]), spec[3])
+    return _build_tabled(spec)
+
+
+def _counted_misses(patch: pytest.MonkeyPatch) -> list:
+    """The tails :meth:`RowTable.__missing__` is called with while ``patch``
+    is active."""
+    tails = []
+    missing = RowTable.__missing__
+
+    def counting(table, tail):
+        tails.append(tail)
+        return missing(table, tail)
+
+    patch.setattr(RowTable, "__missing__", counting)
+    return tails
+
+
+_EOS_MESSAGE = "^context already ends in eos; nothing to predict$"
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_ANY_TABLED_SPECS, contexts=st.lists(_CONTEXT_TOKENS, min_size=1, max_size=6))
+def test_a_context_ending_in_eos_raises_on_a_cold_and_a_warm_table(spec, contexts):
+    """A table tests EOS only on a miss, and no entry ends in EOS, so every
+    read of a context ending in EOS raises: whole or cut to its tail,
+    before and after the table holds its prefixes' rows."""
+    model = _build_any_tabled(spec)
+    eos, window = _WINDOWED_VOCAB.eos_id, max(model.context_window, 1)
+    prefixes = [(_WINDOWED_VOCAB.bos_id, *tokens) for tokens in contexts]
+    for warm in (False, True):
+        for prefix in prefixes:
+            for ctx in (prefix + (eos,), _last(prefix + (eos,), window)):
+                with pytest.raises(InputError, match=_EOS_MESSAGE):
+                    next_distribution(model, ctx)
+        for prefix in prefixes:
+            next_distribution(model, prefix)
+            next_distribution(model, _last(prefix, window))
+    assert len(model._table) > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_ANY_TABLED_SPECS, contexts=st.lists(_CONTEXT_TOKENS, min_size=1, max_size=6))
+def test_no_table_key_ends_in_eos(spec, contexts):
+    """Tails and keys alike: an n-gram trained on EOS ids has seen
+    suffixes that end in EOS, but no context ending in EOS is filed."""
+    model = _build_any_tabled(spec)
+    eos = _WINDOWED_VOCAB.eos_id
+    for tokens in contexts:
+        ctx = (_WINDOWED_VOCAB.bos_id, *tokens)
+        next_distribution(model, ctx)
+        with pytest.raises(InputError, match=_EOS_MESSAGE):
+            next_distribution(model, ctx + (eos,))
+    assert model._table and not any(key and key[-1] == eos for key in model._table)
+
+
+def test_an_eos_trained_ngram_has_suffixes_that_end_in_eos():
+    eos = _WINDOWED_VOCAB.eos_id
+    for order in range(2, 6):
+        assert any(suffix[-1] == eos for suffix in _EOS_SIDES[order]._context_counts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_ANY_TABLED_SPECS, contexts=st.lists(_CONTEXT_TOKENS, min_size=1, max_size=6))
+def test_a_cold_read_misses_once_per_distinct_tail(spec, contexts):
+    """Whole or cut to its tail, read twice, each context costs its table
+    one miss the first time its tail is read and none after."""
+    model = _build_any_tabled(spec)
+    window = max(model.context_window, 1)
+    with pytest.MonkeyPatch.context() as patch:
+        misses = _counted_misses(patch)
+        for tokens in contexts:
+            full = (_WINDOWED_VOCAB.bos_id, *tokens)
+            for ctx in (full, _last(full, window)) * 2:
+                next_distribution(model, ctx)
+    tails = [_last((_WINDOWED_VOCAB.bos_id, *tokens), window) for tokens in contexts]
+    assert misses == list(dict.fromkeys(tails))
+
+
+@settings(max_examples=60, deadline=None)
+@given(draft=_ANY_TABLED_SPECS, target=_ANY_TABLED_SPECS, start=st.integers(0, 200),
+       branch=st.sampled_from([1, 3]))
+def test_a_decode_on_warm_tables_makes_no_miss(draft, target, start, branch):
+    """Once a decode has filled its tables, the same decode and its greedy
+    baseline read every row from them."""
+    draft, target = _build_any_tabled(draft), _build_any_tabled(target)
+    prompt = (_WINDOWED_VOCAB.bos_id, *_WINDOWED_CORPUS[start:start + 6])
+    policy = BranchPolicy(0.5, branch, 4, 8)
+    tokens, _ = speculative_decode(draft, target, prompt, 24, policy)
+    with pytest.MonkeyPatch.context() as patch:
+        misses = _counted_misses(patch)
+        assert speculative_decode(draft, target, prompt, 24, policy)[0] == tokens
+        assert greedy_decode(target, prompt, 24) == tokens
+    assert misses == []

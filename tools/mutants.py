@@ -63,18 +63,28 @@ MUTANTS = (
            "if type(ctx) is _CheckedContext:",
            ("tests/test_contexts.py",)),
     Mutant("unclamped tail slice", "models.py",
-           "else ctx[-window:]", "else ctx[len(ctx) - window:]",
+           "return table[ctx[table.tail]]", "return table[ctx[len(ctx) + table.tail.start:]]",
            ("tests/test_models.py::test_a_blend_tail_index_serves_the_row_its_table_holds",
             "tests/test_models.py::test_a_tabled_model_serves_its_key_row_by_tail")),
     Mutant("a tail probe skipped on short contexts", "models.py",
-           "tail = () if window == 0 else ctx[-window:]",
-           "tail = () if window == 0 else ctx[-window:] if len(ctx) >= window else None",
-           ("tests/test_models.py::test_a_blend_tail_index_serves_the_row_its_table_holds",)),
+           "return table[ctx[table.tail]]",
+           "return (table[ctx[table.tail]] if len(ctx) >= -table.tail.start\n"
+           "            else table.__missing__(ctx[table.tail]))",
+           ("tests/test_models.py::test_a_cold_read_misses_once_per_distinct_tail",)),
+    Mutant("__missing__ skips the EOS test", "models.py",
+           "if tail[-1] == model.vocab.eos_id:", "if False:",
+           ("tests/test_models.py::test_a_context_ending_in_eos_raises_on_a_cold_and_a_warm_table",
+            "tests/test_models.py::test_no_table_key_ends_in_eos")),
+    Mutant("a window-0 table probed by ()", "models.py",
+           "self.tail = slice(-max(model.context_window, 1), None)",
+           "self.tail = slice(-model.context_window, None) if model.context_window else "
+           "slice(0, 0)",
+           ("tests/test_models.py::test_a_context_ending_in_eos_raises_on_a_cold_and_a_warm_table",)),
     Mutant("a blend with an untabled side keeps a table", "models.py",
            "if target._table is not None and draft_base._table is not None:", "if True:",
            ("tests/test_models.py::test_only_rows_with_a_key_are_filed_under_their_tail",)),
     Mutant("a tail is filed without the key path", "models.py",
-           "row = table.get(key)", "row = None",
+           "row = self.get(key)", "row = None",
            ("tests/test_models.py::test_each_model_row_is_checked_exactly_once",)),
     Mutant("the greedy token is not filed", "dists.py",
            "row.greedy_token = int(probs.argmax())", "pass",
@@ -86,8 +96,7 @@ MUTANTS = (
            "    return int(probs.argmax())",
            ("tests/test_dists.py::test_greedy_tie_breaks_to_lowest_id",)),
     Mutant("constant model keeps no table", "models.py",
-           "self._table: dict[Hashable, Row] = {(): self._row}",
-           "self._table: dict[Hashable, Row] = {}",
+           "self._table[()] = self._row", "pass",
            ("tests/test_models.py::test_a_constant_model_checks_its_one_row_once",)),
     Mutant("load_model lets OverflowError escape", "models.py",
            "except (KeyError, TypeError, ValueError, OverflowError) as exc:",
