@@ -7,6 +7,7 @@ violation. Usage errors therefore exit 1, not argparse's default 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -32,7 +33,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """Built once per process: parsing leaves no state in the parser."""
     parser = _Parser(prog="specdec", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+# Unused here (rows carry their greedy token); perfbench traces it by this name.
 from .dists import greedy_token
 from .errors import InputError
 from .metrics import DecodeStats
-from .models import LanguageModel, next_distribution, validate_context
+from .models import (LanguageModel, _CheckedContext, _new_context, next_distribution,
+                     validate_context)
 from .tree import BranchPolicy, ROOT_ID, SpecTree, expand_tree, prune_tree
 
 
@@ -63,7 +65,7 @@ def greedy_decode(target: LanguageModel, prompt, max_tokens: int) -> list[int]:
     while len(out) < max_tokens:
         if window is not None:
             ctx = ctx[-window:]
-        tok = greedy_token(next_distribution(target, ctx))
+        tok = next_distribution(target, ctx).greedy_token
         out.append(tok)
         if tok == eos:
             break
@@ -82,15 +84,18 @@ def verify_tree(target: LanguageModel, tree: SpecTree) -> VerificationResult:
     children come after it in attach order, so the child matching the
     target's token is the next position holding that token under that
     parent, and the accepted tokens are the tail of the walk's context.
+    A context :func:`validate_context` accepted for this vocabulary object is not walked.
     """
     eos = target.vocab.eos_id
-    ctx = validate_context(target.vocab, tree.context)
+    ctx = tree.context
+    if type(ctx) is not _CheckedContext or ctx.vocab is not target.vocab:
+        ctx = validate_context(target.vocab, ctx)
     start, tokens, parents = len(ctx), tree.tokens, tree.parents
     end = len(tokens)
     # The node the walk stands on, and the next position to scan.
     node = i = ROOT_ID
     while True:
-        want = greedy_token(next_distribution(target, ctx))
+        want = next_distribution(target, ctx).greedy_token
         while i < end:
             if tokens[i] == want and parents[i] == node:
                 break
@@ -121,18 +126,22 @@ def speculative_decode(
     context's last ``max(draft window, target window, 1)`` tokens, so trees
     and verification see that tail plus their path and a cycle's cost does
     not grow with the output.
+    The loop builds each cycle's checked context itself; on warm tables a cycle calls
+    only its three stages and ``next_distribution`` (a tree adds ``Row.fan`` per query).
     """
     if draft.vocab != target.vocab:
         raise InputError("draft and target must share a vocabulary")
     if max_tokens < 1:
         raise InputError(f"max_tokens must be >= 1, got {max_tokens}")
 
-    eos = target.vocab.eos_id
+    vocab = target.vocab
+    eos = vocab.eos_id
     window = _window(draft, target)
-    # Checked once here and cut to the window: each cycle extends it with
-    # the target's own tokens and stops at EOS, so expand_tree and
-    # verify_tree take it unwalked.
-    ctx = validate_context(target.vocab, prompt).extended((), window)
+    keep = slice(None if window is None else -window, None)
+    # Checked once; the loop adds only the target's own tokens, from checked
+    # rows, and stops at EOS, so expand_tree and verify_tree trust it unwalked.
+    ctx = _new_context(_CheckedContext, validate_context(vocab, prompt)[keep])
+    ctx.vocab = vocab
     out: list[int] = []
     budget = policy.node_budget
     draft_calls = scored = tree_nodes = 0
@@ -145,15 +154,17 @@ def speculative_decode(
         accepted, bonus, nodes_scored = verify_tree(target, tree)
 
         emitted = accepted if bonus is None else accepted + (bonus,)
-        emitted = emitted[: max_tokens - len(out)]
-        out.extend(emitted)
+        if len(out) + len(emitted) > max_tokens:
+            emitted = emitted[: max_tokens - len(out)]
+        out += emitted
 
         scored += nodes_scored
         tree_nodes += tree.non_root_count
         per_cycle.append(len(emitted))
         if eos in emitted:
             break
-        ctx = ctx.extended(emitted, window)
+        ctx = _new_context(_CheckedContext, (ctx + emitted)[keep])
+        ctx.vocab = vocab
     stats = DecodeStats(
         cycles=len(per_cycle),
         emitted_tokens=len(out),

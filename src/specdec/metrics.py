@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .dists import greedy_token, kl_rows
+from .dists import kl_rows
 from .errors import InputError
 from .models import LanguageModel, next_distribution, validate_context
 
@@ -123,7 +123,7 @@ def estimate_acceptance(
         raise InputError(f"width must be >= 1, got {width}")
     hits = [0] * width
     for ctx in probes:
-        want = greedy_token(next_distribution(target, ctx))
+        want = next_distribution(target, ctx).greedy_token
         ids, _ = next_distribution(draft, ctx).fan(width)
         if want in ids:
             hits[ids.index(want)] += 1

@@ -109,13 +109,12 @@ class _CheckedContext(tuple):
     trailing tokens of one.
 
     :func:`validate_context` hands it back as given, without a walk, to any
-    caller with an equal vocabulary. Only :meth:`extended` grows one, and only
-    with tokens of checked rows: a row's argmax or ranked ids are in range,
-    and a decode stops at EOS, so the result is still a valid context or the
-    tail of one. A tail is made only for models whose ``context_window`` it
-    covers. Like a whole context, a tail is trusted only by callers with an
-    equal vocabulary; any other walks it as a fresh context, which must
-    start at BOS.
+    caller with an equal vocabulary. Only ``speculative_decode`` grows one,
+    with the target's tokens from checked rows, and stops at EOS, so it is
+    still a valid context or the tail of one, made only for models whose
+    ``context_window`` it covers. Like a whole context, a tail is trusted
+    only by callers with an equal vocabulary; any other walks it as a fresh
+    context, which must start at BOS.
 
     It is made by the C-level ``tuple.__new__`` and then given its
     ``vocab``, with no Python constructor frame: the decode loop makes one
@@ -124,15 +123,6 @@ class _CheckedContext(tuple):
     """
 
     vocab: Vocabulary
-
-    def extended(self, tokens: tuple[int, ...], keep: int | None = None) -> "_CheckedContext":
-        """This context plus ``tokens`` taken from checked rows, none of
-        them EOS unless it is the last; only its last ``keep`` tokens if
-        ``keep`` is given."""
-        ctx = self + tokens
-        ctx = _new_context(_CheckedContext, ctx if keep is None else ctx[-keep:])
-        ctx.vocab = self.vocab
-        return ctx
 
 
 #: Makes a _CheckedContext from a tuple without a Python frame.
@@ -246,7 +236,7 @@ def next_distribution(model: LanguageModel, ctx: Context) -> Row:
     check it once where it enters (``greedy_decode``, ``speculative_decode``,
     ``expand_tree``, ``verify_tree``, ``estimate_kl``,
     ``estimate_acceptance``; inside ``speculative_decode``, expansion and
-    verification take its checked context without a walk) and extend it
+    verification take its checked context without a call) and extend it
     only with tokens of checked rows, so just the O(1) "already ends in
     eos" check runs here, on a plug-in's every call and on a table's miss.
     The decode loops pass a model with a ``context_window`` only the last

@@ -27,7 +27,8 @@ from typing import NamedTuple
 from .dists import entropy
 from .errors import InputError
 from .metrics import CostModel, predicted_speedup
-from .models import Context, LanguageModel, Vocabulary, next_distribution, validate_context
+from .models import (Context, LanguageModel, Vocabulary, _CheckedContext, next_distribution,
+                     validate_context)
 
 ROOT_ID = 0
 
@@ -46,6 +47,9 @@ class SpecNode(NamedTuple):
 
 #: The root every tree starts from; nodes are immutable, so trees share it.
 _ROOT = SpecNode(ROOT_ID, None, -1, 0, 1.0, 0.0)
+
+#: Makes an empty SpecTree without the Python frame of its ``__init__``.
+_new_tree = object.__new__
 
 
 @dataclass(frozen=True)
@@ -220,7 +224,11 @@ class SpecTree:
     builds for models that declare a ``context_window``, it is only the
     decoding context's last tokens, enough for both models' windows, so it
     need not start at BOS.
+    Its fields are slots: :func:`expand_tree` fills a bare instance, with
+    no ``__init__`` frame; the constructor makes hand-built trees and cuts.
     """
+
+    __slots__ = ("context", "tokens", "parents", "rows", "draft_queries", "non_root_count")
 
     def __init__(self, context, tokens=(), parents=(), rows=(), draft_queries: int = 0) -> None:
         # A tuple is kept as given, so a context validate_context accepted
@@ -297,12 +305,16 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     attached node; branch width follows the draft's entropy there, and the
     proposals are the row's kept fan for that width (:meth:`Row.fan
     <specdec.dists.Row.fan>`), never wider than ``policy.fan_width``, the
-    ranks that can clear the floor. A chain policy (``fan_width <= 1``) is
-    drafted by a short loop from each row's greedy token, under every rule
-    below. EOS nodes and nodes at ``max_depth`` are kept but never queried,
-    so a verified EOS can end decoding. At most ``node_budget`` draft
-    queries are made. Attaching a node appends its
-    token, parent id and row to the tree's sequences.
+    ranks that can clear the floor; a threshold of 0 reads no entropy. EOS
+    nodes and nodes at ``max_depth`` are kept but never queried, so a
+    verified EOS can end decoding. At most ``node_budget`` draft queries
+    are made. Attaching a node appends its token, parent id and row to the
+    tree's sequences. ``ctx`` is walked unless :func:`validate_context`
+    accepted it for this very vocabulary object. A chain policy
+    (``fan_width <= 1``) is drafted with no heap, each row's greedy token
+    attached at once, for at most ``policy.path_depth`` queries: every rule
+    below but EOS is fixed by the policy. On warm tables expansion calls
+    only ``next_distribution``, plus ``Row.fan`` per query on a tree.
 
     A node's *score* is what it ranks by: its cumulative draft log-prob, or
     with ``policy.acceptance`` the sum of ``policy.log_rates`` over the fan
@@ -329,81 +341,74 @@ def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
     the ``n`` best nodes include their ancestors and pop off the heap in
     that order.
     """
-    ctx = validate_context(draft.vocab, ctx)
+    if type(ctx) is not _CheckedContext or ctx.vocab is not draft.vocab:
+        ctx = validate_context(draft.vocab, ctx)
+    eos = draft.vocab.eos_id
+    tokens, rows = [], []
+    add_token, add_row = tokens.append, rows.append
     if policy.fan_width <= 1:
-        return _expand_path(draft, ctx, policy)
-    tokens, parents, rows = [], [], []
-    add_token, add_parent, add_row = tokens.append, parents.append, rows.append
-    eos = draft.vocab.eos_id
-    threshold, fan_width = policy.entropy_threshold, policy.fan_width
-    max_branch, budget, max_depth = policy.max_branch, policy.node_budget, policy.max_depth
-    # With a vector, a node is queried only if its rank 0 would reach the
-    # floor, and a later rank is pushed only if it does.
-    rates, neg_floor = policy.log_rates, -policy.log_floor
-    heap: list = []
-    push, pushpop, pop = heapq.heappush, heapq.heappushpop, heapq.heappop
-    # The node to query, the parent of its proposals: its id, depth, score,
-    # context and path code; starts at the root.
-    query, parent, depth, score, node_ctx, code = True, ROOT_ID, 0, 0.0, ctx, 0
-    queries = count = 0
-    while True:
-        if query and (not rates or -(score + rates[0]) <= neg_floor):
+        node_ctx = ctx
+        for _ in range(policy.path_depth):
             row = next_distribution(draft, node_ctx)
-            queries += 1
-            # One token below the entropy threshold, else the policy's
-            # widest fan; the row's ranked ids with their log-probs.
-            ids, keys = row.fan(1 if row.entropy < threshold else fan_width)
-            if rates:
-                keys = rates
-            cursor = (ids, keys, score, parent, row, node_ctx)
-            entry = pushpop(heap, (-(score + keys[0]), depth + 1, code * max_branch, cursor))
-        elif heap:
-            entry = pop(heap)
-        else:
-            break
-        neg_key, depth, code, cursor = entry
-        ids, keys, score, parent, row, node_ctx = cursor
-        rank = code % max_branch
-        token = ids[rank]
-        # Fan ids of a checked row are distinct and in range: the node
-        # needs no checks.
-        count += 1
-        add_token(token)
-        add_parent(parent)
-        add_row(row)
-        if count == budget:
-            break
-        if rank + 1 < len(ids):
-            neg_next = -(score + keys[rank + 1])
-            if neg_next <= neg_floor:
-                push(heap, (neg_next, depth, code + 1, cursor))
-        query = token != eos and depth < max_depth
-        if query:
-            parent, score, node_ctx = count, -neg_key, node_ctx + (token,)
-    return SpecTree(ctx, tokens, parents, rows, queries)
-
-
-def _expand_path(draft: LanguageModel, ctx: Context, policy: BranchPolicy) -> SpecTree:
-    """:func:`expand_tree` for a chain policy: each query's one proposal is
-    its row's greedy token, attached at once, so ``parents`` is ``range(n)``.
-    The heap loop's rules hold: no query at EOS, at ``max_depth`` or once
-    the budget is full, and with a vector a node's score is ``log_rates[0]``
-    per depth and a node is queried only if its child would reach the floor.
-    Every rule but EOS is fixed by the policy, so ``policy.path_depth``
-    holds how many queries they allow and the loop does no score
-    arithmetic.
-    """
-    eos = draft.vocab.eos_id
-    tokens, rows, node_ctx = [], [], ctx
-    for _ in range(policy.path_depth):
-        row = next_distribution(draft, node_ctx)
-        token = row.greedy_token
-        tokens.append(token)
-        rows.append(row)
-        if token == eos:
-            break
-        node_ctx += (token,)
-    return SpecTree(ctx, tokens, range(len(tokens)), rows, len(tokens))
+            token = row.greedy_token
+            add_token(token)
+            add_row(row)
+            if token == eos:
+                break
+            node_ctx += (token,)
+        parents, queries = range(len(tokens)), len(tokens)
+    else:
+        parents = []
+        add_parent = parents.append
+        threshold, fan_width = policy.entropy_threshold, policy.fan_width
+        max_branch, budget, max_depth = policy.max_branch, policy.node_budget, policy.max_depth
+        # With a vector, a node is queried only if its rank 0 would reach the
+        # floor, and a later rank is pushed only if it does.
+        rates, neg_floor = policy.log_rates, -policy.log_floor
+        heap: list = []
+        push, pushpop, pop = heapq.heappush, heapq.heappushpop, heapq.heappop
+        # The node to query, the parent of its proposals: its id, depth,
+        # score, context and path code; starts at the root.
+        query, parent, depth, score, node_ctx, code = True, ROOT_ID, 0, 0.0, ctx, 0
+        queries = count = 0
+        while True:
+            if query and (not rates or -(score + rates[0]) <= neg_floor):
+                row = next_distribution(draft, node_ctx)
+                queries += 1
+                # One token below the entropy threshold, else the policy's
+                # widest fan; the row's ranked ids with their log-probs.
+                ids, keys = row.fan(1 if threshold and row.entropy < threshold else fan_width)
+                if rates:
+                    keys = rates
+                cursor = (ids, keys, score, parent, row, node_ctx)
+                entry = pushpop(heap, (-(score + keys[0]), depth + 1, code * max_branch, cursor))
+            elif heap:
+                entry = pop(heap)
+            else:
+                break
+            neg_key, depth, code, cursor = entry
+            ids, keys, score, parent, row, node_ctx = cursor
+            rank = code % max_branch
+            token = ids[rank]
+            # Fan ids of a checked row are distinct and in range: the node
+            # needs no checks.
+            count += 1
+            add_token(token)
+            add_parent(parent)
+            add_row(row)
+            if count == budget:
+                break
+            if rank + 1 < len(ids):
+                neg_next = -(score + keys[rank + 1])
+                if neg_next <= neg_floor:
+                    push(heap, (neg_next, depth, code + 1, cursor))
+            query = token != eos and depth < max_depth
+            if query:
+                parent, score, node_ctx = count, -neg_key, node_ctx + (token,)
+    tree = _new_tree(SpecTree)
+    tree.context, tree.tokens, tree.parents, tree.rows = ctx, tokens, parents, rows
+    tree.draft_queries, tree.non_root_count = queries, len(tokens)
+    return tree
 
 
 def _rank_key(node: SpecNode) -> tuple[float, int, int]:

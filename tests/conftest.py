@@ -191,6 +191,11 @@ def top_tokens(dist: np.ndarray, k: int) -> list[int]:
     return [int(t) for t in order[:k]]
 
 
+class OracleTree(SpecTree):
+    """A SpecTree with an instance dict, where the reference expansion keeps
+    its per-node scores and the ids it queried; SpecTree itself has slots."""
+
+
 def full_expand(draft: LanguageModel, ctx, policy) -> SpecTree:
     """Reference expansion: query the draft at every frontier node,
     breadth-first, up to ``policy.max_depth``, ignoring the node budget.
@@ -203,7 +208,7 @@ def full_expand(draft: LanguageModel, ctx, policy) -> SpecTree:
     queried. ``best_nodes(full_expand(...), policy)`` is the tree that
     budgeted best-first expansion must build.
     """
-    tree = SpecTree(ctx)
+    tree = OracleTree(ctx)
     eos = draft.vocab.eos_id
     rates = policy.acceptance
     log_rates = None if rates is None else [math.log(r) for r in rates]

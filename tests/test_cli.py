@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specdec.cli as cli
 import specdec.harness as harness
 from specdec.cli import main
 from specdec.errors import InputError
@@ -70,6 +71,27 @@ def test_usage_error_exits_one():
     with pytest.raises(SystemExit) as excinfo:
         main(["bench", "--config", "x.cfg", "--out", "out", "--format", "csv"])  # no such option
     assert excinfo.value.code == 1
+
+
+def test_main_calls_in_one_process_parse_independently(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "bench", lambda args: seen.append(vars(args)) or 0)
+    assert main(["bench", "--config", "a.cfg", "--out", "a", "--seed", "3",
+                 "--max-tokens", "9"]) == 0
+    assert main(["bench", "--config", "b.cfg", "--out", "b"]) == 0
+    assert seen == [
+        {"command": "bench", "config": "a.cfg", "out": "a", "seed": 3, "corpus": None,
+         "max_tokens": 9},
+        {"command": "bench", "config": "b.cfg", "out": "b", "seed": None, "corpus": None,
+         "max_tokens": None},
+    ]
+    with pytest.raises(SystemExit) as excinfo:  # a usage error in between changes nothing
+        main(["bench", "--config", "c.cfg", "--seed", "x"])
+    assert excinfo.value.code == 1
+    assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
+    assert main(["bench", "--config", "b.cfg", "--out", "b"]) == 0
+    assert seen[-1] == seen[1]
+    assert cli._build_parser() is cli._build_parser()  # built once per process
 
 
 def test_train_writes_loadable_models(tmp_path, corpus_file):

@@ -141,9 +141,12 @@ def test_a_context_checked_for_one_vocabulary_is_checked_again_for_another():
     spec = expand_tree(MODEL, (BOS, 0), BranchPolicy(0.5, 2, 2, 4))
     equal = ConstantModel(make_vocab(2), [0.5, 0.3, 0.0, 0.2])  # an equal vocabulary
     assert verify_tree(equal, spec) == verify_tree(MODEL, spec)
+    assert expand_tree(equal, spec.context, BranchPolicy(0.5, 2, 2, 4)).tokens == spec.tokens
     smaller = ConstantModel(make_vocab(1), [0.5, 0.0, 0.5])  # bos_id 1, not 2
     with pytest.raises(InputError, match="bos_id=1"):
         verify_tree(smaller, spec)
+    with pytest.raises(InputError, match="bos_id=1"):
+        expand_tree(smaller, spec.context, BranchPolicy(0.5, 2, 2, 4))
 
 
 def test_a_checked_context_keeps_its_check_through_copy_and_pickle():

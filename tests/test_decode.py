@@ -263,6 +263,20 @@ def test_truncated_final_cycle_keeps_exact_length():
     assert stats.gamma == pytest.approx(30 / 8, abs=0.0)
 
 
+def test_every_max_tokens_cuts_the_final_cycle_to_fit():
+    # A perfect chain(3) draft emits 4 tokens a cycle, so the final cycle
+    # overflows by 1, 2 and 3 tokens as max_tokens runs on.
+    vocab, corpus = text_vocab("the cat sat on the mat. " * 8)
+    target = train_ngram(corpus, order=3, smoothing_alpha=0.1, vocab=vocab)
+    prompt = (vocab.bos_id,) + tuple(corpus[:4])
+    want = greedy_decode(target, prompt, 40)
+    for max_tokens in range(1, 41):
+        tokens, stats = speculative_decode(target, target, prompt, max_tokens,
+                                           BranchPolicy.chain(3))
+        assert tokens == want[:max_tokens]
+        assert stats.per_cycle_acceptance[-1] == max_tokens - 4 * (stats.cycles - 1)
+
+
 def test_adversarial_draft_emits_bonus_only():
     vocab = make_vocab(6)
     target = RandomTableModel(vocab, seed=5, concentration=0.4)

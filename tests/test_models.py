@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specdec
+import specdec.decode as decode
 import specdec.dists as dists
 import specdec.models as models
 from specdec.decode import greedy_decode, speculative_decode
@@ -93,13 +95,29 @@ def test_context_validation():
 
 
 @pytest.mark.parametrize("keep", [None, 1, 3, 5, 9])
-def test_an_extended_context_is_checked_and_holds_its_last_keep_tokens(keep):
-    vocab = make_vocab(3)
-    whole = (vocab.bos_id, 0, 1, 2, 0)
-    ctx = validate_context(vocab, whole[:3]).extended(whole[3:], keep)
-    assert type(ctx) is models._CheckedContext
-    assert ctx == (whole if keep is None else whole[-keep:])
-    assert validate_context(make_vocab(3), ctx) is ctx  # an equal vocabulary trusts it
+def test_an_extended_context_is_checked_and_holds_its_last_keep_tokens(keep, monkeypatch):
+    """Each cycle's context speculative_decode builds, the last one plus what
+    its cycle emitted, is checked for the target's vocabulary and holds the
+    last ``keep`` tokens of prompt and output: models of window ``keep``,
+    or a draft with no window for ``None``."""
+    vocab, corpus = text_vocab(TRAIN_TEXT)
+    target = train_ngram(corpus, order=(keep or 1) + 1, smoothing_alpha=0.1, vocab=vocab)
+    draft = target if keep is not None else PermutedModel(target)
+    seen = []
+    expand = decode.expand_tree
+    monkeypatch.setattr(decode, "expand_tree",
+                        lambda model, ctx, policy: seen.append(ctx) or expand(model, ctx, policy))
+    prompt = (vocab.bos_id,) + corpus[:12]
+    tokens, stats = speculative_decode(draft, target, prompt, 40, BranchPolicy.chain(3))
+    assert tokens == greedy_decode(target, prompt, 40) and len(seen) == stats.cycles > 3
+    whole = prompt + tuple(tokens)
+    ends = itertools.accumulate(stats.per_cycle_acceptance, initial=len(prompt))
+    for ctx, end in zip(seen, ends):
+        assert type(ctx) is models._CheckedContext and ctx.vocab is vocab
+        assert ctx == (whole[:end] if keep is None else whole[:end][-keep:])
+    ctx, equal = seen[-1], text_vocab(TRAIN_TEXT)[0]
+    assert equal is not vocab
+    assert validate_context(equal, ctx) is ctx  # an equal vocabulary trusts it
     clones = [copy.deepcopy(ctx)]
     clones += [pickle.loads(pickle.dumps(ctx, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
     for clone in clones:
@@ -107,7 +125,7 @@ def test_an_extended_context_is_checked_and_holds_its_last_keep_tokens(keep):
         assert validate_context(vocab, clone) is clone
     # An unequal vocabulary with the same ids walks it as a fresh context,
     # which a tail that lost its BOS fails.
-    renamed = Vocabulary(("x", "y", "z", BOS_STRING, EOS_STRING), vocab.bos_id, vocab.eos_id)
+    renamed = Vocabulary(tuple(f"<{t}>" for t in vocab.tokens), vocab.bos_id, vocab.eos_id)
     if ctx[0] == vocab.bos_id:
         walked = validate_context(renamed, ctx)
         assert walked == ctx and walked is not ctx and walked.vocab is renamed

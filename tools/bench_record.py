@@ -10,19 +10,23 @@ names another: the demo's tree shapes depend on the seed, so only records
 at one seed compare. With ``--check``, the runs are compared with a file
 this tool wrote instead: every ``counts`` entry must repeat exactly, and
 each one that does not is printed as ``<run>: <count path> <old> ->
-<new>``. With ``--compare``, two files are compared metric by metric
-against the bounds of ``BENCHMARK.json``; no run is made. Standard library
+<new>``. With ``--compare``, two sides are compared metric by metric
+against the bounds of ``BENCHMARK.json``, each side one file or a
+comma-separated list of files (say, the records of alternating runs of two
+commits), by the median of its runs; no run is made. Standard library
 only.
 
     python tools/bench_record.py --out BENCH_26.json
     python tools/bench_record.py --check BENCH_26.json
     python tools/bench_record.py --compare BENCH_25_seed7.json BENCH_26.json
+    python tools/bench_record.py --compare old-1.json,old-2.json new-1.json,new-2.json
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -63,32 +67,46 @@ def count_differences(run: str, old: dict, new: dict) -> list[str]:
     return list(walk(old["counts"], new["counts"], ""))
 
 
-def compare(old: dict, new: dict, end_to_end: list[dict]) -> list[str]:
-    """One line per run of ``old`` and end-to-end metric of ``BENCHMARK.json``
-    that the run carries: ``<run> <metric>: <old> -> <new> <unit> x<ratio>
-    inside|OUTSIDE <bound>``. A ratio is outside when the new value is
-    worse than the old by more than the metric's bound; a run absent from
-    ``new`` reads ``<run>: absent``. Records at different seeds or run lengths raise
-    ``ValueError``: their runs measure different work."""
-    for key in ("seed", "seconds"):
-        if old[key] != new[key]:
-            raise ValueError(f"the records differ in {key}: {old[key]} and {new[key]}")
+def compare(olds: list[dict], news: list[dict], end_to_end: list[dict]) -> list[str]:
+    """One line per run of the first old record and end-to-end metric of
+    ``BENCHMARK.json`` that the run carries: ``<run> <metric>: <old> -> <new>
+    <unit> x<ratio> inside|OUTSIDE <bound> (<spread>)``. ``olds`` and
+    ``news`` are several records of each side, and each side's value is the
+    median of its runs; the spread gives each side's run count and min–max,
+    or reads ``1 run per side``, where one run's drift between sessions can
+    read as a change. A ratio is outside when the new median is worse than
+    the old by more than the metric's bound; a run absent from any other
+    record reads ``<run>: absent``. Records at different seeds or run lengths
+    raise ``ValueError``: their runs measure different work."""
+    first = olds[0]
+    for record in (*olds, *news):
+        for key in ("seed", "seconds"):
+            if record[key] != first[key]:
+                raise ValueError(f"the records differ in {key}: {first[key]} and {record[key]}")
     lines = []
-    for run, before in old["runs"].items():
-        after = new["runs"].get(run)
-        if after is None:
+    for run in first["runs"]:
+        if any(run not in record["runs"] for record in (*olds, *news)):
             lines.append(f"{run}: absent")
             continue
         for metric in end_to_end:
             name = metric["name"]
-            if name not in before["metrics"] or name not in after["metrics"]:
+            sides = [[record["runs"][run]["metrics"].get(name) for record in records]
+                     for records in (olds, news)]
+            if None in sides[0] or None in sides[1]:
                 continue
-            a, b = before["metrics"][name]["value"], after["metrics"][name]["value"]
+            old_values, new_values = ([m["value"] for m in side] for side in sides)
+            a, b = statistics.median(old_values), statistics.median(new_values)
             ratio = b / a if a else (1.0 if b == a else float("inf"))
             worse = ratio - 1.0 if metric["better"] == "lower" else 1.0 - ratio
             verdict = "inside" if worse <= metric["bound"] else "OUTSIDE"
+            if len(old_values) == len(new_values) == 1:
+                spread = "1 run per side"
+            else:
+                spread = "; ".join(f"{side} {len(v)} run{'s' * (len(v) > 1)} "
+                                   f"{min(v):.6g}–{max(v):.6g}"
+                                   for side, v in (("old", old_values), ("new", new_values)))
             lines.append(f"{run} {name}: {a:.6g} -> {b:.6g} {metric['unit']} "
-                         f"x{ratio:.3f} {verdict} {metric['bound']}")
+                         f"x{ratio:.3f} {verdict} {metric['bound']} ({spread})")
     return lines
 
 
@@ -112,14 +130,17 @@ def main(argv: list[str] | None = None) -> int:
                              "for it)")
     parser.add_argument("--out", type=Path, help="the file to write")
     parser.add_argument("--check", type=Path, help="rerun at this file's seed and compare counts")
-    parser.add_argument("--compare", type=Path, nargs=2, metavar=("OLD", "NEW"),
-                        help="compare two records' end-to-end metrics with their bounds")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two sides' end-to-end metrics with their bounds; each "
+                             "side is a record or a comma-separated list of records, "
+                             "compared by their per-run medians")
     args = parser.parse_args(argv)
     if args.compare is not None:
-        old, new = (json.loads(path.read_text(encoding="utf-8")) for path in args.compare)
+        olds, news = ([json.loads(Path(path).read_text(encoding="utf-8"))
+                       for path in side.split(",")] for side in args.compare)
         spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
         try:
-            lines = compare(old, new, spec["end_to_end"])
+            lines = compare(olds, news, spec["end_to_end"])
         except ValueError as exc:
             print(f"bench_record: {exc}", file=sys.stderr)
             return 2

@@ -111,13 +111,27 @@ MUTANTS = (
            "max(target.context_window, draft_base.context_window)",
            "min(target.context_window, draft_base.context_window)",
            ("tests/test_models.py",)),
-    Mutant("trim keeps one token fewer", "models.py",
-           "_new_context(_CheckedContext, ctx if keep is None else ctx[-keep:])",
-           "_new_context(_CheckedContext, ctx if keep is None else ctx[1 - keep:])",
+    Mutant("trim keeps one token fewer", "decode.py",
+           "keep = slice(None if window is None else -window, None)",
+           "keep = slice(None if window is None else 1 - window, None)",
            ("tests/test_contexts.py",)),
     Mutant("SpecTree copies its context", "tree.py",
-           "context if isinstance(context, tuple) else tuple(context)", "tuple(context)",
+           "= ctx, tokens, parents, rows", "= tuple(ctx), tokens, parents, rows",
            ("tests/test_contexts.py",)),
+    Mutant("SpecTree keeps an instance dict", "tree.py",
+           '    __slots__ = ("context", "tokens", "parents", "rows", "draft_queries", '
+           '"non_root_count")\n', "",
+           ("tests/test_call_counts.py::test_an_expanded_tree_has_slots_and_no_instance_dict",)),
+    Mutant("the heap loop reads entropy at threshold 0", "tree.py",
+           "1 if threshold and row.entropy < threshold else fan_width",
+           "1 if row.entropy < threshold else fan_width",
+           ("tests/test_call_counts.py::"
+            "test_a_threshold_0_tree_cycle_adds_one_fan_per_draft_query",)),
+    Mutant("verify reads the greedy token through a call", "decode.py",
+           "while True:\n        want = next_distribution(target, ctx).greedy_token",
+           "while True:\n        want = greedy_token(next_distribution(target, ctx))",
+           ("tests/test_call_counts.py::"
+            "test_a_warm_chain_cycle_calls_only_its_stages_and_row_reads",)),
     Mutant("rank 0 taken without heappushpop", "tree.py",
            "entry = pushpop(heap, (", "entry = ((",
            ("tests/test_tree.py",)),
@@ -185,12 +199,22 @@ MUTANTS = (
     Mutant("expand_tree skips the context check", "tree.py",
            "ctx = validate_context(draft.vocab, ctx)", "pass",
            ("tests/test_contexts.py",)),
+    Mutant("expand_tree trusts a context checked for another vocabulary", "tree.py",
+           "or ctx.vocab is not draft.vocab:\n        ctx = validate_context(draft.vocab, ctx)",
+           ":\n        ctx = validate_context(draft.vocab, ctx)",
+           ("tests/test_contexts.py::"
+            "test_a_context_checked_for_one_vocabulary_is_checked_again_for_another",)),
     Mutant("estimate_kl skips the context check", "metrics.py",
            "probes = [validate_context(target.vocab, ctx) for ctx in probes]", "pass",
            ("tests/test_contexts.py",)),
     Mutant("verify_tree skips the context check", "decode.py",
-           "ctx = validate_context(target.vocab, tree.context)", "ctx = tree.context",
+           "ctx = validate_context(target.vocab, ctx)", "pass",
            ("tests/test_contexts.py",)),
+    Mutant("verify_tree trusts a context checked for another vocabulary", "decode.py",
+           "or ctx.vocab is not target.vocab:\n        ctx = validate_context(target.vocab, ctx)",
+           ":\n        ctx = validate_context(target.vocab, ctx)",
+           ("tests/test_contexts.py::"
+            "test_a_context_checked_for_one_vocabulary_is_checked_again_for_another",)),
     Mutant("an infinite lambda_grid accepted", "harness.py",
            "if any(map(math.isinf, values)):", "if kind is float and any(map(math.isinf, values)):",
            ("tests/test_harness.py::test_config_rejects_infinite_scalar_naming_the_key",)),
@@ -226,11 +250,15 @@ MUTANTS = (
     Mutant("emission not cut to max_tokens", "decode.py",
            "emitted = emitted[: max_tokens - len(out)]", "pass",
            ("tests/test_decode.py::test_truncated_final_cycle_keeps_exact_length",)),
+    Mutant("the overflow test misses an overflow of one", "decode.py",
+           "if len(out) + len(emitted) > max_tokens:",
+           "if len(out) + len(emitted) > max_tokens + 1:",
+           ("tests/test_decode.py::test_every_max_tokens_cuts_the_final_cycle_to_fit",)),
     Mutant("no stop at an emitted EOS", "decode.py",
            "if eos in emitted:", "if False:",
            ("tests/test_decode.py::test_speculative_stops_at_accepted_eos",)),
     Mutant("the bonus left out of the next context", "decode.py",
-           "ctx = ctx.extended(emitted, window)", "ctx = ctx.extended(accepted, window)",
+           "(ctx + emitted)[keep]", "(ctx + accepted)[keep]",
            ("tests/test_decode.py::test_speculative_equals_greedy_seeded_sample",)),
     Mutant("the decode never trims to its window", "decode.py",
            "window = _window(draft, target)", "window = None",
