@@ -41,12 +41,12 @@ class VerificationResult(NamedTuple):
 _new_result = tuple.__new__
 
 
-def _window(*models: LanguageModel) -> int | None:
-    """The trailing context tokens a decode must keep for ``models``: the
-    largest ``context_window``, at least 1 because next_distribution reads
-    the last token, or None if any model reads the whole context."""
+def _keep(*models: LanguageModel) -> slice:
+    """The slice of a context a decode must keep for ``models``: its last
+    ``max(1, largest context_window)`` tokens (next_distribution reads the
+    last token), or all of it if any model reads the whole context."""
     windows = [model.context_window for model in models]
-    return None if None in windows else max(1, *windows)
+    return slice(None if None in windows else -max(1, *windows), None)
 
 
 def greedy_decode(target: LanguageModel, prompt, max_tokens: int) -> list[int]:
@@ -59,12 +59,11 @@ def greedy_decode(target: LanguageModel, prompt, max_tokens: int) -> list[int]:
     if max_tokens < 1:
         raise InputError(f"max_tokens must be >= 1, got {max_tokens}")
     eos = target.vocab.eos_id
-    window = _window(target)
+    keep = _keep(target)
     ctx = validate_context(target.vocab, prompt)
     out: list[int] = []
     while len(out) < max_tokens:
-        if window is not None:
-            ctx = ctx[-window:]
+        ctx = ctx[keep]
         tok = next_distribution(target, ctx).greedy_token
         out.append(tok)
         if tok == eos:
@@ -136,18 +135,18 @@ def speculative_decode(
 
     vocab = target.vocab
     eos = vocab.eos_id
-    window = _window(draft, target)
-    keep = slice(None if window is None else -window, None)
+    keep = _keep(draft, target)
     # Checked once; the loop adds only the target's own tokens, from checked
     # rows, and stops at EOS, so expand_tree and verify_tree trust it unwalked.
-    ctx = _new_context(_CheckedContext, validate_context(vocab, prompt)[keep])
-    ctx.vocab = vocab
+    ctx = validate_context(vocab, prompt)
     out: list[int] = []
     budget = policy.node_budget
     draft_calls = scored = tree_nodes = 0
     per_cycle: list[int] = []
 
     while len(out) < max_tokens:
+        ctx = _new_context(_CheckedContext, ctx[keep])
+        ctx.vocab = vocab
         tree = expand_tree(draft, ctx, policy)
         draft_calls += tree.draft_queries
         tree = prune_tree(tree, budget)
@@ -163,8 +162,7 @@ def speculative_decode(
         per_cycle.append(len(emitted))
         if eos in emitted:
             break
-        ctx = _new_context(_CheckedContext, (ctx + emitted)[keep])
-        ctx.vocab = vocab
+        ctx += emitted
     stats = DecodeStats(
         cycles=len(per_cycle),
         emitted_tokens=len(out),

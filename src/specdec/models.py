@@ -139,7 +139,7 @@ def validate_context(vocab: Vocabulary, ctx) -> Context:
     """
     if type(ctx) is _CheckedContext and (ctx.vocab is vocab or ctx.vocab == vocab):
         return ctx
-    tokens = tuple(int(t) for t in ctx)
+    tokens = tuple(map(int, ctx))
     bos, eos, size = vocab.bos_id, vocab.eos_id, vocab.size
     if not tokens:
         raise InputError("context must be non-empty")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -214,10 +214,13 @@ class SpecTree:
     parent ``-1``, which no walk reaches. ``non_root_count`` counts the kept
     nodes, ``draft_queries`` the draft calls expansion consumed.
 
-    ``nodes`` maps each kept id, the root included, to its :class:`SpecNode`
+    ``nodes`` maps each kept id, the root first, to its :class:`SpecNode`
     (depth, draft probability and cumulative log-prob derived root-down),
-    and ``children`` to its child ids in attach order: live read-only views
-    for :func:`render_tree`, cuts and tests, which decoding never reads.
+    and ``children`` each kept id to its child ids in attach order, ``[]``
+    for a leaf. Each read builds a fresh dict in one pass over the
+    sequences, a snapshot that later attachments leave as it was, so a
+    caller reading many nodes should hold one. :func:`render_tree`, cuts
+    and tests read them; decoding never does.
 
     ``context`` is the context the root stands for, and a node's context is
     it plus the node's root path. In a tree that ``speculative_decode``
@@ -241,59 +244,25 @@ class SpecTree:
         self.non_root_count = len(tokens)
 
     @property
-    def nodes(self) -> Mapping[int, SpecNode]:
-        return _View(self, self._node)
-
-    @property
-    def children(self) -> Mapping[int, list[int]]:
-        return _View(self, lambda nid: [i for i, up in enumerate(self.parents, 1) if up == nid])
-
-    def _node(self, nid: int) -> SpecNode:
-        # Walk up to the root, then derive the path's nodes back down: a
-        # loop, so a tree of any depth reads back.
-        path = []
-        while nid != ROOT_ID:
-            path.append(nid)
-            nid = self.parents[nid - 1]
-        node = _ROOT
-        for nid in reversed(path):
-            node = self._child(node, nid)
-        return node
-
-    def _child(self, up: SpecNode, nid: int) -> SpecNode:
-        token = self.tokens[nid - 1]
-        prob = float(self.rows[nid - 1][token])
-        return SpecNode(nid, token, up.id, up.depth + 1, prob, up.cum_logprob + math.log(prob))
-
-    def _kept_nodes(self) -> dict[int, SpecNode]:
-        """Every kept node, the root included, derived in one root-down pass:
-        a parent comes before its children, and a dropped node's parent is
-        ``-1``."""
+    def nodes(self) -> dict[int, SpecNode]:
+        # A parent comes before its children; a dropped node's parent is -1.
         nodes = {ROOT_ID: _ROOT}
-        for nid, parent in enumerate(self.parents, 1):
+        for nid, (token, parent, row) in enumerate(zip(self.tokens, self.parents, self.rows), 1):
             if parent != -1:
-                nodes[nid] = self._child(nodes[parent], nid)
+                up = nodes[parent]
+                prob = float(row[token])
+                nodes[nid] = SpecNode(nid, token, parent, up.depth + 1, prob,
+                                      up.cum_logprob + math.log(prob))
         return nodes
 
-
-class _View(Mapping):
-    """A live read-only view of a tree's root and kept nodes, by node id."""
-
-    def __init__(self, tree: SpecTree, read) -> None:
-        self._tree, self._read = tree, read
-
-    def __getitem__(self, nid: int):
-        parents = self._tree.parents
-        if nid != ROOT_ID and not (0 < nid <= len(parents) and parents[nid - 1] != -1):
-            raise KeyError(nid)
-        return self._read(nid)
-
-    def __iter__(self):
-        yield ROOT_ID
-        yield from (nid for nid, parent in enumerate(self._tree.parents, 1) if parent != -1)
-
-    def __len__(self) -> int:
-        return self._tree.non_root_count + 1
+    @property
+    def children(self) -> dict[int, list[int]]:
+        children: dict[int, list[int]] = {ROOT_ID: []}
+        for nid, parent in enumerate(self.parents, 1):
+            if parent != -1:
+                children[parent].append(nid)
+                children[nid] = []
+        return children
 
 
 def expand_tree(draft: LanguageModel, ctx, policy: BranchPolicy) -> SpecTree:
@@ -433,7 +402,7 @@ def prune_tree(tree: SpecTree, n: int) -> SpecTree:
         raise InputError(f"prune budget must be >= 1, got {n}")
     if tree.non_root_count <= n:
         return tree
-    ranked = sorted(tree._kept_nodes().values(), key=_rank_key)[1:]  # the root ranks first
+    ranked = sorted(tree.nodes.values(), key=_rank_key)[1:]  # the root ranks first
     keep = {node.id for node in ranked[:n]}
     parents = [parent if nid in keep else -1 for nid, parent in enumerate(tree.parents, 1)]
     cut = SpecTree(tree.context, tree.tokens, parents, tree.rows, tree.draft_queries)
@@ -448,12 +417,9 @@ def render_tree(tree: SpecTree, vocab: Vocabulary) -> str:
     token strings are repr-escaped. The walk keeps its own stack, so a
     tree of any depth renders.
     """
-    nodes = tree._kept_nodes()
-    children: dict[int, list[int]] = {}
-    for node in nodes.values():
-        children.setdefault(node.parent, []).append(node.id)
+    nodes, children = tree.nodes, tree.children
     lines = ["<root>"]
-    stack = children.get(ROOT_ID, [])[::-1]
+    stack = children[ROOT_ID][::-1]
     while stack:
         node = nodes[stack.pop()]
         lines.append(
@@ -464,5 +430,5 @@ def render_tree(tree: SpecTree, vocab: Vocabulary) -> str:
                 node.cum_logprob,
             )
         )
-        stack += children.get(node.id, [])[::-1]
+        stack += children[node.id][::-1]
     return "\n".join(lines) + "\n"

@@ -132,7 +132,9 @@ class TableModel(LanguageModel):
 def add_child(tree: SpecTree, parent_id: int, token: int, draft_prob: float) -> int:
     """Attach a checked node to ``tree`` and return its id, the next
     position of its flat sequences. Its row is ``{token: draft_prob}``."""
-    if parent_id not in tree.nodes:
+    parents = tree.parents
+    if parent_id != ROOT_ID and not (0 < parent_id <= len(parents)
+                                     and parents[parent_id - 1] != -1):
         raise InputError(f"parent id {parent_id} not in tree")
     if not 0.0 < draft_prob <= 1.0:
         raise InputError(f"draft_prob must be in (0, 1], got {draft_prob}")
@@ -147,23 +149,25 @@ def add_child(tree: SpecTree, parent_id: int, token: int, draft_prob: float) -> 
 
 def path_tokens(tree: SpecTree, node_id: int) -> tuple[int, ...]:
     """Tokens along the root path down to ``node_id`` (root excluded)."""
+    nodes = tree.nodes
     rev: list[int] = []
-    node = tree.nodes[node_id]
+    node = nodes[node_id]
     while node.parent != -1:
         rev.append(node.token)
-        node = tree.nodes[node.parent]
+        node = nodes[node.parent]
     return tuple(reversed(rev))
 
 
 def check_tree(tree: SpecTree) -> None:
     """Check a tree's structural invariants; raises InputError on violation."""
-    root = tree.nodes[ROOT_ID]
+    nodes = tree.nodes
+    root = nodes[ROOT_ID]
     if root.parent != -1 or root.depth != 0 or root.cum_logprob != 0.0:
         raise InputError("malformed root")
-    for nid, node in tree.nodes.items():
+    for nid, node in nodes.items():
         if nid == ROOT_ID:
             continue
-        parent = tree.nodes.get(node.parent)
+        parent = nodes.get(node.parent)
         if parent is None:
             raise InputError(f"node {nid} has missing parent {node.parent}")
         if node.depth != parent.depth + 1:
@@ -172,7 +176,7 @@ def check_tree(tree: SpecTree) -> None:
         if abs(node.cum_logprob - expected) > 1e-12:
             raise InputError(f"node {nid} cum_logprob incoherent")
     for pid, kids in tree.children.items():
-        tokens = [tree.nodes[k].token for k in kids]
+        tokens = [nodes[k].token for k in kids]
         if len(set(tokens)) != len(tokens):
             raise InputError(f"node {pid} has duplicate child tokens")
 
@@ -215,11 +219,12 @@ def full_expand(draft: LanguageModel, ctx, policy) -> SpecTree:
     tree.log_floor = math.log(policy.floor) if policy.floor > 0 else -math.inf
     tree.scores = {ROOT_ID: 0.0}
     tree.queried = set()
-    frontier = deque([(ROOT_ID, tree.context)])
+    # Each entry: a node's id, context, depth, token and cumulative log-prob.
+    frontier = deque([(ROOT_ID, tree.context, 0, None, 0.0)])
     while frontier:
-        node_id, node_ctx = frontier.popleft()
-        node, score = tree.nodes[node_id], tree.scores[node_id]
-        if node.depth >= policy.max_depth or node.token == eos:
+        node_id, node_ctx, depth, token, cum_logprob = frontier.popleft()
+        score = tree.scores[node_id]
+        if depth >= policy.max_depth or token == eos:
             continue
         if log_rates is not None and score + log_rates[0] < tree.log_floor:
             continue
@@ -228,10 +233,9 @@ def full_expand(draft: LanguageModel, ctx, policy) -> SpecTree:
         tree.queried.add(node_id)
         for rank, token in enumerate(top_tokens(dist, branch_width(dist, policy))):
             child = add_child(tree, node_id, token, float(dist[token]))
-            tree.scores[child] = (
-                tree.nodes[child].cum_logprob if log_rates is None else score + log_rates[rank]
-            )
-            frontier.append((child, node_ctx + (token,)))
+            child_logprob = cum_logprob + math.log(float(dist[token]))
+            tree.scores[child] = child_logprob if log_rates is None else score + log_rates[rank]
+            frontier.append((child, node_ctx + (token,), depth + 1, token, child_logprob))
     return tree
 
 

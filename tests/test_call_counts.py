@@ -27,7 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 #: vocabulary comparison, the window (and its list comprehension, a frame
 #: of its own before Python 3.12), the prompt's check, returned as given,
 #: and the DecodeStats constructor.
-PER_DECODE = Counter({"speculative_decode": 1, "__eq__": 1, "_window": 1,
+PER_DECODE = Counter({"speculative_decode": 1, "__eq__": 1, "_keep": 1,
                       "validate_context": 1, "__init__": 1})
 if sys.version_info < (3, 12):
     PER_DECODE["<listcomp>"] = 1

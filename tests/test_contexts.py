@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -153,6 +154,26 @@ def test_a_checked_context_keeps_its_check_through_copy_and_pickle():
     ctx = models.validate_context(VOCAB, (BOS, 0))
     for clone in (copy.deepcopy(ctx), pickle.loads(pickle.dumps(ctx))):
         assert clone == ctx and models.validate_context(VOCAB, clone) is clone
+
+
+def test_a_fresh_context_is_walked_without_a_python_frame_per_token():
+    # sys.setprofile reports a "call" event for each Python frame entered,
+    # none for a C function: the walk enters no generator frame per token.
+    vocab, corpus = text_vocab(TRAIN_TEXT)
+    ctx = [vocab.bos_id, *corpus[:8]]
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        checked = models.validate_context(vocab, ctx)
+    finally:
+        sys.setprofile(None)
+    assert checked == tuple(ctx)
+    assert sorted(names) == ["size", "validate_context"]
 
 
 def test_a_hand_built_tree_with_a_malformed_context_is_rejected():

@@ -55,8 +55,10 @@ def rank_key(node):
 def build_random_tree(rng, vocab_size: int = 8, max_nodes: int = 30) -> SpecTree:
     tree = SpecTree(context=(vocab_size - 2,))
     for _ in range(int(rng.integers(1, max_nodes + 1))):
-        parent = int(rng.choice(np.fromiter(tree.nodes.keys(), dtype=np.int64)))
-        used = {tree.nodes[c].token for c in tree.children.get(parent, [])}
+        # Every id 0..n is kept; a parent's child tokens are read off the
+        # flat sequences, without deriving the nodes.
+        parent = int(rng.choice(np.arange(tree.non_root_count + 1, dtype=np.int64)))
+        used = {t for t, up in zip(tree.tokens, tree.parents) if up == parent}
         available = [t for t in range(vocab_size) if t not in used]
         if not available:
             continue
@@ -317,7 +319,7 @@ def test_chain_policy_queries_once_per_depth():
 
 
 def test_a_tree_deeper_than_the_recursion_limit_reads_back():
-    # Node views, cuts and renders walk a tree by loops, never one call
+    # Node reads, cuts and renders walk a tree by loops, never one call
     # frame per level.
     vocab = make_vocab(2)
     depth = sys.getrecursionlimit() + 100
@@ -611,7 +613,8 @@ for rate, cost in ((0.9999999, CostModel(0.05, 1.0)), (0.9999999, CostModel(0.0,
 
 def test_spec_node_is_an_immutable_named_tuple():
     tree = SpecTree(context=(3,))
-    node = tree.nodes[add_child(tree, ROOT_ID, 1, 0.5)]
+    child = add_child(tree, ROOT_ID, 1, 0.5)
+    node = tree.nodes[child]
     assert SpecNode._fields == ("id", "token", "parent", "depth", "draft_prob", "cum_logprob")
     assert node == (1, 1, ROOT_ID, 1, 0.5, math.log(0.5))
     assert tree.nodes[ROOT_ID] == (ROOT_ID, None, -1, 0, 1.0, 0.0)
@@ -619,6 +622,21 @@ def test_spec_node_is_an_immutable_named_tuple():
         with pytest.raises(AttributeError):
             setattr(node, field, 0)
     assert tree.nodes[1] == node
+
+
+def test_each_read_of_nodes_and_children_is_a_fresh_snapshot():
+    tree = SpecTree(context=(3,))
+    a = add_child(tree, ROOT_ID, 1, 0.5)
+    b = add_child(tree, ROOT_ID, 0, 0.25)
+    first, again = tree.nodes, tree.nodes
+    assert first == again and first is not again
+    leaf = add_child(tree, a, 0, 0.5)
+    assert leaf not in first and leaf in tree.nodes
+    assert tree.children == {ROOT_ID: [a, b], a: [leaf], b: [], leaf: []}
+    # A cut to 2 keeps b over the equally scored, deeper leaf.
+    cut = prune_tree(tree, 2)
+    assert list(cut.nodes) == [ROOT_ID, a, b]
+    assert cut.children == {ROOT_ID: [a, b], a: [], b: []}
 
 
 _NGRAM_VOCAB, _NGRAM_CORPUS = text_vocab(TRAIN_TEXT)

@@ -112,8 +112,7 @@ MUTANTS = (
            "min(target.context_window, draft_base.context_window)",
            ("tests/test_models.py",)),
     Mutant("trim keeps one token fewer", "decode.py",
-           "keep = slice(None if window is None else -window, None)",
-           "keep = slice(None if window is None else 1 - window, None)",
+           "else -max(1, *windows), None)", "else 1 - max(1, *windows), None)",
            ("tests/test_contexts.py",)),
     Mutant("SpecTree copies its context", "tree.py",
            "= ctx, tokens, parents, rows", "= tuple(ctx), tokens, parents, rows",
@@ -141,12 +140,14 @@ MUTANTS = (
     Mutant("the next sibling skips a rank", "tree.py",
            "depth, code + 1, cursor)", "depth, code + 2, cursor)",
            ("tests/test_tree.py::test_expand_uniform_binary_tree",)),
-    Mutant("node views recurse once per level", "tree.py",
-           "        path = []\n        while nid != ROOT_ID:",
-           "        if nid != ROOT_ID:\n"
-           "            return self._child(self._node(self.parents[nid - 1]), nid)\n"
-           "        path = []\n        while nid != ROOT_ID:",
-           ("tests/test_tree.py::test_a_tree_deeper_than_the_recursion_limit_reads_back",)),
+    Mutant("nodes keeps a dropped node", "tree.py",
+           "if parent != -1:\n                up = nodes[parent]",
+           "if True:\n                up = nodes.get(parent, _ROOT)",
+           ("tests/test_tree.py::test_each_read_of_nodes_and_children_is_a_fresh_snapshot",)),
+    Mutant("children misses a leaf's empty list", "tree.py",
+           "children[parent].append(nid)\n                children[nid] = []",
+           "children.setdefault(parent, []).append(nid)",
+           ("tests/test_tree.py::test_each_read_of_nodes_and_children_is_a_fresh_snapshot",)),
     Mutant("fan_width counts a rank below the floor", "tree.py",
            "while fan_width < self.max_branch and log_rates[fan_width] >= log_floor:",
            "while fan_width < self.max_branch:",
@@ -258,10 +259,10 @@ MUTANTS = (
            "if eos in emitted:", "if False:",
            ("tests/test_decode.py::test_speculative_stops_at_accepted_eos",)),
     Mutant("the bonus left out of the next context", "decode.py",
-           "(ctx + emitted)[keep]", "(ctx + accepted)[keep]",
+           "ctx += emitted", "ctx += accepted",
            ("tests/test_decode.py::test_speculative_equals_greedy_seeded_sample",)),
     Mutant("the decode never trims to its window", "decode.py",
-           "window = _window(draft, target)", "window = None",
+           "keep = _keep(draft, target)", "keep = slice(None)",
            ("tests/test_contexts.py::"
             "test_long_outputs_match_greedy_on_contexts_of_window_plus_depth",)),
     Mutant("run_matrix compares tokens with themselves", "harness.py",
