@@ -144,6 +144,15 @@ MUTANTS = (
            "if parent != -1:\n                up = nodes[parent]",
            "if True:\n                up = nodes.get(parent, _ROOT)",
            ("tests/test_tree.py::test_each_read_of_nodes_and_children_is_a_fresh_snapshot",)),
+    Mutant("node views recurse once per level", "tree.py",
+           "nodes = {ROOT_ID: _ROOT}\n",
+           "nodes = {ROOT_ID: _ROOT}\n\n"
+           "        def up_of(nid):\n"
+           "            if nid != ROOT_ID:\n"
+           "                up_of(self.parents[nid - 1])\n"
+           "            return nodes[nid]\n",
+           ("tests/test_tree.py::test_a_tree_deeper_than_the_recursion_limit_reads_back",),
+           more=(("up = nodes[parent]", "up = up_of(parent)"),)),
     Mutant("children misses a leaf's empty list", "tree.py",
            "children[parent].append(nid)\n                children[nid] = []",
            "children.setdefault(parent, []).append(nid)",
