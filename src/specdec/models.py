@@ -39,6 +39,7 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from collections.abc import Hashable
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -90,9 +91,9 @@ class Vocabulary:
         """
         mapping = self._char_ids()
         if skip_unknown:
-            return tuple(mapping[ch] for ch in text if ch in mapping)
+            text = filter(mapping.__contains__, text)
         try:
-            return tuple(mapping[ch] for ch in text)
+            return tuple(map(mapping.__getitem__, text))
         except KeyError as exc:
             raise InputError(f"character {exc.args[0]!r} is not in the vocabulary") from None
 
@@ -266,18 +267,17 @@ class ConstantModel(LanguageModel):
     """Emits one fixed distribution for every context. Degenerate but handy:
     a one-hot row gives a fully deterministic chain model. The row is
     checked once, by :func:`~specdec.dists.check_row` at construction, and
-    its row table holds it under the key ``()``."""
+    kept only in its row table, under the key ``()``."""
 
     context_window = 0
 
     def __init__(self, vocab: Vocabulary, probs) -> None:
         self.vocab = vocab
-        self._row = check_row(probs, vocab.size)
         self._table = RowTable(self)
-        self._table[()] = self._row
+        self._table[()] = check_row(probs, vocab.size)
 
     def distribution(self, ctx: Context) -> np.ndarray:
-        return self._row.view(np.ndarray)
+        return self._table[()].view(np.ndarray)
 
     def _row_key(self, ctx: Context) -> tuple[()]:
         return ()
@@ -296,10 +296,11 @@ class NGramModel(LanguageModel):
     only, the model's ``context_window``: a context that holds fewer has
     no seen suffix and backs off, whether or not it starts at BOS.
 
-    Construction keeps the counts and builds no row. :meth:`distribution`
-    smooths a row when asked, and its :class:`RowTable` keeps each checked
-    row keyed by that suffix, or by ``()`` for the backoff row, filled on
-    first use.
+    Construction checks the count tables for every caller (a corpus, a
+    model file, a direct call), ids and counts first, keeps the counts and
+    builds no row. :meth:`distribution` smooths a row when asked, and its
+    :class:`RowTable` keeps each checked row keyed by that suffix, or by
+    ``()`` for the backoff row, filled on first use.
     """
 
     def __init__(
@@ -310,6 +311,11 @@ class NGramModel(LanguageModel):
         context_counts: dict[tuple[int, ...], dict[int, int]],
         unigram_counts,
     ) -> None:
+        ids = set().union(*context_counts, *context_counts.values())
+        if min(ids, default=0) < 0 or max(ids, default=0) >= vocab.size:
+            raise InputError(f"a token id is out of range for vocabulary size {vocab.size}")
+        if min(chain(unigram_counts, *map(dict.values, context_counts.values())), default=0) < 0:
+            raise InputError("counts must be non-negative")
         if order < 1:
             raise InputError(f"order must be >= 1, got {order}")
         if not 0 <= alpha < math.inf:  # NaN fails this test too
@@ -519,7 +525,7 @@ def dataclass_from_json(cls, value, what: str, keys: dict[str, str] | None = Non
 
 
 def load_model(path) -> NGramModel:
-    """Rebuild an n-gram model from :func:`save_model` output."""
+    """Rebuild an n-gram model from :func:`save_model` output (``NGramModel`` checks its tables)."""
     doc = read_json(path, "model", FORMAT_NAME, FORMAT_VERSION)
     try:
         vocab = dataclass_from_json(Vocabulary, doc["vocab"], "vocab")
@@ -528,13 +534,6 @@ def load_model(path) -> NGramModel:
             for ctx, row in doc["contexts"]
         }
         unigram = from_json(tuple[int, ...], doc["unigram"])
-        # train_ngram checks its corpus; a file's tables are checked here.
-        ids = [t for ctx, row in contexts.items() for t in (*ctx, *row)]
-        counts = [*unigram, *(c for row in contexts.values() for c in row.values())]
-        if not all(0 <= t < vocab.size for t in ids):
-            raise InputError(f"a token id is out of range for vocabulary size {vocab.size}")
-        if any(c < 0 for c in counts):
-            raise InputError("counts must be non-negative")
         return NGramModel(
             vocab, from_json(int, doc["order"]), from_json(float, doc["alpha"]), contexts, unigram
         )

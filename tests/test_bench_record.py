@@ -1,8 +1,9 @@
 """``tools/bench_record.py --check`` names each count that does not repeat,
 and ``--compare`` reads two records' metrics against their bounds.
 
-Only the pure comparisons are tested here; the tool's runs of perfbench are
-not part of this suite."""
+The tool's runs of perfbench are not part of this suite: the comparisons
+are tested on hand-made records, and the run order of ``--out`` and
+``--check`` with a stubbed ``record``."""
 
 from __future__ import annotations
 
@@ -106,3 +107,51 @@ def test_compare_reads_comma_separated_sides_from_the_command_line(tmp_path, cap
     assert capsys.readouterr().out == (
         "chain-long/trace0 gamma: 410 -> 300 tok/pass x0.732 OUTSIDE 0.05 "
         "(old 2 runs 400–420; new 1 run 300–300)\n")
+
+
+def test_out_with_check_records_each_run_once_and_checks_those_runs(tmp_path, monkeypatch,
+                                                                     capsys):
+    calls = []
+
+    def record(workload, seed, seconds, trace):
+        calls.append((workload, seed, seconds, trace))
+        return {"counts": {"cycles": 10 + trace}}
+
+    monkeypatch.setattr(bench_record, "record", record)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
+    runs = [(w["name"], trace) for w in spec["workloads"] for trace in (0, 1)]
+    keys = [f"{name}/trace{trace}" for name, trace in runs]
+
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    old = {"seed": 7, "seconds": seconds,
+           "runs": {key: {"counts": {"cycles": 10 + trace}} for key, (_, trace) in zip(keys, runs)}}
+    old["runs"][keys[0]]["counts"]["cycles"] = 9
+    old_path, new_path = write("old.json", old), tmp_path / "new.json"
+    assert bench_record.main(["--out", str(new_path), "--check", old_path]) == 1
+    assert calls == [(name, 7, seconds, trace) for name, trace in runs]  # each run once
+    assert json.loads(new_path.read_text(encoding="utf-8")) == {
+        "seed": 7, "seconds": seconds,
+        "runs": {key: {"counts": {"cycles": 10 + trace}} for key, (_, trace) in zip(keys, runs)}}
+    assert capsys.readouterr().out == (
+        f"{keys[0]}: cycles 9 -> 10\n{len(keys) - 1}/{len(keys)} runs repeat their counts\n")
+
+    # Records at another seed or run length are refused before any run.
+    calls.clear()
+    longer = write("longer.json", {**old, "seconds": seconds + 1})
+    for argv, why in ((["--seed", "8", "--check", old_path], "seed: 7 and 8"),
+                      (["--check", longer], f"seconds: {seconds + 1} and {seconds}")):
+        assert bench_record.main([*argv, "--out", str(tmp_path / "x.json")]) == 2
+        assert why in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "x.json").exists()
+
+    # --check alone reruns the file's own runs at its seed and run length.
+    alone = write("alone.json", {"seed": 25, "seconds": 1,
+                                 "runs": {keys[1]: {"counts": {"cycles": 11}}}})
+    assert bench_record.main(["--check", alone]) == 0
+    assert calls == [(runs[1][0], 25, 1, 1)]
+    assert capsys.readouterr().out == "1/1 runs repeat their counts\n"

@@ -204,6 +204,31 @@ def test_reports_are_plain_json_dumps(tmp_path, config_file):
     assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _env(**extra):
+    """The environment of a subprocess that imports this checkout's specdec."""
+    src = str(Path(harness.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                **extra)
+
+
+def test_python_dash_m_specdec_runs_the_cli(tmp_path, monkeypatch, capsys):
+    root = Path(__file__).resolve().parent.parent
+    argv = ["bench", "--config", "demo/bench.cfg", "--seed", "7", "--out"]
+    proc = subprocess.run([sys.executable, "-m", "specdec", *argv, str(tmp_path / "sub")],
+                          cwd=root, capture_output=True, text=True, env=_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.chdir(root)
+    assert main([*argv, str(tmp_path / "in")]) == 0
+    out = capsys.readouterr().out
+    assert proc.stdout.replace(str(tmp_path / "sub"), str(tmp_path / "in")) == out
+    assert ((tmp_path / "sub" / "report.json").read_bytes()
+            == (tmp_path / "in" / "report.json").read_bytes())
+
+    bare = subprocess.run([sys.executable, "-m", "specdec"], cwd=root, capture_output=True,
+                          text=True, env=_env(), timeout=120)
+    assert bare.returncode == 1 and "required: command" in bare.stderr
+
+
 def test_bench_seed_override_changes_report(tmp_path, config_file):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -455,13 +480,6 @@ def test_bench_huge_sample_count_exits_one_naming_the_key(tmp_path, corpus_file,
     assert not (tmp_path / "out").exists()
 
 
-_RUN_CLI = """
-import sys
-from specdec.cli import main
-sys.exit(main(sys.argv[1:]))
-"""
-
-
 def _limit_address_space():
     # About 1.5 GB: room for the interpreter and numpy, not for 2**40 samples.
     resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))
@@ -474,15 +492,12 @@ def test_bench_sample_count_too_large_for_memory_exits_one_naming_the_key(
     # allocation fails. Run only under the address-space limit.
     config = tmp_path / "huge.cfg"
     config.write_text(f"corpus = {corpus_file}\n{key} = {2**40}\n", encoding="utf-8")
-    src = str(Path(harness.__file__).resolve().parent.parent)
     # One BLAS thread: per-thread buffers on a many-core host could take
     # the address space the limit leaves.
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-               OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN_CLI,
+        [sys.executable, "-m", "specdec",
          "bench", "--config", str(config), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_env(OPENBLAS_NUM_THREADS="1"), timeout=120,
         preexec_fn=_limit_address_space,
     )
     assert proc.returncode == 1, proc.stderr

@@ -52,6 +52,8 @@ from conftest import (
     top_tokens,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def test_vocabulary_basics():
     vocab = make_vocab(3)
@@ -68,6 +70,31 @@ def test_vocabulary_encode_unknown():
     with pytest.raises(InputError):
         vocab.encode("abz")
     assert vocab.encode("azbza", skip_unknown=True) == (0, 1, 0)
+
+
+def test_encoding_the_demo_corpus_enters_no_python_frame_per_character():
+    # sys.setprofile reports a "call" event for each Python frame entered,
+    # none for a C function: encode maps in C, with no generator frame.
+    text = (ROOT / "demo" / "corpus.txt").read_text(encoding="utf-8")
+    ood = (ROOT / "demo" / "ood.txt").read_text(encoding="utf-8") + "\u2603"  # one unknown
+    vocab = text_vocab(text)[0]
+    mapping = vocab._char_ids()
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        ids = vocab.encode(text)
+        kept = vocab.encode(ood, skip_unknown=True)
+    finally:
+        sys.setprofile(None)
+    assert ids == tuple(mapping[ch] for ch in text)
+    assert kept == tuple(mapping[ch] for ch in ood[:-1])
+    assert names.count("<genexpr>") == 0
+    assert names.count("encode") == 2 and set(names) <= {"encode", "_char_ids", "<dictcomp>"}
 
 
 def test_vocabulary_rejects_duplicates_and_bad_ids():
@@ -394,6 +421,47 @@ def test_load_rejects_corrupt_count_tables_naming_the_file(tmp_path, fault):
         load_model(path)
 
 
+_ID_OUT_OF_RANGE = "a token id is out of range for vocabulary size 4"
+_NEGATIVE_COUNT = "counts must be non-negative"
+
+
+@pytest.mark.parametrize(
+    "contexts, unigram, message",
+    [
+        ({(0,): {99: 1}}, [1, 1, 0, 1], _ID_OUT_OF_RANGE),
+        ({(7,): {0: 1}}, [1, 1, 0, 1], _ID_OUT_OF_RANGE),
+        ({(0,): {4: 1}}, [1, 1, 0, 1], _ID_OUT_OF_RANGE),
+        ({(-1,): {0: 1}}, [1, 1, 0, 1], _ID_OUT_OF_RANGE),
+        ({(0,): {1: -0.05}}, [1, 1, 0, 1], _NEGATIVE_COUNT),
+        ({(0,): {1: 1}}, [1, -1, 0, 1], _NEGATIVE_COUNT),
+    ],
+    ids=["row token 99", "context token 7", "row token 4", "context token -1",
+         "row count -0.05", "unigram count -1"],
+)
+def test_an_ngram_model_checks_its_count_tables_for_every_caller(
+        tmp_path, contexts, unigram, message):
+    """A directly built model rejects a bad table at construction with the
+    error a model file holding that table reports, after ``model file
+    <path> is malformed: `` (a file's counts are integers, so -0.05 is -1
+    there)."""
+    vocab = make_vocab(2)
+    with pytest.raises(InputError) as direct:
+        NGramModel(vocab, 2, 0.5, contexts, unigram)
+    assert str(direct.value) == message
+
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "format": "specdec-ngram", "version": 1, "order": 2, "alpha": 0.5,
+        "vocab": {"tokens": list(vocab.tokens), "bos_id": vocab.bos_id, "eos_id": vocab.eos_id},
+        "unigram": unigram,
+        "contexts": [[list(ctx), [[t, math.floor(c)] for t, c in row.items()]]
+                     for ctx, row in contexts.items()],
+    }), encoding="utf-8")
+    with pytest.raises(InputError) as loaded:
+        load_model(path)
+    assert str(loaded.value) == f"model file {path} is malformed: {direct.value!r}"
+
+
 @pytest.mark.parametrize("alpha", [math.nan, math.inf])
 def test_ngram_rejects_non_finite_alpha(alpha):
     vocab = make_vocab(2)
@@ -495,11 +563,13 @@ def test_a_constant_model_checks_its_one_row_once(monkeypatch):
     monkeypatch.setattr(dists, "validate_distribution", counting)
     draft = ConstantModel(vocab, np.full(vocab.size, 1.0 / vocab.size))
     assert len(checks) == 1  # at construction
+    assert set(vars(draft)) == {"vocab", "_table"}  # the row is kept only in its table
     prompt = (vocab.bos_id,) + corpus[:6]
     tokens, stats = speculative_decode(draft, target, prompt, 24, BranchPolicy.chain(4))
     assert tokens == greedy_decode(target, prompt, 24)
     assert stats.draft_calls > 1
     assert _distinct_rows(draft) == 1
+    assert draft.distribution(prompt).base is draft._table[()] is next_distribution(draft, prompt)
     assert len(checks) == 1 + _distinct_rows(target)  # none of them the draft's
 
 

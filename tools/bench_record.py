@@ -8,16 +8,20 @@ raw latency samples (``details.raw``), which are about 180 KB per 8 s run.
 The seed is the trajectory seed, 7 (the demo's own), unless ``--seed``
 names another: the demo's tree shapes depend on the seed, so only records
 at one seed compare. With ``--check``, the runs are compared with a file
-this tool wrote instead: every ``counts`` entry must repeat exactly, and
-each one that does not is printed as ``<run>: <count path> <old> ->
-<new>``. With ``--compare``, two sides are compared metric by metric
-against the bounds of ``BENCHMARK.json``, each side one file or a
+this tool wrote: every ``counts`` entry must repeat exactly, and each one
+that does not is printed as ``<run>: <count path> <old> -> <new>``. Alone,
+``--check`` reruns that file's runs at its seed and run length; with
+``--out``, the runs just recorded are the ones compared, so one set of
+runs makes the record and its check, and the two files must agree on
+seed and run length. With ``--compare``, two sides are compared metric by
+metric against the bounds of ``BENCHMARK.json``, each side one file or a
 comma-separated list of files (say, the records of alternating runs of two
 commits), by the median of its runs; no run is made. Standard library
 only.
 
     python tools/bench_record.py --out BENCH_26.json
     python tools/bench_record.py --check BENCH_26.json
+    python tools/bench_record.py --out BENCH_27.json --check BENCH_26.json
     python tools/bench_record.py --compare BENCH_25_seed7.json BENCH_26.json
     python tools/bench_record.py --compare old-1.json,old-2.json new-1.json,new-2.json
 """
@@ -110,15 +114,14 @@ def compare(olds: list[dict], news: list[dict], end_to_end: list[dict]) -> list[
     return lines
 
 
-def record_all(seed: int) -> dict:
-    """Every workload of ``BENCHMARK.json``, untraced and traced, at its ``run_seconds``."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = spec["run_seconds"]
+def record_all(seed: int, seconds: float, keys) -> dict:
+    """A record of the runs ``keys`` (``<workload>/trace<T>``), each one
+    ``record`` call at ``seed`` and ``seconds``."""
     runs = {}
-    for workload in (w["name"] for w in spec["workloads"]):
-        for trace in (0, 1):
-            print(f"{workload} trace={trace}", file=sys.stderr, flush=True)
-            runs[f"{workload}/trace{trace}"] = record(workload, seed, seconds, trace)
+    for key in keys:
+        workload, trace = key.split("/trace")
+        print(key, file=sys.stderr, flush=True)
+        runs[key] = record(workload, seed, seconds, int(trace))
     return {"seed": seed, "seconds": seconds, "runs": runs}
 
 
@@ -129,7 +132,9 @@ def main(argv: list[str] | None = None) -> int:
                              "trajectory seed; a record at another seed goes to a file named "
                              "for it)")
     parser.add_argument("--out", type=Path, help="the file to write")
-    parser.add_argument("--check", type=Path, help="rerun at this file's seed and compare counts")
+    parser.add_argument("--check", type=Path,
+                        help="compare counts with this file's: alone, rerun its runs at its "
+                             "seed and run length; with --out, compare the runs recorded")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                         help="compare two sides' end-to-end metrics with their bounds; each "
                              "side is a record or a comma-separated list of records, "
@@ -146,24 +151,33 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         print("\n".join(lines))
         return 1 if any(" OUTSIDE " in line for line in lines) else 0
-    if args.check is not None:
-        old = json.loads(args.check.read_text(encoding="utf-8"))
-        differ = 0
-        for key, run in old["runs"].items():
-            workload, trace = key.split("/trace")
-            print(key, file=sys.stderr, flush=True)
-            new = record(workload, old["seed"], old["seconds"], int(trace))
-            lines = count_differences(key, run, new)
-            for line in lines:
-                print(line)
-            differ += bool(lines)
-        print(f"{len(old['runs']) - differ}/{len(old['runs'])} runs repeat their counts")
-        return 1 if differ else 0
-    if args.out is None:
+    if args.out is None and args.check is None:
         parser.error("--out is required unless --check or --compare is given")
-    args.out.write_text(json.dumps(record_all(args.seed), indent=2) + "\n",
-                        encoding="utf-8")
-    return 0
+    old = None if args.check is None else json.loads(args.check.read_text(encoding="utf-8"))
+    if args.out is None:
+        new = record_all(old["seed"], old["seconds"], old["runs"])
+    else:
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+        seed, seconds = args.seed, spec["run_seconds"]
+        for key, value in (("seed", seed), ("seconds", seconds)):
+            if old is not None and old[key] != value:
+                print(f"bench_record: the records differ in {key}: {old[key]} and {value}",
+                      file=sys.stderr)
+                return 2
+        new = record_all(seed, seconds, [f"{w['name']}/trace{trace}"
+                                         for w in spec["workloads"] for trace in (0, 1)])
+        args.out.write_text(json.dumps(new, indent=2) + "\n", encoding="utf-8")
+    if old is None:
+        return 0
+    differ = 0
+    for key, run in old["runs"].items():
+        lines = ([f"{key}: absent"] if key not in new["runs"]
+                 else count_differences(key, run, new["runs"][key]))
+        for line in lines:
+            print(line)
+        differ += bool(lines)
+    print(f"{len(old['runs']) - differ}/{len(old['runs'])} runs repeat their counts")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

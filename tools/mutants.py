@@ -96,8 +96,15 @@ MUTANTS = (
            "    return int(probs.argmax())",
            ("tests/test_dists.py::test_greedy_tie_breaks_to_lowest_id",)),
     Mutant("constant model keeps no table", "models.py",
-           "self._table[()] = self._row", "pass",
+           "self._table[()] = check_row(probs, vocab.size)", "check_row(probs, vocab.size)",
            ("tests/test_models.py::test_a_constant_model_checks_its_one_row_once",)),
+    Mutant("the id check lets the vocabulary size through", "models.py",
+           "max(ids, default=0) >= vocab.size", "max(ids, default=0) > vocab.size",
+           ("tests/test_models.py::test_an_ngram_model_checks_its_count_tables_for_every_caller",
+            "tests/test_models.py::test_load_rejects_corrupt_count_tables_naming_the_file")),
+    Mutant("the count check misses the unigram", "models.py",
+           "min(chain(unigram_counts, *map(", "min(chain(*map(",
+           ("tests/test_models.py::test_an_ngram_model_checks_its_count_tables_for_every_caller",)),
     Mutant("load_model lets OverflowError escape", "models.py",
            "except (KeyError, TypeError, ValueError, OverflowError) as exc:",
            "except (KeyError, TypeError, ValueError) as exc:",
