@@ -157,7 +157,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"specdec: i/o error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

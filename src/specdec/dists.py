@@ -4,10 +4,12 @@ entropy, KL.
 A distribution is a 1-D float64 numpy array of non-negative entries summing
 to 1 within ``SUM_TOLERANCE``. Entropy and KL are reported in nats.
 
-:func:`validate_distribution` is the one check of those invariants.
-:func:`check_row` runs it and returns a :class:`Row`, which carries the
-facts the engine reads from every row: its greedy token, its entropy and
-its proposal fan, the ids and log-probabilities of its best tokens.
+:func:`validate_distribution` is the one check of those invariants, the
+row's shape included. :func:`check_row` is the one place a model's values
+become a float64 vector; it runs that check and returns a :class:`Row`,
+which carries the facts the engine reads from every row: its greedy
+token, its entropy and its proposal fan, the ids and log-probabilities of
+its best tokens.
 :func:`specdec.models.next_distribution` hands out only rows made here. A
 row from a built-in model's finite table is made once (a constant's when
 it is built); a plug-in model's row is made on every call. :func:`greedy_token`,
@@ -32,16 +34,12 @@ EPSILON_FLOOR = 1e-10
 SUM_TOLERANCE = 1e-9
 
 
-def _check_shape(probs: np.ndarray, size: int | None) -> None:
+def validate_distribution(probs: np.ndarray, size: int | None = None) -> None:
+    """Raise :class:`InputError` unless ``probs`` is a valid distribution."""
     if probs.ndim != 1 or probs.size == 0:
         raise InputError(f"distribution must be a non-empty vector, got shape {probs.shape}")
     if size is not None and probs.size != size:
         raise InputError(f"distribution has length {probs.size}, expected {size}")
-
-
-def validate_distribution(probs: np.ndarray, size: int | None = None) -> None:
-    """Raise :class:`InputError` unless ``probs`` is a valid distribution."""
-    _check_shape(probs, size)
     if np.any(probs < 0.0):
         raise InputError("distribution has negative entries")
     total = float(probs.sum())
@@ -102,14 +100,14 @@ class Row(np.ndarray):
         return fan
 
 
-def as_vector(values, size: int) -> np.ndarray:
-    """``values`` as a float64 vector of ``size`` numbers, the form a
-    distribution over ``size`` tokens takes; raises :class:`InputError`.
-    Its entries are not checked as probabilities.
+def check_row(values, size: int) -> Row:
+    """Copy ``values`` into a float64 :class:`Row` after checking it as a
+    distribution over ``size`` tokens; raises :class:`InputError`.
 
-    Only integer and float entries count as numbers: numpy would also
-    convert bools, numeric strings and bytes to float64, and gives a list
-    that mixes bools with floats a float dtype.
+    ``values`` must be a vector of numbers, then :func:`validate_distribution`
+    checks it. Only integer and float entries count as numbers: numpy
+    would also convert bools, numeric strings and bytes to float64, and
+    gives a list that mixes bools with floats a float dtype.
     """
     try:
         probs = np.asarray(values)
@@ -120,16 +118,6 @@ def as_vector(values, size: int) -> np.ndarray:
     if isinstance(values, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in values):
         raise InputError("distribution is not a vector of numbers: it holds bools")
     probs = probs.astype(np.float64, copy=False)
-    _check_shape(probs, size)
-    return probs
-
-
-def check_row(values, size: int) -> Row:
-    """Copy ``values`` into a float64 :class:`Row` after checking it as a
-    distribution over ``size`` tokens (:func:`as_vector`, then
-    :func:`validate_distribution`); raises :class:`InputError`.
-    """
-    probs = as_vector(values, size)
     validate_distribution(probs, size)
     row = Row(probs.shape)
     row[...] = probs

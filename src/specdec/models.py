@@ -46,7 +46,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 # validate_distribution is unused here; kept because perfbench traces it by this name.
-from .dists import Row, as_vector, check_row, validate_distribution
+from .dists import Row, check_row, validate_distribution
 from .errors import InputError
 
 BOS_STRING = "<s>"
@@ -391,7 +391,10 @@ class InterpolatedModel(LanguageModel):
 
     At lam=0 or 1 the rows are one model's rows, so the blend shares that
     model's keys, window and row table (None for a plug-in). In between,
-    a blend keeps a table only if both sides do: its :class:`RowTable`
+    each side is read through :func:`next_distribution`, so a side row is
+    made and checked once, by that side's table or on the call for a
+    plug-in, and a plug-in side must return a distribution itself. A blend
+    keeps a table only if both sides do: its :class:`RowTable`
     keeps the checked blends, filed under a pair of both sides' keys
     and under each context's tail (see :class:`RowTable`), so a served
     row costs one slice and one probe, not two key lookups and a tuple. A
@@ -425,13 +428,9 @@ class InterpolatedModel(LanguageModel):
     def distribution(self, ctx: Context) -> np.ndarray:
         if self._source is not None:
             return self._source.distribution(ctx)
-        # A plug-in side may return a list, so each side is converted and
-        # shape-checked as next_distribution would; the blend is checked there.
-        size = self.vocab.size
-        return (
-            self.lam * as_vector(self.target.distribution(ctx), size)
-            + (1.0 - self.lam) * as_vector(self.draft_base.distribution(ctx), size)
-        )
+        blend = (self.lam * next_distribution(self.target, ctx)
+                 + (1.0 - self.lam) * next_distribution(self.draft_base, ctx))
+        return blend.view(np.ndarray)
 
     def _row_key(self, ctx: Context) -> Hashable:
         if self._source is not None:
@@ -537,7 +536,7 @@ def load_model(path) -> NGramModel:
         return NGramModel(
             vocab, from_json(int, doc["order"]), from_json(float, doc["alpha"]), contexts, unigram
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"model file {path} is malformed: {exc!r}") from exc
     except InputError as exc:
         raise InputError(f"model file {path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"model file {path} is malformed: {exc!r}") from exc

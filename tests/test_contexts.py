@@ -269,6 +269,18 @@ def test_a_blend_with_a_list_side_converts_it():
         assert greedy_decode(blend, (BOS,), 3) == [1, 1, 1]
 
 
+def test_a_blend_side_must_be_a_distribution_on_its_own():
+    """Each side is read through ``next_distribution``, so a plug-in side
+    that is not a distribution is rejected with that call's message, even
+    where the blend of the two would be one."""
+    left, right = _ListModel(VOCAB, [1.5, -0.5, 0.0, 0.0]), _ListModel(VOCAB, [-0.5, 1.5, 0.0, 0.0])
+    with pytest.raises(InputError) as side:
+        next_distribution(left, (BOS,))
+    with pytest.raises(InputError) as blended:
+        next_distribution(distill_interpolate(left, right, 0.5), (BOS,))
+    assert str(blended.value) == str(side.value) == "distribution has negative entries"
+
+
 @pytest.mark.parametrize(
     ("values", "message"),
     [(["a", "b", "c", "d"], "not a vector of numbers"), ([0.5, 0.5, 0.0], "length 3, expected 4")],

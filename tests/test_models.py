@@ -442,8 +442,7 @@ def test_an_ngram_model_checks_its_count_tables_for_every_caller(
         tmp_path, contexts, unigram, message):
     """A directly built model rejects a bad table at construction with the
     error a model file holding that table reports, after ``model file
-    <path> is malformed: `` (a file's counts are integers, so -0.05 is -1
-    there)."""
+    <path>: `` (a file's counts are integers, so -0.05 is -1 there)."""
     vocab = make_vocab(2)
     with pytest.raises(InputError) as direct:
         NGramModel(vocab, 2, 0.5, contexts, unigram)
@@ -459,7 +458,7 @@ def test_an_ngram_model_checks_its_count_tables_for_every_caller(
     }), encoding="utf-8")
     with pytest.raises(InputError) as loaded:
         load_model(path)
-    assert str(loaded.value) == f"model file {path} is malformed: {direct.value!r}"
+    assert str(loaded.value) == f"model file {path}: {direct.value}"
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf])
@@ -510,7 +509,8 @@ def _distinct_rows(model) -> int:
 
 def test_each_model_row_is_checked_exactly_once(monkeypatch):
     """Each distinct table row is checked once per model lifetime, on first
-    use; a plug-in model's row is checked on every call."""
+    use; a plug-in model's row is checked on every call. A blend's sides
+    are read through their own tables, so the base's rows count too."""
     checks = []
 
     def counting(probs, size=None):
@@ -524,7 +524,8 @@ def test_each_model_row_is_checked_exactly_once(monkeypatch):
 
     tokens, stats = speculative_decode(draft, target, prompt, 24, BranchPolicy(0.5, 3, 4, 8))
     assert stats.draft_calls > 0 and stats.target_contexts_scored > 0
-    assert len(checks) == _distinct_rows(draft) + _distinct_rows(target)
+    base = draft.draft_base
+    assert len(checks) == _distinct_rows(draft) + _distinct_rows(target) + _distinct_rows(base)
     assert len(checks) < stats.draft_calls + stats.target_contexts_scored
 
     checks.clear()
@@ -541,7 +542,8 @@ def test_each_model_row_is_checked_exactly_once(monkeypatch):
     vocab, corpus, draft, target = _demo_models()
     probes = [(vocab.bos_id,) + corpus[i:i + 4] for i in range(0, 40, 8)]
     estimate_kl(draft, target, probes)
-    assert len(checks) == _distinct_rows(draft) + _distinct_rows(target) <= 2 * len(probes)
+    rows = _distinct_rows(draft) + _distinct_rows(target)
+    assert len(checks) == rows + _distinct_rows(draft.draft_base) and rows <= 2 * len(probes)
     checks.clear()
     estimate_kl(draft, target, probes)
     assert checks == []
@@ -549,6 +551,29 @@ def test_each_model_row_is_checked_exactly_once(monkeypatch):
     plug_in = _RowModel(make_vocab(2), [0.25, 0.5, 0.0, 0.25])
     assert greedy_decode(plug_in, (plug_in.vocab.bos_id,), 5) == [1] * 5
     assert len(checks) == 5
+
+
+def test_a_blend_reads_its_sides_rows_from_their_tables(monkeypatch):
+    """A mid-lambda blend reads each side through ``next_distribution``, so
+    over a decode each n-gram row is smoothed once, for the side's own
+    table, and verification reads the target rows the blend made. The
+    blend hands its table a plain array, not a row without facts."""
+    smoothed = []
+    smooth = NGramModel.distribution
+
+    def counting(model, ctx):
+        smoothed.append(model)
+        return smooth(model, ctx)
+
+    monkeypatch.setattr(NGramModel, "distribution", counting)
+    vocab, corpus, draft, target = _demo_models()
+    prompt = (vocab.bos_id,) + corpus[:6]
+    tokens, _ = speculative_decode(draft, target, prompt, 24, BranchPolicy(0.5, 3, 4, 8))
+    assert tokens == greedy_decode(target, prompt, 24)
+    assert smoothed.count(target) == _distinct_rows(target)
+    assert smoothed.count(draft.draft_base) == _distinct_rows(draft.draft_base)
+    assert len(smoothed) == _distinct_rows(target) + _distinct_rows(draft.draft_base)
+    assert type(draft.distribution(prompt)) is np.ndarray
 
 
 def test_a_constant_model_checks_its_one_row_once(monkeypatch):
@@ -1031,17 +1056,17 @@ def _build_any_tabled(spec) -> LanguageModel:
 
 
 def _counted_misses(patch: pytest.MonkeyPatch) -> list:
-    """The tails :meth:`RowTable.__missing__` is called with while ``patch``
-    is active."""
-    tails = []
+    """The ``(table, tail)`` pairs :meth:`RowTable.__missing__` is called
+    with while ``patch`` is active."""
+    misses = []
     missing = RowTable.__missing__
 
     def counting(table, tail):
-        tails.append(tail)
+        misses.append((table, tail))
         return missing(table, tail)
 
     patch.setattr(RowTable, "__missing__", counting)
-    return tails
+    return misses
 
 
 _EOS_MESSAGE = "^context already ends in eos; nothing to predict$"
@@ -1092,7 +1117,8 @@ def test_an_eos_trained_ngram_has_suffixes_that_end_in_eos():
 @given(spec=_ANY_TABLED_SPECS, contexts=st.lists(_CONTEXT_TOKENS, min_size=1, max_size=6))
 def test_a_cold_read_misses_once_per_distinct_tail(spec, contexts):
     """Whole or cut to its tail, read twice, each context costs its table
-    one miss the first time its tail is read and none after."""
+    one miss the first time its tail is read and none after. A blend's
+    sides miss in their own tables, which are not counted here."""
     model = _build_any_tabled(spec)
     window = max(model.context_window, 1)
     with pytest.MonkeyPatch.context() as patch:
@@ -1102,7 +1128,7 @@ def test_a_cold_read_misses_once_per_distinct_tail(spec, contexts):
             for ctx in (full, _last(full, window)) * 2:
                 next_distribution(model, ctx)
     tails = [_last((_WINDOWED_VOCAB.bos_id, *tokens), window) for tokens in contexts]
-    assert misses == list(dict.fromkeys(tails))
+    assert [tail for table, tail in misses if table is model._table] == list(dict.fromkeys(tails))
 
 
 @settings(max_examples=60, deadline=None)

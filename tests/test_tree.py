@@ -19,7 +19,7 @@ import specdec
 from specdec.decode import greedy_decode, speculative_decode
 from specdec.errors import InputError
 from specdec.metrics import CostModel, predicted_speedup
-from specdec.models import ConstantModel, distill_interpolate, train_ngram
+from specdec.models import ConstantModel, distill_interpolate, next_distribution, train_ngram
 from specdec.tree import (
     ROOT_ID,
     BranchPolicy,
@@ -245,6 +245,18 @@ def test_chain_degeneration_with_branch_one_and_a_threshold_above_every_entropy(
             tree = expand_tree(draft, (vocab.bos_id,), policy)
             for nid in tree.nodes:
                 assert len(tree.children.get(nid, [])) <= 1
+
+
+def test_a_row_at_the_exact_threshold_expands_max_branch_children():
+    """At or above the threshold the top ``max_branch`` tokens expand, so a
+    threshold equal to the root row's entropy gives it three children, and
+    the next float up gives it one."""
+    vocab = make_vocab(3)
+    draft = ConstantModel(vocab, [0.5, 0.3, 0.2, 0.0, 0.0])
+    gate = next_distribution(draft, (vocab.bos_id,)).entropy
+    for threshold, width in ((gate, 3), (math.nextafter(gate, math.inf), 1)):
+        tree = expand_tree(draft, (vocab.bos_id,), BranchPolicy(threshold, 3, 1, 3))
+        assert len(tree.children[ROOT_ID]) == width
 
 
 def test_random_trees_validate_and_prune_cleanly():

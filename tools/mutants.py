@@ -259,11 +259,29 @@ MUTANTS = (
            "if speedup < best:", "if False:",
            ("tests/test_tree.py::test_the_chain_floor_stops_once_deeper_chains_add_no_tokens",)),
     Mutant("a blend multiplies raw side values", "models.py",
-           "self.lam * as_vector(self.target.distribution(ctx), size)",
+           "self.lam * next_distribution(self.target, ctx)",
            "self.lam * self.target.distribution(ctx)",
-           ("tests/test_contexts.py::test_a_blend_with_a_list_side_converts_it",),
-           more=(("(1.0 - self.lam) * as_vector(self.draft_base.distribution(ctx), size)",
+           ("tests/test_contexts.py::test_a_blend_with_a_list_side_converts_it",
+            "tests/test_contexts.py::test_a_blend_side_must_be_a_distribution_on_its_own"),
+           more=(("(1.0 - self.lam) * next_distribution(self.draft_base, ctx)",
                   "(1.0 - self.lam) * self.draft_base.distribution(ctx)"),)),
+    Mutant("validate_distribution skips the length check", "dists.py",
+           "if size is not None and probs.size != size:", "if False:",
+           ("tests/test_dists.py::test_validate_rejects_bad_shape_and_size",
+            "tests/test_contexts.py::test_a_bad_blend_side_is_a_one_line_input_error")),
+    Mutant("the entropy gate expands at the threshold", "tree.py",
+           "row.entropy < threshold", "row.entropy <= threshold",
+           ("tests/test_tree.py::test_a_row_at_the_exact_threshold_expands_max_branch_children",)),
+    Mutant("load_model reports its own InputError as malformed", "models.py",
+           "    except InputError as exc:\n"
+           "        raise InputError(f\"model file {path}: {exc}\") from exc\n"
+           "    except (KeyError, TypeError, ValueError, OverflowError) as exc:\n"
+           "        raise InputError(f\"model file {path} is malformed: {exc!r}\") from exc\n",
+           "    except (KeyError, TypeError, ValueError, OverflowError) as exc:\n"
+           "        raise InputError(f\"model file {path} is malformed: {exc!r}\") from exc\n"
+           "    except InputError as exc:\n"
+           "        raise InputError(f\"model file {path}: {exc}\") from exc\n",
+           ("tests/test_models.py::test_an_ngram_model_checks_its_count_tables_for_every_caller",)),
     Mutant("emission not cut to max_tokens", "decode.py",
            "emitted = emitted[: max_tokens - len(out)]", "pass",
            ("tests/test_decode.py::test_truncated_final_cycle_keeps_exact_length",)),
